@@ -9,11 +9,8 @@ Usage:
 A flat key=value config file may supply any flag's value; command-line
 flags override the file.  Exit codes: 0 success, 2 validation error,
 3 numerical failure (near-eigenvalue momentum, non-converged quadrature
-or extraction).
-
-Grid points are evaluated concurrently when ABX_THREADS > 1, with output
-always serialized in grid order, so results are deterministic and
-bitwise identical across runs.
+or extraction).  Each task evaluates its whole grid with one call per
+momentum, so the coupling matrix p(k) is solved once per momentum.
 """
 
 from __future__ import annotations
@@ -23,10 +20,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +32,7 @@ from .krein import d_of_k, full_resolvent_kernel, p_of_k
 from .scattering import (
     FORWARD_EPSILON,
     PlaneWaveChannel,
+    _in_forward_cone,
     amplitude_u,
     channel_mixing,
     cross_section,
@@ -77,7 +73,6 @@ class RunConfig:
     source: tuple[float, float] = (1.0, 0.0)
     fmt: str = "json"
     out: str | None = None
-    tolerances: dict = field(default_factory=dict)
 
 
 def _parse_complex_pair(text: str) -> complex:
@@ -177,48 +172,34 @@ def parse_config(argv) -> RunConfig:
     )
     k_values = _parse_float_list(merged["k"]) if not isinstance(merged["k"], tuple) else merged["k"]
     for k in k_values:
-        if k <= 0:
+        if not (math.isfinite(k) and k > 0):
             raise ValueError(f"momenta must be positive, got {k}")
     radii = _parse_float_list(merged["radii"]) if not isinstance(merged["radii"], tuple) else merged["radii"]
     source = _parse_float_list(merged["source"])
     if len(source) != 2:
         raise ValueError("source must be r,phi")
+    k_imag = float(merged["k_imag"])
+    theta = float(merged["theta"])
+    if not all(math.isfinite(v) for v in (k_imag, theta, *source, *radii)):
+        raise ValueError("k-imag, theta, source and radii must be finite")
+    if k_imag < 0:
+        raise ValueError(f"k-imag must be >= 0 (k lies in the upper half-plane), got {k_imag}")
     angle_count = int(merged["angles"])
     if angle_count < 1:
         raise ValueError(f"angle grid needs at least one point, got {angle_count}")
     return RunConfig(
-        task=ns.task,
+        task=task,
         alpha=alpha,
         params=params,
         k_values=tuple(k_values),
-        k_imag=float(merged["k_imag"]),
-        theta=float(merged["theta"]),
+        k_imag=k_imag,
+        theta=theta,
         angle_count=angle_count,
         radii=tuple(radii),
         source=(float(source[0]), float(source[1])),
         fmt=str(merged["fmt"]),
         out=merged["out"],
-        tolerances={"forward_cone": FORWARD_EPSILON},
     )
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ABX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, items):
-    """Evaluate fn over items, concurrently if ABX_THREADS > 1; output
-    order always follows input order."""
-    workers = _worker_count()
-    items = list(items)
-    if workers == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _angle_grid(n: int) -> np.ndarray:
@@ -272,111 +253,84 @@ def _task_mixing(cfg: RunConfig):
         return {"k": k, "prob_0_to_m1": mix.prob_0_to_m1,
                 "prob_m1_to_0": mix.prob_m1_to_0, "constant": mix.constant}
 
-    results = _grid_map(one, cfg.k_values)
+    results = [one(k) for k in cfg.k_values]
     cols = _PROV_COLS + ["k", "prob_0_to_m1", "prob_m1_to_0", "constant"]
     rows = [_provenance_row(cfg) + [r["k"], r["prob_0_to_m1"], r["prob_m1_to_0"], r["constant"]]
             for r in results]
     return results, cols, rows, []
 
 
+def _off_cone(cfg: RunConfig, angles: np.ndarray, values_at) -> list:
+    """values_at(off-cone angles) spread over the angle grid, with None
+    inside the forward cone."""
+    cone = _in_forward_cone(cfg.theta, angles)
+    vals = iter(values_at(angles[~cone]).tolist())
+    return [None if inside else next(vals) for inside in cone]
+
+
 def _task_xsection(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-
-    def one(k):
-        def point(phi):
-            if abs(math.remainder(phi - cfg.theta, 2.0 * math.pi)) < FORWARD_EPSILON:
-                return None
-            return cross_section(cfg.params, cfg.alpha, k, cfg.theta, phi)
-
-        vals = _grid_map(point, angles)
-        return {"k": k, "theta": cfg.theta,
-                "phi": [float(a) for a in angles],
-                "dsigma_dphi": vals,
-                "forward_excluded": [v is None for v in vals]}
-
-    results = _grid_map(one, cfg.k_values)
+    results, rows = [], []
+    for k in cfg.k_values:
+        vals = _off_cone(cfg, angles,
+                         lambda phi: cross_section(cfg.params, cfg.alpha, k, cfg.theta, phi))
+        results.append({"k": k, "theta": cfg.theta,
+                        "phi": angles.tolist(),
+                        "dsigma_dphi": vals,
+                        "forward_excluded": [v is None for v in vals]})
+        rows += [_provenance_row(cfg) + [k, cfg.theta, phi, "" if v is None else v, v is None]
+                 for phi, v in zip(angles.tolist(), vals)]
     cols = _PROV_COLS + ["k", "theta", "phi", "dsigma_dphi", "in_forward_cone"]
-    rows = []
-    for r in results:
-        for phi, v in zip(r["phi"], r["dsigma_dphi"]):
-            rows.append(_provenance_row(cfg)
-                        + [r["k"], r["theta"], phi,
-                           "" if v is None else v, v is None])
     meta = [f"forward_cone_halfwidth={FORWARD_EPSILON}"]
     return results, cols, rows, meta
 
 
 def _task_amplitude(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-
-    def one(k):
+    results, rows = [], []
+    for k in cfg.k_values:
         amp = amplitude_u(cfg.params, cfg.alpha, k)
-        vals = []
-        for phi in angles:
-            if abs(math.remainder(phi - cfg.theta, 2.0 * math.pi)) < FORWARD_EPSILON:
-                vals.append(None)
-            else:
-                vals.append(amp.smooth(cfg.theta, phi))
-        return {"k": k, "theta": cfg.theta,
-                "phi": [float(a) for a in angles],
-                "smooth": [None if v is None else _c2l(v) for v in vals],
-                "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
-                "forward_pv_weight": _c2l(amp.forward_pv_weight),
-                "notes": list(amp.convention_notes)}
-
-    results = _grid_map(one, cfg.k_values)
+        vals = [None if v is None else _c2l(v)
+                for v in _off_cone(cfg, angles, lambda phi: amp.smooth(cfg.theta, phi))]
+        results.append({"k": k, "theta": cfg.theta,
+                        "phi": angles.tolist(),
+                        "smooth": vals,
+                        "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
+                        "forward_pv_weight": _c2l(amp.forward_pv_weight),
+                        "notes": list(amp.convention_notes)})
+        rows += [_provenance_row(cfg)
+                 + [k, cfg.theta, phi, *(["", ""] if v is None else v), v is None]
+                 for phi, v in zip(angles.tolist(), vals)]
     cols = _PROV_COLS + ["k", "theta", "phi", "f_re", "f_im", "in_forward_cone"]
-    rows = []
-    for r in results:
-        for phi, v in zip(r["phi"], r["smooth"]):
-            rows.append(_provenance_row(cfg)
-                        + [r["k"], r["theta"], phi,
-                           "" if v is None else v[0], "" if v is None else v[1],
-                           v is None])
     return results, cols, rows, []
 
 
 def _task_eigenfunction(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-
-    def one(k):
+    points = [[float(r), float(phi)] for r in cfg.radii for phi in angles]
+    results, rows = [], []
+    for k in cfg.k_values:
         chan = PlaneWaveChannel(k, cfg.theta)
-        grid = [(r, phi) for r in cfg.radii for phi in angles]
-        vals = _grid_map(lambda p: psi_u(cfg.params, cfg.alpha, chan, p[0], p[1]), grid)
-        return {"k": k, "theta": cfg.theta,
-                "points": [[float(r), float(phi)] for r, phi in grid],
-                "psi": [_c2l(v) for v in vals]}
-
-    results = _grid_map(one, cfg.k_values)
+        vals = psi_u(cfg.params, cfg.alpha, chan, cfg.radii, angles)
+        vals = [_c2l(v) for v in vals.ravel().tolist()]
+        results.append({"k": k, "theta": cfg.theta, "points": points, "psi": vals})
+        rows += [_provenance_row(cfg) + [k, cfg.theta, *p, *v] for p, v in zip(points, vals)]
     cols = _PROV_COLS + ["k", "theta", "r", "phi", "psi_re", "psi_im"]
-    rows = []
-    for r in results:
-        for (rr, phi), v in zip(r["points"], r["psi"]):
-            rows.append(_provenance_row(cfg) + [r["k"], r["theta"], rr, phi, v[0], v[1]])
     return results, cols, rows, []
 
 
 def _task_resolvent(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
+    points = [[float(r), float(phi)] for r in cfg.radii for phi in angles]
     y = cfg.source
-
-    def one(k):
+    results, rows = [], []
+    for k in cfg.k_values:
         kk = UpperHalfK(complex(k, cfg.k_imag)) if cfg.k_imag > 0 else UpperHalfK(k, on_real_axis=True)
-        grid = [(r, phi) for r in cfg.radii for phi in angles]
-        vals = _grid_map(
-            lambda p: full_resolvent_kernel(cfg.params, cfg.alpha, kk, p, y), grid
-        )
-        return {"k": [k, cfg.k_imag], "source": list(y),
-                "points": [[float(r), float(phi)] for r, phi in grid],
-                "kernel": [_c2l(v) for v in vals]}
-
-    results = _grid_map(one, cfg.k_values)
+        vals = full_resolvent_kernel(cfg.params, cfg.alpha, kk, (cfg.radii, angles), y)
+        vals = [_c2l(v) for v in vals.ravel().tolist()]
+        results.append({"k": [k, cfg.k_imag], "source": list(y), "points": points, "kernel": vals})
+        rows += [_provenance_row(cfg) + [k, cfg.k_imag, *y, *p, *v] for p, v in zip(points, vals)]
     cols = _PROV_COLS + ["k_re", "k_im", "src_r", "src_phi", "r", "phi", "kernel_re", "kernel_im"]
-    rows = []
-    for r in results:
-        for (rr, phi), v in zip(r["points"], r["kernel"]):
-            rows.append(_provenance_row(cfg)
-                        + [r["k"][0], r["k"][1], y[0], y[1], rr, phi, v[0], v[1]])
     return results, cols, rows, []
 
 
@@ -384,8 +338,6 @@ def _task_validate(cfg: RunConfig):
     """Dual-path coupling/determinant cross-checks plus one
     resolvent-limit sample of the eigenfunction closed form."""
     rng = np.random.default_rng(20240811)
-    worst_p = 0.0
-    worst_d = 0.0
     for _ in range(50):
         g = rng.normal(size=4)
         n = math.hypot(math.hypot(g[0], g[1]), math.hypot(g[2], g[3]))
@@ -442,7 +394,7 @@ def _render_json(cfg: RunConfig, results) -> str:
         "params": _param_header(cfg),
         "results": results,
         "diagnostics": {
-            "tolerances": cfg.tolerances,
+            "tolerances": {"forward_cone": FORWARD_EPSILON},
             "k_values": list(cfg.k_values),
             "theta": cfg.theta,
         },

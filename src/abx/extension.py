@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .errors import ConvergenceError
 from .specfun import bessel_k
@@ -106,8 +105,9 @@ def _wrap_angle(eta: float) -> float:
 class ExtensionParams:
     """Parameters (eta, a, b) selecting one self-adjoint extension.
 
-    eta is normalized to (-pi, pi] at construction; |a|^2 + |b|^2 must
-    equal 1 within 1e-12 or construction fails.
+    eta is normalized to (-pi, pi] at construction; all three must be
+    finite and |a|^2 + |b|^2 must equal 1 within 1e-12, or construction
+    fails.
     """
 
     eta: float
@@ -115,11 +115,13 @@ class ExtensionParams:
     b: complex
 
     def __post_init__(self):
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
         object.__setattr__(self, "eta", _wrap_angle(float(self.eta)))
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails this too
             raise ValueError(
                 f"|a|^2 + |b|^2 must equal 1 within {_NORM_TOL}, got {norm:.6g}"
             )
@@ -304,7 +306,9 @@ def l2_norm_deficiency(element: DeficiencyElement, alpha) -> float:
     def integrand(r: float) -> float:
         return norm * norm * r * abs(bessel_k(nu, ray * r)) ** 2
 
-    val, abserr = _integrate.quad(
+    from scipy import integrate  # here, not at module level: keeps it out of every CLI start
+
+    val, abserr = integrate.quad(
         integrand, 0.0, _NORM_CUTOFF_R, epsabs=1e-11, epsrel=1e-11, limit=300
     )
     if not math.isfinite(val) or abserr > 1e-8:

@@ -90,35 +90,74 @@ def truncation_order(k_abs: float, r_outer: float) -> int:
     return int(math.ceil(z) + math.ceil(8.0 * z ** (1.0 / 3.0)) + 20)
 
 
-def ab_resolvent_kernel(alpha, k, x, y, extra_terms: int = 0) -> complex:
-    """Reference resolvent kernel at observation x = (r, phi), source
-    y = (rho, zeta).
+def _angular_distance(delta):
+    """Distance of each angle in delta from 0 on the circle, in [0, pi]."""
+    d = np.remainder(delta, 2.0 * math.pi)
+    return np.minimum(d, 2.0 * math.pi - d)
 
-    The m-sum is truncated at ``truncation_order``; ``extra_terms`` pads
-    the cutoff (used by convergence tests).  Coincident points are
-    rejected (logarithmic singularity).
-    """
-    alpha = as_alpha(alpha)
-    k = as_wavenumber(k)
-    r, phi = float(x[0]), float(x[1])
-    rho, zeta = float(y[0]), float(y[1])
-    if r <= 0.0 or rho <= 0.0:
-        raise ValueError("kernel arguments need positive radii")
-    dang = (phi - zeta) % (2.0 * math.pi)
-    dang = min(dang, 2.0 * math.pi - dang)
-    if abs(r - rho) <= _COINCIDENCE_TOL * max(r, rho) and dang <= _COINCIDENCE_TOL:
-        raise ValueError("kernel is singular at coincident points x = y")
-    r_in, r_out = min(r, rho), max(r, rho)
-    mmax = truncation_order(abs(k.k), r_out) + int(extra_terms)
+
+def _polar_grid(r, phi):
+    """Radii and angles as 1-D float arrays, plus the shape of the result:
+    shape(r) + shape(phi), () for a single point."""
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError(f"radii must be positive, got {r.min()}")
+    return r.ravel(), phi.ravel(), r.shape + phi.shape
+
+
+def _unwrap(values):
+    """A Python scalar for a single value, the array otherwise."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
+
+
+def _partial_wave_sum(alpha: float, mmax: int, dphi: np.ndarray, ladder: Callable) -> np.ndarray:
+    """sum_m ladder(m, nu)_m e^{i m dphi} over m = -mmax-1 .. mmax with
+    nu = |m + alpha|, at every angle in dphi: one product of the order
+    ladder (shape (..., orders)) with the orders x angles phase matrix."""
     m = np.arange(-mmax - 1, mmax + 1)
-    nu = np.abs(m + alpha)
-    j_in = bessel_j_orders(nu, k.k * r_in)
+    return ladder(m, np.abs(m + alpha)) @ np.exp(1j * np.outer(m, dphi))
+
+
+def _kernel_ladder(k: complex, nu: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
+    """J_nu(k r_in) H1_nu(k r_out) over the orders nu."""
+    j_in = bessel_j_orders(nu, k * r_in)
     # Orders far above |k| r_in underflow to exactly 0; skip their H1
     # factors, which may be astronomically large.
     mask = j_in != 0
-    terms = np.zeros(m.shape, dtype=complex)
-    terms[mask] = j_in[mask] * hankel1_orders(nu[mask], k.k * r_out)
-    return 0.25j * complex(np.sum(np.exp(1j * m * (phi - zeta)) * terms))
+    terms = np.zeros(nu.shape, dtype=complex)
+    terms[mask] = j_in[mask] * hankel1_orders(nu[mask], k * r_out)
+    return terms
+
+
+def ab_resolvent_kernel(alpha, k, x, y, extra_terms: int = 0):
+    """Reference resolvent kernel at observation x = (r, phi), source
+    y = (rho, zeta).
+
+    r and phi may each be a scalar or a 1-D array; the result is then the
+    polar grid of shape shape(r) + shape(phi), or a complex for a single
+    point.  The m-sum at each radius is truncated at
+    ``truncation_order(|k|, max(r, rho))``; ``extra_terms`` pads the
+    cutoff (used by convergence tests).  Coincident points are rejected
+    (logarithmic singularity).
+    """
+    alpha = as_alpha(alpha)
+    k = as_wavenumber(k)
+    r_vals, phi, shape = _polar_grid(x[0], x[1])
+    rho, zeta = float(y[0]), float(y[1])
+    if rho <= 0.0:
+        raise ValueError("kernel arguments need positive radii")
+    near_source = np.any(_angular_distance(phi - zeta) <= _COINCIDENCE_TOL)
+    out = np.empty((r_vals.size, phi.size), dtype=complex)
+    for i, r in enumerate(r_vals):
+        if near_source and abs(r - rho) <= _COINCIDENCE_TOL * max(r, rho):
+            raise ValueError("kernel is singular at coincident points x = y")
+        r_in, r_out = min(r, rho), max(r, rho)
+        mmax = truncation_order(abs(k.k), r_out) + int(extra_terms)
+        out[i] = 0.25j * _partial_wave_sum(
+            alpha, mmax, phi - zeta, lambda m, nu: _kernel_ladder(k.k, nu, r_in, r_out))
+    return _unwrap(out.reshape(shape))
 
 
 def _basis_order_coef(channel: int, alpha: float) -> tuple[float, complex]:
@@ -150,9 +189,8 @@ class AnalyticBasisElement:
     def __call__(self, r, phi):
         rad = self.prefactor * hankel1_orders(self.nu, self.k.k * np.asarray(r))
         if self.channel == 0:
-            return rad if np.ndim(r) else complex(rad)
-        out = rad * np.exp(-1j * np.asarray(phi))
-        return out if (np.ndim(r) or np.ndim(phi)) else complex(out)
+            return _unwrap(rad)
+        return _unwrap(rad * np.exp(-1j * np.asarray(phi)))
 
 
 def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
@@ -309,12 +347,17 @@ def p_of_k(params: ExtensionParams, alpha, k) -> PMatrix:
     1 + (k^2 - i) p(k0) A(k, k0) and by the closed entry formulas; the
     two must agree to 1e-10 relative and the closed form is returned.
 
-    Raises NearEigenvalueError when |D(k)| < 1e-12 (1 + |k|^2).
+    Raises NearEigenvalueError when |D(k)| is below 1e-12 times the sum
+    of the moduli of D's four terms, |(-k^2)^s| = |k|^{2s}.
     """
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
     dval = d_of_k(params, alpha, k)
-    if abs(dval) < 1e-12 * (1.0 + abs(k.k) ** 2):
+    cf = d_coeffs(params, alpha)
+    ksq = abs(k.k) ** 2
+    dscale = abs(cf.common_factor) * (abs(cf.c1) * ksq + abs(cf.c_alpha) * ksq ** alpha
+                                      + abs(cf.c_1malpha) * ksq ** (1.0 - alpha) + abs(cf.c0))
+    if abs(dval) < 1e-12 * dscale:
         raise NearEigenvalueError(k.k, dval)
 
     eta = params.eta
@@ -351,13 +394,18 @@ def p_of_k(params: ExtensionParams, alpha, k) -> PMatrix:
     return PMatrix(closed, k.k)
 
 
-def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y) -> complex:
+def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     """Kernel of the resolvent of the selected extension: reference
     kernel plus the rank-two channel correction.  Near-eigenvalue k is
-    rejected (via p_of_k)."""
+    rejected (via p_of_k).
+
+    x = (r, phi) takes the same scalar or 1-D array forms as
+    ``ab_resolvent_kernel``, with p(k) solved once for the whole grid.
+    """
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
-    out = ab_resolvent_kernel(alpha, k, x, y)
+    r_vals, phi, shape = _polar_grid(x[0], x[1])
+    out = ab_resolvent_kernel(alpha, k, (r_vals, phi), y)
     pk = p_of_k(params, alpha, k).entries
     channels = (0, -1)
     cols = [analytic_basis(ch, alpha, k) for ch in channels]
@@ -367,5 +415,5 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y) -> complex:
         row_val = complex(_psi_bar(ch_row, alpha, k)(y[0], y[1]))
         for l, _ in enumerate(channels):
             if pk[i, l] != 0:
-                out += complex(pk[i, l]) * row_val * complex(cols[l](x[0], x[1]))
-    return out
+                out += complex(pk[i, l]) * row_val * cols[l](r_vals[:, None], phi[None, :])
+    return _unwrap(out.reshape(shape))

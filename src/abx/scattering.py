@@ -41,7 +41,14 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .extension import ExtensionParams, as_alpha
-from .krein import p_of_k, truncation_order
+from .krein import (
+    _angular_distance,
+    _partial_wave_sum,
+    _polar_grid,
+    _unwrap,
+    p_of_k,
+    truncation_order,
+)
 from .specfun import UpperHalfK, bessel_j_orders, hankel1_orders
 
 __all__ = [
@@ -81,33 +88,34 @@ class PlaneWaveChannel:
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
 
 
-def _angular_distance(delta: float) -> float:
-    d = delta % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
+def _in_forward_cone(theta, phi):
+    """True where phi lies inside the forward cone around theta."""
+    return _angular_distance(np.subtract(phi, theta)) < FORWARD_EPSILON
 
 
-def _psi_ab_many(alpha: float, chan: PlaneWaveChannel, r_vals: np.ndarray, phi: float) -> np.ndarray:
-    """Psi_AB at one angle over an array of radii, one truncation for all."""
-    r_vals = np.asarray(r_vals, dtype=float)
+def _psi_ab_grid(alpha: float, chan: PlaneWaveChannel, r_vals: np.ndarray,
+                 phi: np.ndarray) -> np.ndarray:
+    """Psi_AB on the polar grid r_vals x phi, one truncation for all radii."""
     mmax = truncation_order(chan.k, float(r_vals.max()))
-    m = np.arange(-mmax - 1, mmax + 1)
-    nu = np.abs(m + alpha)
-    # i^{|m|} e^{i pi (|m| - nu)/2} = (-1)^m e^{-i pi nu / 2}
-    coef = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * math.pi * nu)
-    coef = coef * np.exp(1j * m * (phi - chan.theta))
-    out = np.empty(r_vals.shape, dtype=complex)
-    for i, r in enumerate(r_vals):
-        out[i] = np.sum(coef * bessel_j_orders(nu, chan.k * r))
-    return out
+
+    def ladder(m, nu):
+        # i^{|m|} e^{i pi (|m| - nu)/2} = (-1)^m e^{-i pi nu / 2}
+        coef = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * math.pi * nu)
+        return coef * bessel_j_orders(nu, chan.k * r_vals[:, None])
+
+    return _partial_wave_sum(alpha, mmax, phi - chan.theta, ladder)
 
 
-def psi_ab(alpha, chan: PlaneWaveChannel, r: float, phi: float) -> complex:
-    """Generalized eigenfunction of the regular (pure flux) extension."""
+def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
+    """Generalized eigenfunction of the regular (pure flux) extension.
+
+    r and phi may each be a scalar or a 1-D array; the result is the
+    polar grid of shape shape(r) + shape(phi), or a complex for a single
+    point.  The partial-wave sum is cut once, at the largest radius.
+    """
     alpha = as_alpha(alpha)
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return complex(_psi_ab_many(alpha, chan, np.array([r]), float(phi))[0])
+    r_vals, phi, shape = _polar_grid(r, phi)
+    return _unwrap(_psi_ab_grid(alpha, chan, r_vals, phi).reshape(shape))
 
 
 def _psi_u_corrections(params: ExtensionParams, alpha: float, k: float):
@@ -128,29 +136,23 @@ def _psi_u_corrections(params: ExtensionParams, alpha: float, k: float):
     )
 
 
-def _psi_u_many(params: ExtensionParams, alpha: float, chan: PlaneWaveChannel,
-                r_vals: np.ndarray, phi: float) -> np.ndarray:
-    out = _psi_ab_many(alpha, chan, r_vals, phi)
+def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
+    """Generalized eigenfunction of the selected extension.
+
+    Takes the same scalar or 1-D array forms of r and phi as psi_ab, with
+    p(k) solved once for the whole grid.  Identical to psi_ab when the
+    coupling matrix vanishes (the regular extension); near-eigenvalue
+    momenta are rejected by the coupling matrix evaluation.
+    """
+    alpha = as_alpha(alpha)
+    r_vals, phi, shape = _polar_grid(r, phi)
+    out = _psi_ab_grid(alpha, chan, r_vals, phi)
     for coef, nu, n_theta, n_phi in _psi_u_corrections(params, alpha, chan.k):
         if coef == 0:
             continue
-        ang = cmath.exp(1j * (n_theta * chan.theta + n_phi * phi))
-        out = out + coef * ang * hankel1_orders(nu, chan.k * np.asarray(r_vals))
-    return out
-
-
-def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r: float, phi: float) -> complex:
-    """Generalized eigenfunction of the selected extension.
-
-    Identical to psi_ab when the coupling matrix vanishes (the regular
-    extension); near-eigenvalue momenta are rejected by the coupling
-    matrix evaluation.
-    """
-    alpha = as_alpha(alpha)
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return complex(_psi_u_many(params, alpha, chan, np.array([r]), float(phi))[0])
+        ang = np.exp(1j * (n_theta * chan.theta + n_phi * phi))
+        out += np.outer(hankel1_orders(nu, chan.k * r_vals), coef * ang)
+    return _unwrap(out.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,7 @@ def amplitude_ab(alpha, k: float) -> Amplitude:
     """Amplitude of the regular extension.
 
     Off-forward modulus: |f|^2 = sin^2(pi alpha) / (2 pi k sin^2(delta/2)).
+    ``smooth`` takes phi (and theta) as scalars or arrays.
     """
     alpha = as_alpha(alpha)
     k = float(k)
@@ -192,14 +195,13 @@ def amplitude_ab(alpha, k: float) -> Amplitude:
     pref = math.sqrt(2.0 * math.pi / k) * cmath.exp(-0.25j * math.pi)
     weight = pref * 1j * math.sin(math.pi * alpha) / math.pi
 
-    def smooth(theta: float, phi: float) -> complex:
-        delta = phi - theta
-        if _angular_distance(delta) < FORWARD_EPSILON:
+    def smooth(theta, phi):
+        if np.any(_in_forward_cone(theta, phi)):
             raise ValueError(
                 f"smooth amplitude is undefined inside the forward cone "
                 f"|phi - theta| < {FORWARD_EPSILON}"
             )
-        return weight / (cmath.exp(1j * delta) - 1.0)
+        return _unwrap(weight / (np.exp(1j * np.subtract(phi, theta)) - 1.0))
 
     return Amplitude(
         smooth=smooth,
@@ -209,39 +211,28 @@ def amplitude_ab(alpha, k: float) -> Amplitude:
     )
 
 
-def _amplitude_u_corrections(params: ExtensionParams, alpha: float, k: float):
-    """Outgoing-wave coefficients of the four corrections: large-r
-    asymptotics of the eigenfunction corrections."""
-    pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True)).entries
-    s2 = math.sqrt(2.0 * math.sin(math.pi * alpha))
-    half = math.pi * alpha / 2.0
-    root = math.sqrt(2.0 / (math.pi * k))
-    return (
-        (complex(2.0 * math.cos(half) * root * cmath.exp(0.25j * math.pi)
-                 * cmath.exp(-1j * math.pi * alpha) * k ** (2 * alpha) * pk[0, 0]), 0, 0),
-        (complex(1j * s2 * root * cmath.exp(1j * half) * k * pk[1, 0]), 1, 0),
-        (complex(s2 * root * cmath.exp(-1j * half) * k * pk[0, 1]), 0, -1),
-        (complex(-2.0 * math.sin(half) * root * cmath.exp(-0.75j * math.pi)
-                 * cmath.exp(1j * math.pi * alpha) * k ** (2 - 2 * alpha) * pk[1, 1]), 1, -1),
-    )
-
-
 def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
     """Amplitude of the selected extension: the regular amplitude plus
     the four coupling-matrix terms.  The theta-only and phi-only terms
-    (channel mixing) vanish exactly when b = 0."""
+    (channel mixing) vanish exactly when b = 0.
+
+    Each term is the large-r limit of an eigenfunction correction, by
+    H1_nu(k r) ~ sqrt(2/(pi k r)) e^{i(k r - nu pi/2 - pi/4)}.
+    """
     alpha = as_alpha(alpha)
     k = float(k)
     base = amplitude_ab(alpha, k)
-    corr = _amplitude_u_corrections(params, alpha, k)
+    root = math.sqrt(2.0 / (math.pi * k))
+    corr = [(coef * root * cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0)), n_theta, n_phi)
+            for coef, nu, n_theta, n_phi in _psi_u_corrections(params, alpha, k)]
 
-    def smooth(theta: float, phi: float) -> complex:
+    def smooth(theta, phi):
         out = base.smooth(theta, phi)
         for coef, n_theta, n_phi in corr:
             if coef == 0:
                 continue
-            out += coef * cmath.exp(1j * (n_theta * theta + n_phi * phi))
-        return out
+            out = out + coef * np.exp(1j * (n_theta * np.asarray(theta) + n_phi * np.asarray(phi)))
+        return _unwrap(out)
 
     return Amplitude(
         smooth=smooth,
@@ -251,15 +242,15 @@ def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
     )
 
 
-def cross_section(params: ExtensionParams, alpha, k: float, theta: float, phi: float) -> float:
-    """Differential cross section dsigma/dphi = |f|^2, off-forward only."""
-    if _angular_distance(float(phi) - float(theta)) < FORWARD_EPSILON:
-        raise ValueError(
-            "cross section is distributional in the forward cone "
-            f"|phi - theta| < {FORWARD_EPSILON}; evaluate off-forward"
-        )
+def cross_section(params: ExtensionParams, alpha, k: float, theta: float, phi):
+    """Differential cross section dsigma/dphi = |f|^2, off-forward only.
+
+    phi may be a scalar (giving a float) or an array of angles, all off
+    the forward cone, which the amplitude refuses; p(k) is solved once
+    per call.
+    """
     amp = amplitude_u(params, alpha, float(k))
-    return abs(amp.smooth(float(theta), float(phi))) ** 2
+    return _unwrap(np.abs(amp.smooth(float(theta), phi)) ** 2)
 
 
 class ChannelMixing(NamedTuple):
@@ -322,7 +313,7 @@ def extract_amplitude(params: ExtensionParams, alpha, chan: PlaneWaveChannel,
     phi = float(phi)
     r_max = float(r_max)
     delta = phi - chan.theta
-    if _angular_distance(delta) < FORWARD_EPSILON:
+    if _in_forward_cone(chan.theta, phi):
         raise ValueError("amplitude extraction is undefined in the forward cone")
     k = chan.k
     w1 = k * (math.cos(delta) - 1.0)
@@ -330,7 +321,7 @@ def extract_amplitude(params: ExtensionParams, alpha, chan: PlaneWaveChannel,
     slow = min(abs(w1), abs(w2))
     window = min(window_periods * 2.0 * math.pi / max(slow, 1e-6), 1.2 * r_max)
     radii = np.linspace(r_max, r_max + window, int(num_samples))
-    vals = _psi_u_many(params, alpha, chan, radii, phi)
+    vals = psi_u(params, alpha, chan, radii, phi)
     raw = (vals - np.exp(1j * k * radii * np.cos(delta))) * np.sqrt(radii) * np.exp(-1j * k * radii)
 
     def fit(r, y):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize as _optimize
 
 from .extension import ExtensionParams, as_alpha
 from .krein import d_coeffs
@@ -120,6 +119,8 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
     |Phi(E)| <= 1e-10 (1 + |c1| E).  More than two roots is a hard
     internal failure.
     """
+    from scipy import optimize  # here, not at module level: keeps it out of every CLI start
+
     alpha = as_alpha(alpha)
     cf = d_coeffs(params, alpha)
     scale = max(abs(cf.c1), abs(cf.c_alpha), abs(cf.c_1malpha), 1.0)
@@ -137,7 +138,7 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
     roots.extend(float(grid[i]) for i in exact)
     sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     for i in sign_change:
-        root = _optimize.brentq(phi, grid[i], grid[i + 1], rtol=_ROOT_RTOL, xtol=1e-30)
+        root = optimize.brentq(phi, grid[i], grid[i + 1], rtol=_ROOT_RTOL, xtol=1e-30)
         roots.append(float(root))
 
     if len(roots) > 2:

@@ -3,10 +3,12 @@ formats, determinism."""
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
-from abx import cli
+from abx import cli, krein, scattering
 
 PI = math.pi
 
@@ -46,6 +48,11 @@ class TestParse:
         # flags override the file
         cfg2 = cli.parse_config(["--config", str(cfgfile), "--angles", "8", "xsection"])
         assert cfg2.angle_count == 8
+
+    def test_task_from_config_file_only(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("task=spectrum\nalpha=0.5\n")
+        assert cli.parse_config(["--config", str(cfgfile)]).task == "spectrum"
 
 
 class TestRun:
@@ -142,12 +149,41 @@ class TestRun:
         assert cli.main(args + [str(out2), "amplitude"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        args = ["--alpha", "0.4", "--k", "1.0", "--angles", "32",
-                "--format", "csv", "--out"]
-        monkeypatch.setenv("ABX_THREADS", "1")
-        assert cli.main(args + [str(out1), "xsection"]) == 0
-        monkeypatch.setenv("ABX_THREADS", "4")
-        assert cli.main(args + [str(out2), "xsection"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    @pytest.mark.parametrize("args", [
+        ["--theta", "nan"],
+        ["--eta", "nan"],
+        ["--a", "nan,0", "--b", "0,0"],
+        ["--source", "nan,0"],
+        ["--radii", "1.0,inf"],
+        ["--k-imag=nan"],
+        ["--k-imag=-0.5"],
+        ["--k", "nan"],
+    ])
+    def test_nonfinite_and_mislabelled_inputs_rejected(self, args, capsys):
+        task = "resolvent" if args[0] in ("--source", "--k-imag=-0.5") else "eigenfunction"
+        assert cli.main(args + ["--angles", "4", task]) == 2
+        out = capsys.readouterr()
+        assert "NaN" not in out.out and "invalid" in out.err
+
+    @pytest.mark.parametrize("task", ["xsection", "amplitude", "eigenfunction", "resolvent"])
+    def test_p_of_k_solved_once_per_momentum(self, task, monkeypatch):
+        calls = []
+        p_of_k = krein.p_of_k
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return p_of_k(*args, **kwargs)
+
+        monkeypatch.setattr(scattering, "p_of_k", counting)
+        monkeypatch.setattr(krein, "p_of_k", counting)
+        assert cli.main(MIXING_ARGS + ["--k", "0.5,1.0,2.0", "--angles", "16",
+                                       "--radii", "0.5,2.0", task]) == 0
+        assert len(calls) == 3
+
+
+def test_import_leaves_optimize_and_integrate_unloaded():
+    code = ("import sys, abx.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -314,6 +314,22 @@ class TestFullKernel:
             assert full_resolvent_kernel(AB, 0.35, k, x, y) == \
                 ab_resolvent_kernel(0.35, k, x, y)
 
+    @pytest.mark.parametrize("k", [UpperHalfK(1.1 + 0.7j), UpperHalfK(1.9, on_real_axis=True)])
+    def test_grid_matches_pointwise(self, k):
+        # radii on both sides of the source and on its ring
+        y = (1.3, 0.6)
+        radii, angles = np.array([0.4, 1.3, 5.0]), np.linspace(0.1, 6.2, 7)
+        grid = full_resolvent_kernel(MIXING, 0.35, k, (radii, angles), y)
+        assert grid.shape == (3, 7)
+        want = np.array([[full_resolvent_kernel(MIXING, 0.35, k, (r, phi), y) for phi in angles]
+                         for r in radii])
+        assert np.max(np.abs(grid - want) / np.abs(want)) <= 1e-12
+
+    def test_grid_through_the_source_rejected(self):
+        with pytest.raises(ValueError, match="coincident"):
+            ab_resolvent_kernel(0.3, UpperHalfK(1j), (np.array([0.5, 1.0]), np.array([0.1, 0.4])),
+                                (1.0, 0.4))
+
     def test_resolvent_identity_single_mode(self):
         # (H - k^2) applied to the kernel-integral of a bump returns the
         # bump at O(h^2) + quadrature error

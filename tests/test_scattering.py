@@ -76,6 +76,24 @@ class TestPsiU:
         for alpha in (0.2, 0.8):
             for r, phi in ((0.5, 0.0), (1.7, 2.2), (3.1, 5.9)):
                 assert psi_u(AB, alpha, chan, r, phi) == psi_ab(alpha, chan, r, phi)
+            radii, angles = np.array([0.5, 1.7, 3.1]), np.array([0.0, 2.2, 5.9])
+            assert np.array_equal(psi_u(AB, alpha, chan, radii, angles),
+                                  psi_ab(alpha, chan, radii, angles))
+
+    @pytest.mark.parametrize("params", [AB, ROTINV, MIXING])
+    def test_grid_matches_pointwise(self, params):
+        # the grid is cut once at its largest radius, each point at its own
+        chan = PlaneWaveChannel(2.3, 0.4)
+        radii, angles = np.array([0.3, 1.1, 6.0]), np.linspace(0.1, 6.2, 7)
+        grid = psi_u(params, 0.35, chan, radii, angles)
+        assert grid.shape == (3, 7)
+        want = np.array([[psi_u(params, 0.35, chan, r, phi) for phi in angles] for r in radii])
+        assert type(psi_u(params, 0.35, chan, 1.1, 0.1)) is complex
+        assert np.max(np.abs(grid - want)) <= 1e-13 * np.max(np.abs(want))
+        radial = psi_u(params, 0.35, chan, radii, 1.0)
+        assert radial.shape == (3,)
+        assert np.max(np.abs(radial - [psi_u(params, 0.35, chan, r, 1.0) for r in radii])) \
+            <= 1e-13 * np.max(np.abs(radial))
 
     def test_resolvent_limit_oracle_single_sample(self):
         # far point source against the closed form (full sweep runs in
@@ -197,6 +215,22 @@ class TestCrossSection:
     def test_forward_rejected(self):
         with pytest.raises(ValueError):
             cross_section(MIXING, 0.4, 1.0, 0.0, FORWARD_EPSILON / 3)
+        with pytest.raises(ValueError):
+            cross_section(MIXING, 0.4, 1.0, 0.0, np.array([1.0, 2 * PI - FORWARD_EPSILON / 3]))
+
+    def test_angle_array_matches_scalar_calls(self):
+        angles = np.linspace(0.05, 2 * PI - 0.05, 50)
+        for params in (AB, ROTINV, MIXING):
+            got = cross_section(params, 0.4, 1.3, 0.2, angles)
+            want = [cross_section(params, 0.4, 1.3, 0.2, float(a)) for a in angles]
+            assert type(want[0]) is float
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_regular_point_at_large_k(self):
+        # |D| = 1 there; the near-eigenvalue test must not fire at any k
+        for delta in (0.3, 3.0):
+            got = cross_section(AB, 0.3, 3e6, 0.0, delta)
+            assert got == pytest.approx(classical_ab_xsection(0.3, 3e6, delta), rel=1e-10)
 
 
 class TestChannelMixing:
