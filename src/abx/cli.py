@@ -9,8 +9,9 @@ Usage:
 A flat key=value config file may supply any flag's value; command-line
 flags override the file.  Exit codes: 0 success, 2 validation error,
 3 numerical failure (near-eigenvalue momentum, non-converged quadrature
-or extraction).  Each task evaluates its whole grid with one call per
-momentum, so the coupling matrix p(k) is solved once per momentum.
+or extraction, overflow at extreme momenta).  Each task evaluates its
+whole grid with one call per momentum, so the coupling matrix p(k) is
+solved once per momentum.
 """
 
 from __future__ import annotations
@@ -59,20 +60,20 @@ _PROVENANCE = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; construction validates the physics
-    parameters through FluxAlpha/ExtensionParams."""
+    """Validated run configuration, built by parse_config; the defaults
+    live in _DEFAULTS."""
 
     task: str
     alpha: FluxAlpha
     params: ExtensionParams
-    k_values: tuple[float, ...] = (1.0,)
-    k_imag: float = 0.0
-    theta: float = 0.0
-    angle_count: int = 360
-    radii: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    source: tuple[float, float] = (1.0, 0.0)
-    fmt: str = "json"
-    out: str | None = None
+    k_values: tuple[float, ...]
+    k_imag: float
+    theta: float
+    angle_count: int
+    radii: tuple[float, ...]
+    source: tuple[float, float]
+    fmt: str
+    out: str | None
 
 
 def _parse_complex_pair(text: str) -> complex:
@@ -170,11 +171,11 @@ def parse_config(argv) -> RunConfig:
         _parse_complex_pair(merged["a"]),
         _parse_complex_pair(merged["b"]),
     )
-    k_values = _parse_float_list(merged["k"]) if not isinstance(merged["k"], tuple) else merged["k"]
+    k_values = _parse_float_list(merged["k"])
     for k in k_values:
         if not (math.isfinite(k) and k > 0):
             raise ValueError(f"momenta must be positive, got {k}")
-    radii = _parse_float_list(merged["radii"]) if not isinstance(merged["radii"], tuple) else merged["radii"]
+    radii = _parse_float_list(merged["radii"])
     source = _parse_float_list(merged["source"])
     if len(source) != 2:
         raise ValueError("source must be r,phi")
@@ -191,11 +192,11 @@ def parse_config(argv) -> RunConfig:
         task=task,
         alpha=alpha,
         params=params,
-        k_values=tuple(k_values),
+        k_values=k_values,
         k_imag=k_imag,
         theta=theta,
         angle_count=angle_count,
-        radii=tuple(radii),
+        radii=radii,
         source=(float(source[0]), float(source[1])),
         fmt=str(merged["fmt"]),
         out=merged["out"],
@@ -442,6 +443,9 @@ def main(argv=None) -> int:
         return 2
     except (NearEigenvalueError, ConvergenceError, ConsistencyError) as exc:
         print(f"abx: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # overflow at extreme momenta
+        print(f"abx: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -4,11 +4,18 @@ The resolvent of any member of the family is the resolvent of the
 regular (pure-flux) Hamiltonian plus a rank-two correction built from
 channel wave elements:
 
-    R^U(k; x, y) = R^AB(k; x, y)
-                   + sum_{j,l} p(k)_{jl} conj(psi_k-row^{(j)}(y)) psi_k^{(l)}(x)
+    R^U(k; x, y) = R^AB(k; x, y) + sum_{j,l} p(k)_{jl} row_k^{(j)}(y) psi_k^{(l)}(x)
 
 with k in the upper half-plane (boundary values on the positive real
-axis are limits from above).  The pieces are:
+axis are limits from above).  The row element is read off the same
+channel element as the column:
+
+    row_k^{(j)}(rho, zeta) = conj(psi_{-conj k}^{(j)}(rho, zeta))
+                           = e^{-i pi nu_j/2} psi_k^{(j)}(rho, -zeta),
+
+by H2_nu(z e^{-i pi}) = -e^{i nu pi} H1_nu(z) (DLMF 10.11.4); the second
+form is continuous onto the real axis, so it serves the whole closed
+upper half-plane.  The pieces are:
 
 * ``ab_resolvent_kernel`` -- the reference kernel, a partial-wave sum
   (i/4) sum_m e^{i m (phi - zeta)} J_{|m+alpha|}(k r_min) H1_{|m+alpha|}(k r_max).
@@ -30,15 +37,16 @@ axis are limits from above).  The pieces are:
 
 * ``p_at_i`` / ``p_of_k`` -- the 2x2 coupling matrix at the reference
   point and its k-dependent continuation; ``p_of_k`` evaluates both the
-  defining 2x2 inversion and the closed entry formulas and insists they
-  agree to 1e-10 before returning the closed form.
+  defining inversion of the channel system 1 + (k^2 - i) p(k0) A(k, k0)
+  and the closed entry formulas and insists they agree to 1e-10 before
+  returning the closed form.
 
 * ``d_coeffs`` / ``d_of_k`` -- the channel determinant
   D(k) = c1 (-k^2) + c_alpha (-k^2)^alpha + c_{1-alpha} (-k^2)^{1-alpha} + c0
   whose roots on the ray k = i kappa are the bound states.  The four
   bracketed coefficients are real; the common factor e^{-i eta}/sin(pi
   alpha) is kept separate.  ``d_of_k`` cross-checks the coefficient
-  expansion against the determinant on every call.
+  expansion against the determinant of the channel system on every call.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, NearEigenvalueError
-from .extension import ExtensionParams, as_alpha, p_channel_norm, s_channel_norm
+from .extension import ExtensionParams, _channel_order_norm, as_alpha
 from .specfun import (
     UpperHalfK,
     as_wavenumber,
@@ -79,8 +87,12 @@ __all__ = [
 
 REFERENCE_K = UpperHalfK(cmath.exp(1j * math.pi / 4))
 
+_CHANNELS = (0, -1)
 _DUAL_PATH_TOL = 1e-10
 _COINCIDENCE_TOL = 1e-12
+# Largest orders x (radii or angles) array a partial-wave sum may build:
+# 1.6e7 complex elements, 256 MB.
+_MAX_GRID_ELEMENTS = 16_000_000
 
 
 def truncation_order(k_abs: float, r_outer: float) -> int:
@@ -88,6 +100,20 @@ def truncation_order(k_abs: float, r_outer: float) -> int:
     turning-point margin scaling like (k r)^{1/3}."""
     z = k_abs * r_outer
     return int(math.ceil(z) + math.ceil(8.0 * z ** (1.0 / 3.0)) + 20)
+
+
+def _cutoff(k_abs: float, r_outer: float, width: int, extra_terms: int = 0) -> int:
+    """truncation_order(k_abs, r_outer) + extra_terms, refused before
+    anything is allocated when the orders x width arrays of the partial-wave
+    sum would exceed _MAX_GRID_ELEMENTS."""
+    z = k_abs * r_outer
+    mmax = truncation_order(k_abs, r_outer) + extra_terms if z < _MAX_GRID_ELEMENTS else math.inf
+    if (2 * mmax + 2) * width > _MAX_GRID_ELEMENTS:
+        raise ValueError(
+            f"partial-wave grid too large at k*r = {z:.3g}: its orders x {width} radii "
+            f"or angles exceed the limit of {_MAX_GRID_ELEMENTS:.3g} elements"
+        )
+    return mmax
 
 
 def _angular_distance(delta):
@@ -154,32 +180,16 @@ def ab_resolvent_kernel(alpha, k, x, y, extra_terms: int = 0):
         if near_source and abs(r - rho) <= _COINCIDENCE_TOL * max(r, rho):
             raise ValueError("kernel is singular at coincident points x = y")
         r_in, r_out = min(r, rho), max(r, rho)
-        mmax = truncation_order(abs(k.k), r_out) + int(extra_terms)
+        mmax = _cutoff(abs(k.k), r_out, phi.size, int(extra_terms))
         out[i] = 0.25j * _partial_wave_sum(
             alpha, mmax, phi - zeta, lambda m, nu: _kernel_ladder(k.k, nu, r_in, r_out))
     return _unwrap(out.reshape(shape))
 
 
-def _basis_order_coef(channel: int, alpha: float) -> tuple[float, complex]:
-    """Order nu and the k-independent prefactor of the channel element."""
-    if channel == 0:
-        nu = alpha
-        norm = s_channel_norm(alpha)
-    else:
-        nu = 1.0 - alpha
-        norm = p_channel_norm(alpha)
-    return nu, norm * (0.5j * math.pi) * cmath.exp(1j * math.pi * nu / 4.0)
-
-
-def _k_power(k: UpperHalfK, s: float) -> complex:
-    """k**s, principal branch; continuous down to the positive real axis."""
-    return cmath.exp(s * cmath.log(k.k))
-
-
 @dataclass(frozen=True)
 class AnalyticBasisElement:
     """One channel element psi_k as an immutable (r, phi) -> complex
-    evaluator; safe to share across threads."""
+    evaluator: prefactor * H1_nu(k r) e^{i channel phi}."""
 
     channel: int
     k: UpperHalfK
@@ -199,38 +209,16 @@ def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
         raise ValueError(f"channel must be 0 or -1, got {channel}")
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
-    nu, coef = _basis_order_coef(channel, alpha)
-    return AnalyticBasisElement(channel, k, nu, coef * _k_power(k, nu))
+    nu, norm = _channel_order_norm(channel, alpha)
+    coef = norm * (0.5j * math.pi) * cmath.exp(1j * math.pi * nu / 4.0)
+    # k**nu on the principal branch, continuous down to the positive real axis
+    return AnalyticBasisElement(channel, k, nu, coef * cmath.exp(nu * cmath.log(k.k)))
 
 
-def _psi_bar(channel: int, alpha: float, k: UpperHalfK) -> Callable:
-    """Evaluator y -> conj(psi_{-conj(k)}^{(channel)}(y)), the row element
-    of the rank-two correction.
-
-    For interior k this is the literal conjugate of the basis element at
-    -conj(k).  On the real axis it is the continuous limit, which is
-    again outgoing:  conj-row^{(0)} = N (i pi/2) e^{-i pi alpha/4}
-    k^alpha H1_alpha(k rho), and the channel -1 analogue with e^{+i zeta}.
-    """
-    nu, coef = _basis_order_coef(channel, alpha)
-    if k.on_real_axis:
-        k0 = k.k.real
-        pref = coef * cmath.exp(-1j * math.pi * nu / 2.0) * k0 ** nu
-
-        def row(rho, zeta):
-            val = pref * hankel1_orders(nu, k0 * np.asarray(rho))
-            if channel != 0:
-                val = val * np.exp(1j * np.asarray(zeta))
-            return val
-
-        return row
-
-    elem = analytic_basis(channel, alpha, UpperHalfK(-k.k.conjugate()))
-
-    def row(rho, zeta):
-        return np.conj(elem(rho, zeta))
-
-    return row
+def _row(elem: AnalyticBasisElement, rho, zeta):
+    """Row element of the rank-two correction for the channel of elem:
+    conj(psi_{-conj k}(rho, zeta)) = e^{-i pi nu/2} psi_k(rho, -zeta)."""
+    return cmath.exp(-0.5j * math.pi * elem.nu) * elem(rho, np.negative(zeta))
 
 
 @dataclass(frozen=True)
@@ -314,18 +302,11 @@ def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
     return CCoeffs(c1, c_alpha, c_1malpha, c0, common)
 
 
-def _d_determinant_path(params: ExtensionParams, alpha: float, k: UpperHalfK) -> complex:
-    pref = p_at_i(params, alpha).entries
-    amat = a_matrix(alpha, k, REFERENCE_K).entries
-    m = np.eye(2) + (k.k * k.k - 1j) * (pref @ amat)
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def d_of_k(params: ExtensionParams, alpha, k) -> complex:
-    """Channel determinant D(k), coefficient expansion cross-checked
-    against the literal 2x2 determinant."""
-    alpha = as_alpha(alpha)
-    k = as_wavenumber(k)
+def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
+    """The channel solve shared by d_of_k and p_of_k: the determinant
+    coefficients, D(k), p(k0) and the channel system
+    S = 1 + (k^2 - i) p(k0) A(k, k0), with S p(k) = p(k0).  D(k) comes
+    from the coefficient expansion, cross-checked against det S."""
     cf = d_coeffs(params, alpha)
     val = cf.common_factor * (
         cf.c1 * branch_power(k, 1.0)
@@ -333,13 +314,22 @@ def d_of_k(params: ExtensionParams, alpha, k) -> complex:
         + cf.c_1malpha * branch_power(k, 1.0 - alpha)
         + cf.c0
     )
-    det = _d_determinant_path(params, alpha, k)
+    pref = p_at_i(params, alpha).entries
+    amat = a_matrix(alpha, k, REFERENCE_K).entries
+    system = np.eye(2) + (k.k * k.k - 1j) * (pref @ amat)
+    det = complex(system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0])
     scale = max(abs(val), abs(det), 1e-300)
     if abs(val - det) > _DUAL_PATH_TOL * max(scale, 1.0):
         raise ConsistencyError(
             f"determinant paths disagree at k={k.k}: {val} vs {det}"
         )
-    return complex(val)
+    return cf, complex(val), pref, system
+
+
+def d_of_k(params: ExtensionParams, alpha, k) -> complex:
+    """Channel determinant D(k), coefficient expansion cross-checked
+    against the literal 2x2 determinant."""
+    return _channel_system(params, as_alpha(alpha), as_wavenumber(k))[1]
 
 
 def p_of_k(params: ExtensionParams, alpha, k) -> PMatrix:
@@ -348,12 +338,14 @@ def p_of_k(params: ExtensionParams, alpha, k) -> PMatrix:
     two must agree to 1e-10 relative and the closed form is returned.
 
     Raises NearEigenvalueError when |D(k)| is below 1e-12 times the sum
-    of the moduli of D's four terms, |(-k^2)^s| = |k|^{2s}.
+    of the moduli of D's four terms, |(-k^2)^s| = |k|^{2s}, and when the
+    paths disagree because the channel system is too ill-conditioned for
+    the inversion to reach 1e-10 (condition number times machine epsilon
+    above 1e-10, as next to a zero-energy resonance).
     """
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
-    dval = d_of_k(params, alpha, k)
-    cf = d_coeffs(params, alpha)
+    cf, dval, pref, system = _channel_system(params, alpha, k)
     ksq = abs(k.k) ** 2
     dscale = abs(cf.common_factor) * (abs(cf.c1) * ksq + abs(cf.c_alpha) * ksq ** alpha
                                       + abs(cf.c_1malpha) * ksq ** (1.0 - alpha) + abs(cf.c0))
@@ -379,14 +371,13 @@ def p_of_k(params: ExtensionParams, alpha, k) -> PMatrix:
         - 1j * (cmath.exp(1j * eta) + a)
     )
     closed = np.array([[p00, p0m1], [pm10, pm1m1]])
-
-    pref = p_at_i(params, alpha).entries
-    amat = a_matrix(alpha, k, REFERENCE_K).entries
-    system = np.eye(2) + (k.k * k.k - 1j) * (pref @ amat)
     inverted = np.linalg.solve(system, pref)
 
     scale = max(np.linalg.norm(closed), np.linalg.norm(inverted), 1e-300)
     if np.linalg.norm(closed - inverted) > _DUAL_PATH_TOL * max(scale, 1e-30):
+        cond = float(np.linalg.cond(system))
+        if cond * np.finfo(float).eps > _DUAL_PATH_TOL:
+            raise NearEigenvalueError(k.k, dval, condition=cond)
         raise ConsistencyError(
             f"coupling-matrix paths disagree at k={k.k}: "
             f"closed={closed.tolist()} inverted={inverted.tolist()}"
@@ -407,13 +398,8 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     r_vals, phi, shape = _polar_grid(x[0], x[1])
     out = ab_resolvent_kernel(alpha, k, (r_vals, phi), y)
     pk = p_of_k(params, alpha, k).entries
-    channels = (0, -1)
-    cols = [analytic_basis(ch, alpha, k) for ch in channels]
-    for i, ch_row in enumerate(channels):
-        if not np.any(pk[i, :]):
-            continue
-        row_val = complex(_psi_bar(ch_row, alpha, k)(y[0], y[1]))
-        for l, _ in enumerate(channels):
-            if pk[i, l] != 0:
-                out += complex(pk[i, l]) * row_val * cols[l](r_vals[:, None], phi[None, :])
+    basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
+    for j, l in zip(*np.nonzero(pk)):
+        row_val = complex(_row(basis[j], float(y[0]), float(y[1])))
+        out += complex(pk[j, l]) * row_val * basis[l](r_vals[:, None], phi[None, :])
     return _unwrap(out.reshape(shape))

@@ -7,23 +7,20 @@ The reference eigenfunction is the partial-wave sum
         e^{i (pi/2)(|m| - |m + alpha|)} J_{|m + alpha|}(k r),
 
 a distorted plane wave incident from direction theta.  For a general
-extension the eigenfunction acquires four outgoing corrections carrying
-the coupling-matrix entries p_{jl}(k) (boundary values from above):
+extension the eigenfunction acquires outgoing corrections carrying the
+coupling-matrix entries p_{jl}(k) (boundary values from above).  They
+are the far-source limit of the resolvent's rank-two term
+sum_{jl} p_jl row^{(j)}(y) psi_k^{(l)}(x): with the source at
+y = (rho, theta + pi), rho -> infinity, and the kernel divided by the
+free outgoing wave (i/4) H1_0(k rho),
 
-    Psi_U = Psi_AB
-        + 2 i cos(pi alpha/2) e^{-i pi alpha/2} k^{2 alpha} p_00 H1_alpha(k r)
-        - sqrt(2 sin pi alpha) e^{-i pi/4} e^{i pi alpha} p_{-1,0} k
-              H1_alpha(k r) e^{i theta}
-        + sqrt(2 sin pi alpha) e^{3 i pi/4} e^{-i pi alpha} p_{0,-1} k
-              H1_{1-alpha}(k r) e^{-i phi}
-        - 2 sin(pi alpha/2) e^{i pi alpha/2} k^{2-2 alpha} p_{-1,-1}
-              H1_{1-alpha}(k r) e^{-i (phi - theta)}.
+    Psi_U = Psi_AB + sum_{jl} c_j(theta) p_jl psi_k^{(l)}(r, phi),
+    c_j(theta) = -4 i e^{-i pi nu_j} prefactor_j e^{-i j (theta + pi)},
 
-These coefficients are the ones produced by the resolvent-kernel limit
-(point source sent to infinity in direction theta + pi); that limit is
-the validation gate for every phase here, and the amplitude formulas
-below are in turn the large-r asymptotics of this expression, validated
-independently by numerical amplitude extraction.
+by H1_nu(k rho) / H1_0(k rho) -> e^{-i nu pi/2}; nu_j and prefactor_j
+are the order and prefactor of the channel element psi_k^{(j)}.  The
+amplitude formulas below are in turn the large-r asymptotics of this
+expression, validated independently by numerical amplitude extraction.
 
 The forward direction is distributional: the amplitude object keeps the
 off-forward smooth part separate from the symbolic delta coefficient and
@@ -42,14 +39,16 @@ import numpy as np
 from .errors import ConvergenceError
 from .extension import ExtensionParams, as_alpha
 from .krein import (
+    _CHANNELS,
     _angular_distance,
+    _cutoff,
     _partial_wave_sum,
     _polar_grid,
     _unwrap,
+    analytic_basis,
     p_of_k,
-    truncation_order,
 )
-from .specfun import UpperHalfK, bessel_j_orders, hankel1_orders
+from .specfun import UpperHalfK, bessel_j_orders
 
 __all__ = [
     "FORWARD_EPSILON",
@@ -96,7 +95,7 @@ def _in_forward_cone(theta, phi):
 def _psi_ab_grid(alpha: float, chan: PlaneWaveChannel, r_vals: np.ndarray,
                  phi: np.ndarray) -> np.ndarray:
     """Psi_AB on the polar grid r_vals x phi, one truncation for all radii."""
-    mmax = truncation_order(chan.k, float(r_vals.max()))
+    mmax = _cutoff(chan.k, float(r_vals.max()), max(r_vals.size, phi.size))
 
     def ladder(m, nu):
         # i^{|m|} e^{i pi (|m| - nu)/2} = (-1)^m e^{-i pi nu / 2}
@@ -119,21 +118,16 @@ def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
 
 
 def _psi_u_corrections(params: ExtensionParams, alpha: float, k: float):
-    """The four outgoing correction terms as (coefficient, order,
-    angular exponent pair) with angular factor e^{i(n_theta theta + n_phi phi)}."""
-    pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True)).entries
-    s2 = math.sqrt(2.0 * math.sin(math.pi * alpha))
-    half = math.pi * alpha / 2.0
-    return (
-        (complex(2j * math.cos(half) * cmath.exp(-1j * half) * k ** (2 * alpha) * pk[0, 0]),
-         alpha, 0, 0),
-        (complex(-s2 * cmath.exp(-0.25j * math.pi) * cmath.exp(1j * math.pi * alpha) * pk[1, 0] * k),
-         alpha, 1, 0),
-        (complex(s2 * cmath.exp(0.75j * math.pi) * cmath.exp(-1j * math.pi * alpha) * pk[0, 1] * k),
-         1.0 - alpha, 0, -1),
-        (complex(-2.0 * math.sin(half) * cmath.exp(1j * half) * k ** (2 - 2 * alpha) * pk[1, 1]),
-         1.0 - alpha, 1, -1),
-    )
+    """The outgoing corrections as (coefficient, n_theta, column): each
+    term is coefficient * e^{i n_theta theta} * column(r, phi), with the
+    exactly-zero entries of p(k) skipped."""
+    kk = UpperHalfK(k, on_real_axis=True)
+    pk = p_of_k(params, alpha, kk).entries
+    basis = [analytic_basis(ch, alpha, kk) for ch in _CHANNELS]
+    # c_j(theta) e^{i j theta}: -4i e^{-i pi nu_j} prefactor_j e^{-i j pi}
+    far = [-4j * cmath.exp(-1j * math.pi * row.nu) * row.prefactor * (-1) ** row.channel
+           for row in basis]
+    return [(far[j] * pk[j, l], -basis[j].channel, basis[l]) for j, l in zip(*np.nonzero(pk))]
 
 
 def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
@@ -147,11 +141,8 @@ def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     alpha = as_alpha(alpha)
     r_vals, phi, shape = _polar_grid(r, phi)
     out = _psi_ab_grid(alpha, chan, r_vals, phi)
-    for coef, nu, n_theta, n_phi in _psi_u_corrections(params, alpha, chan.k):
-        if coef == 0:
-            continue
-        ang = np.exp(1j * (n_theta * chan.theta + n_phi * phi))
-        out += np.outer(hankel1_orders(nu, chan.k * r_vals), coef * ang)
+    for coef, n_theta, col in _psi_u_corrections(params, alpha, chan.k):
+        out += coef * cmath.exp(1j * n_theta * chan.theta) * col(r_vals[:, None], phi)
     return _unwrap(out.reshape(shape))
 
 
@@ -223,14 +214,13 @@ def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
     k = float(k)
     base = amplitude_ab(alpha, k)
     root = math.sqrt(2.0 / (math.pi * k))
-    corr = [(coef * root * cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0)), n_theta, n_phi)
-            for coef, nu, n_theta, n_phi in _psi_u_corrections(params, alpha, k)]
+    corr = [(coef * col.prefactor * root * cmath.exp(-1j * (col.nu * math.pi / 2.0 + math.pi / 4.0)),
+             n_theta, col.channel)
+            for coef, n_theta, col in _psi_u_corrections(params, alpha, k)]
 
     def smooth(theta, phi):
         out = base.smooth(theta, phi)
         for coef, n_theta, n_phi in corr:
-            if coef == 0:
-                continue
             out = out + coef * np.exp(1j * (n_theta * np.asarray(theta) + n_phi * np.asarray(phi)))
         return _unwrap(out)
 

@@ -1,15 +1,17 @@
 """Special functions on the domains the channel formulas consume.
 
-Fractional-order Bessel functions J_nu, Y_nu and Hankel functions H1_nu on
-the positive real axis, the McDonald function K_nu on the rays
+One vector surface for the fractional-order Bessel function J_nu and the
+Hankel function H1_nu over arrays of orders and arguments (real or in the
+upper half-plane), the McDonald function K_nu on the rays
 arg z = +-pi/4 (where the deficiency elements live) and on the positive
 real axis, and the branch-consistent complex power (-k^2)^s that appears
 in every channel coefficient.
 
 Numerical evaluation is delegated to the AMOS routines behind
 ``scipy.special``; this module owns input validation, the ray and branch
-conventions, and the underflow policy.  An independent extended-precision
-series oracle used to vet these surfaces lives in the test tree.
+conventions, and the underflow policy.  The J/H1 surface is checked in
+the test tree against an independent extended-precision series oracle,
+closed forms, asymptotics and the Wronskian.
 
 Branch convention
 -----------------
@@ -34,14 +36,9 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "Order",
     "UpperHalfK",
     "as_order",
     "as_wavenumber",
-    "gamma_fn",
-    "bessel_j",
-    "bessel_y",
-    "hankel1",
     "bessel_k",
     "KValue",
     "branch_power",
@@ -52,25 +49,6 @@ __all__ = [
 _RAY_ANGLE_TOL = 1e-12
 # Re z beyond which exp(-Re z) underflows double precision.
 _K_DECAY_RE = 700.0
-
-
-@dataclass(frozen=True)
-class Order:
-    """Bessel order restricted to the range the typed surface supports.
-
-    The channel formulas only ever evaluate fractional orders alpha,
-    1 - alpha and |m + alpha| with |m| <= 1 here, all inside [0, 2).
-    Larger orders occur only inside partial-wave sums, which use the
-    unvalidated vector helpers below.
-    """
-
-    nu: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nu):
-            raise ValueError(f"order must be finite, got {self.nu}")
-        if not 0.0 <= self.nu < 2.0:
-            raise ValueError(f"order must lie in [0, 2), got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +78,12 @@ class UpperHalfK:
 
 
 def as_order(nu) -> float:
-    """Coerce an Order or bare number to a validated order value."""
-    if isinstance(nu, Order):
-        return nu.nu
-    return Order(float(nu)).nu
+    """A finite order in [0, 2), the range bessel_k serves: the channel
+    formulas evaluate K only at the orders alpha and 1 - alpha."""
+    nu = float(nu)
+    if not 0.0 <= nu < 2.0:  # NaN fails this too
+        raise ValueError(f"order must be finite and lie in [0, 2), got {nu}")
+    return nu
 
 
 def as_wavenumber(k) -> UpperHalfK:
@@ -118,47 +98,6 @@ def as_wavenumber(k) -> UpperHalfK:
     if kc.imag == 0.0:
         return UpperHalfK(kc, on_real_axis=True)
     return UpperHalfK(kc)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return float(_sp.gamma(x))
-
-
-def bessel_j(nu, x: float) -> float:
-    """Bessel function of the first kind, fractional order, x >= 0."""
-    nu = as_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"bessel_j requires x >= 0, got {x}")
-    val = float(_sp.jv(nu, x))
-    if not math.isfinite(val):
-        raise ArithmeticError(f"bessel_j({nu}, {x}) did not evaluate finitely")
-    return val
-
-
-def bessel_y(nu, x: float) -> float:
-    """Bessel function of the second kind; x = 0 is singular and rejected."""
-    nu = as_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"bessel_y requires x > 0, got {x}")
-    val = float(_sp.yv(nu, x))
-    if not math.isfinite(val):
-        raise ArithmeticError(f"bessel_y({nu}, {x}) did not evaluate finitely")
-    return val
-
-
-def hankel1(nu, x: float) -> complex:
-    """Hankel function of the first kind, built literally as J + i*Y.
-
-    The components are the module's own bessel_j/bessel_y evaluations, so
-    the defining combination holds bit for bit.
-    """
-    return complex(bessel_j(nu, x), bessel_y(nu, x))
 
 
 class KValue(NamedTuple):
@@ -213,13 +152,15 @@ def branch_power(k, s: float) -> complex:
     return cmath.exp(s * cmath.log(-(k.k * k.k)))
 
 
-def bessel_j_orders(nus: np.ndarray, z) -> np.ndarray:
-    """Vectorized J over an array of orders at one (possibly complex)
-    argument.  Unvalidated plumbing for partial-wave sums, where orders
-    exceed the typed surface's range by design."""
+def bessel_j_orders(nus, z) -> np.ndarray:
+    """J_nu(z), broadcast over arrays of orders nu >= 0 and arguments z
+    (real, or complex in the upper half-plane).  Orders far above |z|
+    underflow to exactly 0."""
     return _sp.jv(nus, z)
 
 
-def hankel1_orders(nus: np.ndarray, z) -> np.ndarray:
-    """Vectorized H1 over an array of orders; see bessel_j_orders."""
+def hankel1_orders(nus, z) -> np.ndarray:
+    """H1_nu(z) = J_nu(z) + i Y_nu(z), broadcast like bessel_j_orders; on
+    the positive real axis Y_nu is its imaginary part.  z = 0 is singular
+    (the value is not finite)."""
     return _sp.hankel1(nus, z)

@@ -3,12 +3,14 @@
 Extended-precision series evaluation of the Bessel family (hand-rolled
 ascending series in mpmath arithmetic at 40 digits, cross-checked against
 mpmath's own implementations), a finite-difference application of the
-flux Hamiltonian, and quadrature helpers.  Nothing here is imported by
+flux Hamiltonian, quadrature helpers, and the paper's hand-written table
+of eigenfunction corrections.  Nothing here is imported by
 the package; oracles must stay independent of the paths they check.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath as mp
@@ -118,6 +120,30 @@ def inner_product_2d(row_fn, col_fn, r_cut: float = 120.0, n_ang: int = 64) -> c
         return complex(np.mean(vals)) * 2.0 * math.pi * r
 
     return complex_quad(radial, 0.0, r_cut, limit=800)
+
+
+def psi_u_correction_table(alpha: float, k: float, pk) -> tuple:
+    """The four outgoing corrections of the paper's eigenfunction, written
+    out by hand for a given coupling matrix pk (channels (0, -1)):
+
+        2 i cos(pi alpha/2) e^{-i pi alpha/2} k^{2 alpha} p_00 H1_alpha(k r)
+        - sqrt(2 sin pi alpha) e^{-i pi/4} e^{i pi alpha} p_{-1,0} k H1_alpha(k r) e^{i theta}
+        + sqrt(2 sin pi alpha) e^{3 i pi/4} e^{-i pi alpha} p_{0,-1} k H1_{1-alpha}(k r) e^{-i phi}
+        - 2 sin(pi alpha/2) e^{i pi alpha/2} k^{2-2 alpha} p_{-1,-1} H1_{1-alpha}(k r) e^{-i (phi - theta)}
+
+    as (coefficient, order, n_theta, n_phi), the angular factor being
+    e^{i (n_theta theta + n_phi phi)}."""
+    s2 = math.sqrt(2.0 * math.sin(math.pi * alpha))
+    half = math.pi * alpha / 2.0
+    return (
+        (2j * math.cos(half) * cmath.exp(-1j * half) * k ** (2 * alpha) * pk[0, 0], alpha, 0, 0),
+        (-s2 * cmath.exp(-0.25j * math.pi) * cmath.exp(1j * math.pi * alpha) * pk[1, 0] * k,
+         alpha, 1, 0),
+        (s2 * cmath.exp(0.75j * math.pi) * cmath.exp(-1j * math.pi * alpha) * pk[0, 1] * k,
+         1.0 - alpha, 0, -1),
+        (-2.0 * math.sin(half) * cmath.exp(1j * half) * k ** (2 - 2 * alpha) * pk[1, 1],
+         1.0 - alpha, 1, -1),
+    )
 
 
 def random_params(rng) -> tuple[float, complex, complex]:

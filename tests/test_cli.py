@@ -1,18 +1,36 @@
 """Command-line front end: parsing, validation exit codes, output
 formats, determinism."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abx import cli, krein, scattering
+from abx.extension import ALPHA_MAX, ALPHA_MIN
 
 PI = math.pi
 
 MIXING_ARGS = ["--alpha", "0.5", "--eta", "0", "--a", "0,0", "--b", "1,0"]
+POINTS = {
+    "regular": [],
+    "b0": ["--eta", "0.3", "--a", "0,1", "--b", "0,0"],
+    "coupled": ["--alpha", "0.4", "--eta", "0", "--a", "0,0", "--b", "1,0"],
+}
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """cli.main in this process; any uncaught exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
 
 
 class TestParse:
@@ -164,6 +182,51 @@ class TestRun:
         assert cli.main(args + ["--angles", "4", task]) == 2
         out = capsys.readouterr()
         assert "NaN" not in out.out and "invalid" in out.err
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    @pytest.mark.parametrize("task", ["xsection", "mixing"])
+    def test_overflow_at_extreme_momenta_exits_3(self, task, point):
+        # (-k^2)^s overflows above k ~ 1.3e154
+        for k in ("1e155", "1e308"):
+            rc, out, err = run_cli(POINTS[point] + ["--k", k, "--angles", "4", task])
+            assert rc == 3 and out == ""
+            assert err.startswith("abx: numerical failure: OverflowError")
+
+    @pytest.mark.parametrize("task", ["eigenfunction", "resolvent"])
+    def test_oversized_partial_wave_grid_refused(self, task):
+        # k = 1e6 on the default 4 radii x 360 angles would need a 46 GB phase
+        # matrix; it is refused before anything is allocated
+        rc, out, err = run_cli(["--k", "1e6", task])
+        assert rc == 2 and out == ""
+        assert "partial-wave grid too large at k*r = " in err
+
+    @pytest.mark.parametrize("k", ["1e-9", "1e-20", "1e-100"])
+    def test_ill_conditioned_threshold_reported_as_near_eigenvalue(self, k):
+        # zero-energy resonance of the coupled point: the channel system's
+        # condition number grows like 1/k, which is not an internal bug
+        for task in ("amplitude", "xsection", "mixing", "eigenfunction", "resolvent"):
+            rc, _, err = run_cli(MIXING_ARGS + ["--k", k, "--angles", "4", "--radii", "0.5", task])
+            assert rc == 3
+            assert "disagree" not in err and "condition number" in err
+
+    @pytest.mark.parametrize("task", cli.TASKS)
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(g=st.tuples(*[st.floats(-1.0, 1.0)] * 4), eta=st.floats(-PI, PI),
+           alpha=st.floats(ALPHA_MIN, ALPHA_MAX), theta=st.floats(0.0, 2 * PI),
+           log_k=st.one_of(st.floats(-300.0, 3.0), st.floats(8.0, 308.0)))
+    def test_exit_code_contract(self, task, g, eta, alpha, theta, log_k):
+        # every accepted input either answers or exits 2/3: no traceback,
+        # no NaN.  Momenta between 1e3 and 1e8 are left out: an accepted draw
+        # there costs seconds of Bessel work, and the grid guard has its own test.
+        norm = math.hypot(*g)
+        a, b = (complex(g[0], g[1]) / norm, complex(g[2], g[3]) / norm) if norm > 1e-3 else (-1, 0)
+        argv = [f"--alpha={alpha!r}", f"--eta={eta!r}", f"--a={a.real!r},{a.imag!r}",
+                f"--b={b.real!r},{b.imag!r}", f"--k={10.0 ** log_k!r}", f"--theta={theta!r}",
+                "--angles", "4", "--radii", "0.5", task]
+        rc, out, err = run_cli(argv)
+        assert rc in (0, 2, 3), err
+        assert "NaN" not in out and "Infinity" not in out
+        assert (rc == 0) == (out != "")
 
     @pytest.mark.parametrize("task", ["xsection", "amplitude", "eigenfunction", "resolvent"])
     def test_p_of_k_solved_once_per_momentum(self, task, monkeypatch):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import hankel1 as sp_hankel1
 from scipy.special import jv as sp_jv
 
@@ -13,6 +15,7 @@ from abx.errors import NearEigenvalueError
 from abx.extension import DeficiencyElement, ExtensionParams, deficiency_radial
 from abx.krein import (
     REFERENCE_K,
+    _row,
     a_matrix,
     ab_resolvent_kernel,
     analytic_basis,
@@ -119,6 +122,24 @@ class TestAnalyticBasis:
             vals.append(complex(analytic_basis(0, alpha, k)(r0, 0.0)) * r0**alpha)
         assert abs(vals[1] / vals[0] - 1.0) < 1e-3
         assert abs(vals[2] / vals[0] - 1.0) < 1e-3
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(channel=st.sampled_from((0, -1)), alpha=st.floats(1e-3, 1.0 - 1e-3),
+           k0=st.floats(0.05, 10.0), k_re_sign=st.sampled_from((1.0, -1.0)),
+           k_im=st.floats(1e-3, 10.0), rho=st.floats(0.05, 20.0), zeta=st.floats(-PI, PI))
+    def test_row_element_matches_literal_conjugate(self, channel, alpha, k0, k_re_sign, k_im,
+                                                   rho, zeta):
+        # interior k, Re k of either sign: the package's row element is the
+        # literal conj(psi_{-conj k})
+        k = UpperHalfK(complex(k_re_sign * k0, k_im))
+        got = complex(_row(analytic_basis(channel, alpha, k), rho, zeta))
+        want = complex(_row_element(channel, alpha, k)(rho, zeta))
+        assert abs(got - want) <= 1e-12 * abs(want)
+        # real axis: the boundary value is the limit of the literal form
+        boundary = complex(_row(analytic_basis(channel, alpha, UpperHalfK(k0, on_real_axis=True)),
+                                rho, zeta))
+        near = complex(_row_element(channel, alpha, UpperHalfK(complex(k0, 1e-9 * k0)))(rho, zeta))
+        assert abs(near - boundary) <= 1e-6 * abs(boundary)
 
     def test_inner_product_reproduces_overlap_entry(self):
         # quadrature oracle for one pair; the full gate runs in acceptance

@@ -6,9 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import hankel1 as sp_hankel1
 
+from abx.errors import NearEigenvalueError
 from abx.extension import ExtensionParams
-from abx.krein import d_of_k, full_resolvent_kernel
+from abx.krein import d_of_k, full_resolvent_kernel, p_of_k
 from abx.scattering import (
     FORWARD_EPSILON,
     PlaneWaveChannel,
@@ -23,7 +27,7 @@ from abx.scattering import (
 )
 from abx.specfun import UpperHalfK, hankel1_orders
 
-from _oracles import apply_flux_operator, observed_orders, random_params
+from _oracles import apply_flux_operator, observed_orders, psi_u_correction_table, random_params
 
 PI = math.pi
 MIXING = ExtensionParams.mixing(0.7)
@@ -107,6 +111,27 @@ class TestPsiU:
                * full_resolvent_kernel(MIXING, alpha, kc, (r, phi), (rho, theta + PI)))
         closed = psi_u(MIXING, alpha, chan, r, phi)
         assert abs(lim - closed) / abs(closed) <= 2e-2
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(g=st.tuples(*[st.floats(-1.0, 1.0)] * 4), eta=st.floats(-PI, PI),
+           alpha=st.floats(0.02, 0.98), k=st.floats(0.05, 10.0), theta=st.floats(0.0, 2 * PI),
+           r=st.floats(0.05, 10.0), phi=st.floats(0.0, 2 * PI))
+    def test_corrections_match_four_term_table(self, g, eta, alpha, k, theta, r, phi):
+        # psi_u derives its corrections from the channel basis; the paper's
+        # hand-written table, given the same p(k), must reproduce them
+        norm = math.hypot(*g)
+        assume(norm > 1e-3)
+        params = ExtensionParams(eta, complex(g[0], g[1]) / norm, complex(g[2], g[3]) / norm)
+        try:
+            pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True)).entries
+        except NearEigenvalueError:
+            assume(False)
+        chan = PlaneWaveChannel(k, theta)
+        base = psi_ab(alpha, chan, r, phi)
+        terms = [coef * complex(sp_hankel1(order, k * r)) * cmath.exp(1j * (n_t * theta + n_p * phi))
+                 for coef, order, n_t, n_p in psi_u_correction_table(alpha, k, pk)]
+        got = psi_u(params, alpha, chan, r, phi) - base
+        assert abs(got - sum(terms)) <= 1e-12 * (abs(base) + sum(abs(t) for t in terms))
 
     def test_pde_residual(self):
         alpha = 0.45

@@ -1,5 +1,6 @@
-"""Typed special-function surface: frozen oracle values, classical
-identities, ray/branch conventions."""
+"""Special-function surface: frozen oracle values, classical identities,
+ray/branch conventions, and the J/H1 order ladders against an independent
+extended-precision series."""
 
 import cmath
 import math
@@ -8,57 +9,51 @@ import numpy as np
 import pytest
 
 from abx.specfun import (
-    Order,
     UpperHalfK,
-    bessel_j,
+    as_order,
+    bessel_j_orders,
     bessel_k,
-    bessel_y,
     branch_power,
-    gamma_fn,
-    hankel1,
+    hankel1_orders,
 )
 
-from _oracles import mp_complex, series_besselk
+from _oracles import mp_complex, series_besselj, series_besselk
 
 PI = math.pi
 
 
-class TestGamma:
-    def test_half_integer_values(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(PI), rel=1e-12)
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
-        assert gamma_fn(1.5) == pytest.approx(math.sqrt(PI) / 2, rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-1.3)
+def bessel_y(nu, x):
+    """Y_nu(x) = Im H1_nu(x) on the positive real axis."""
+    return float(hankel1_orders(nu, x).imag)
 
 
 class TestBesselJ:
     def test_half_order_closed_form(self):
         # J_{1/2}(x) = sqrt(2/(pi x)) sin x
-        assert bessel_j(0.5, PI / 2) == pytest.approx(2.0 / PI, rel=1e-12)
+        assert bessel_j_orders(0.5, PI / 2) == pytest.approx(2.0 / PI, rel=1e-12)
 
     def test_zero_argument(self):
-        assert bessel_j(0.3, 0.0) == 0.0
+        assert bessel_j_orders(0.3, 0.0) == 0.0
 
     def test_frozen_series_oracle_value(self):
         # extended-precision ascending series, frozen
-        assert bessel_j(0.3, 5.0) == pytest.approx(-0.29682911012576076084, rel=1e-12)
-
-    def test_rejects_negative_argument(self):
-        with pytest.raises(ValueError):
-            bessel_j(0.3, -1.0)
+        assert bessel_j_orders(0.3, 5.0) == pytest.approx(-0.29682911012576076084, rel=1e-12)
 
     def test_order_range(self):
+        # the typed order check guards K, the only scalar special function
+        for nu in (2.0, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                as_order(nu)
         with pytest.raises(ValueError):
-            Order(2.0)
-        with pytest.raises(ValueError):
-            Order(-0.1)
-        with pytest.raises(ValueError):
-            bessel_j(2.5, 1.0)
+            bessel_k(2.5, 1.0)
+
+    def test_order_ladder_against_series_oracle(self):
+        # 60 orders |m + alpha| on both ladders, as the partial-wave sums use them
+        nus = np.abs(np.arange(-30, 30) + 0.37)
+        for z in (0.7, 5.0, 2.0 + 1.5j):
+            got = bessel_j_orders(nus, z)
+            want = np.array([mp_complex(series_besselj(float(nu), z)) for nu in nus])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), z
 
 
 class TestBesselY:
@@ -72,29 +67,22 @@ class TestBesselY:
     def test_frozen_reflection_oracle_value(self):
         assert bessel_y(0.25, 2.0) == pytest.approx(0.39273839961538505532, rel=1e-12)
 
-    def test_rejects_origin(self):
-        with pytest.raises(ValueError):
-            bessel_y(0.3, 0.0)
-
 
 class TestHankel1:
     def test_half_order_closed_form(self):
         # H1_{1/2}(x) = -i sqrt(2/(pi x)) e^{ix}
         want = -1j * math.sqrt(2.0 / PI) * cmath.exp(1j)
-        got = hankel1(0.5, 1.0)
+        got = hankel1_orders(0.5, 1.0)
         assert got == pytest.approx(want, rel=1e-12)
-
-    def test_bitwise_composition(self):
-        for nu, x in [(0.3, 0.7), (1.7, 12.0), (0.99, 3.3)]:
-            assert hankel1(nu, x) == complex(bessel_j(nu, x), bessel_y(nu, x))
 
     def test_large_argument_asymptotics(self):
         nu, x = 0.3, 50.0
+        h1 = complex(hankel1_orders(nu, x))
         asym = math.sqrt(2.0 / (PI * x)) * cmath.exp(1j * (x - nu * PI / 2 - PI / 4))
         # leading-order deviation is (4 nu^2 - 1)/(8x) = 1.6e-3 here
-        assert abs(hankel1(nu, x) - asym) / abs(asym) < 2e-3
+        assert abs(h1 - asym) / abs(asym) < 2e-3
         corrected = asym * (1.0 + 1j * (4.0 * nu * nu - 1.0) / (8.0 * x))
-        assert abs(hankel1(nu, x) - corrected) / abs(corrected) < 1e-4
+        assert abs(h1 - corrected) / abs(corrected) < 1e-4
 
 
 class TestBesselK:
@@ -196,7 +184,7 @@ class TestWronskian:
         for _ in range(100):
             nu = float(rng.uniform(0.02, 0.98))
             x = float(rng.uniform(0.1, 100.0))
-            j, y = bessel_j(nu, x), bessel_y(nu, x)
+            j, y = float(bessel_j_orders(nu, x)), bessel_y(nu, x)
             jp = jv(nu - 1.0, x) - (nu / x) * j
             yp = yv(nu - 1.0, x) - (nu / x) * y
             want = 2.0 / (PI * x)
