@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import ConsistencyError, ConvergenceError, NearEigenvalueError
 from .extension import ExtensionParams, FluxAlpha, classify
-from .krein import d_of_k, full_resolvent_kernel, p_of_k
+from .krein import _MAX_GRID_ELEMENTS, d_of_k, full_resolvent_kernel, p_of_k
 from .scattering import (
     FORWARD_EPSILON,
     PlaneWaveChannel,
@@ -40,7 +40,7 @@ from .scattering import (
     psi_u,
 )
 from .specfun import UpperHalfK, hankel1_orders
-from .spectrum import spectral_report
+from .spectrum import bound_states
 
 TASKS = ("spectrum", "amplitude", "xsection", "eigenfunction", "resolvent", "mixing", "validate")
 
@@ -56,6 +56,13 @@ _PROVENANCE = {
     ),
     "mixing_constant": "8 k sin(pi alpha), the angle-integrated cross-channel cross section",
 }
+
+_SPECTRUM_NOTES = (
+    "essential spectrum [0, inf), purely absolutely continuous away from the "
+    "listed eigenvalues; singular continuous part empty; wave operators exist "
+    "and are complete. These are theory statements echoed as metadata, not "
+    "computed here."
+)
 
 
 @dataclass(frozen=True)
@@ -186,8 +193,8 @@ def parse_config(argv) -> RunConfig:
     if k_imag < 0:
         raise ValueError(f"k-imag must be >= 0 (k lies in the upper half-plane), got {k_imag}")
     angle_count = int(merged["angles"])
-    if angle_count < 1:
-        raise ValueError(f"angle grid needs at least one point, got {angle_count}")
+    if not 1 <= angle_count <= _MAX_GRID_ELEMENTS:
+        raise ValueError(f"angle grid needs 1 to {_MAX_GRID_ELEMENTS} points, got {angle_count}")
     return RunConfig(
         task=task,
         alpha=alpha,
@@ -233,14 +240,13 @@ _PROV_COLS = ["alpha", "eta", "a_re", "a_im", "b_re", "b_im"]
 
 
 def _task_spectrum(cfg: RunConfig):
-    report = spectral_report(cfg.params, cfg.alpha)
-    s = report.summary
+    s = bound_states(cfg.params, cfg.alpha)
     results = {
         "bound_states": [st.energy for st in s.bound_states],
         "residuals": [st.residual for st in s.bound_states],
         "zero_resonance": s.zero_resonance,
         "essential_spectrum": [0.0, "inf"],
-        "notes": report.notes,
+        "notes": _SPECTRUM_NOTES,
     }
     rows = [_provenance_row(cfg) + [st.energy, st.residual] for st in s.bound_states]
     cols = _PROV_COLS + ["energy", "residual"]

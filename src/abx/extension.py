@@ -45,7 +45,6 @@ __all__ = [
     "ALPHA_MAX",
     "FluxAlpha",
     "ExtensionParams",
-    "UMatrix",
     "DeficiencyElement",
     "ExtensionKind",
     "ExtensionClass",
@@ -141,28 +140,12 @@ class ExtensionParams:
         return cls(eta, 0.0, cmath.exp(1j * gamma))
 
 
-@dataclass(frozen=True)
-class UMatrix:
-    """The unitary channel map, ordered channels (0, -1)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        object.__setattr__(self, "entries", m)
-
-    def unitarity_residual(self) -> float:
-        m = self.entries
-        return float(np.max(np.abs(m @ m.conj().T - np.eye(2))))
-
-
-def build_u_matrix(params: ExtensionParams) -> UMatrix:
-    """Assemble e^{i eta} [[a, -conj b], [b, conj a]]."""
+def build_u_matrix(params: ExtensionParams) -> np.ndarray:
+    """The unitary channel map e^{i eta} [[a, -conj b], [b, conj a]] as a
+    2x2 array, ordered channels (0, -1)."""
     phase = cmath.exp(1j * params.eta)
     a, b = params.a, params.b
-    return UMatrix(phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]]))
+    return phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
 def _is_canonical(a: complex, b: complex) -> bool:
@@ -183,9 +166,12 @@ def canonical_params(params: ExtensionParams) -> ExtensionParams:
     return ExtensionParams(params.eta + math.pi, -params.a, -params.b)
 
 
-def u_matrix_params(u: UMatrix) -> ExtensionParams:
-    """Recover canonical (eta, a, b) from a matrix of the stated form."""
-    m = u.entries
+def u_matrix_params(u) -> ExtensionParams:
+    """Recover canonical (eta, a, b) from a 2x2 array-like of the stated
+    form."""
+    m = np.asarray(u, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if abs(abs(det) - 1.0) > 1e-9:
         raise ValueError(f"matrix is not unitary: |det| = {abs(det):.6g}")
@@ -265,7 +251,7 @@ def classify(params: ExtensionParams) -> "ExtensionClass":
     Classification happens on the matrix itself, so the redundant
     representation (eta + pi, -a, -b) of a point classifies identically.
     """
-    u = build_u_matrix(params).entries
+    u = build_u_matrix(params)
     off = max(abs(u[0, 1]), abs(u[1, 0]))
     if off > _CLASS_TOL:
         return ExtensionClass(ExtensionKind.MIXING, None)

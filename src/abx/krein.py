@@ -32,21 +32,24 @@ upper half-plane.  The pieces are:
   r^{-nu} singular coefficient be independent of k; it is gated by the
   quadrature check of the overlap matrix below.
 
-* ``a_matrix`` -- overlaps A(k1,k2)_{jl} = (psi-row_{k1}^{(j)}, psi_{k2}^{(l)}),
-  diagonal with difference quotients of (-k^2)^alpha and (-k^2)^{1-alpha}.
+* ``a_matrix`` -- overlaps A(k1,k2)_{jl} = (psi-row_{k1}^{(j)}, psi_{k2}^{(l)})
+  as a 2x2 array, diagonal with difference quotients of (-k^2)^alpha and
+  (-k^2)^{1-alpha}.
 
-* ``p_at_i`` / ``p_of_k`` -- the 2x2 coupling matrix at the reference
-  point and its k-dependent continuation; ``p_of_k`` evaluates both the
-  defining inversion of the channel system 1 + (k^2 - i) p(k0) A(k, k0)
-  and the closed entry formulas and insists they agree to 1e-10 before
-  returning the closed form.
+* ``p_at_i`` / ``p_of_k`` -- the 2x2 coupling matrix (an array, ordered
+  channels (0, -1)) at the reference point and its k-dependent
+  continuation; ``p_of_k`` evaluates both the defining inversion of the
+  channel system 1 + (k^2 - i) p(k0) A(k, k0) and the closed entry
+  formulas and insists they agree to 1e-10 before returning the closed
+  form.
 
 * ``d_coeffs`` / ``d_of_k`` -- the channel determinant
-  D(k) = c1 (-k^2) + c_alpha (-k^2)^alpha + c_{1-alpha} (-k^2)^{1-alpha} + c0
-  whose roots on the ray k = i kappa are the bound states.  The four
-  bracketed coefficients are real; the common factor e^{-i eta}/sin(pi
-  alpha) is kept separate.  ``d_of_k`` cross-checks the coefficient
-  expansion against the determinant of the channel system on every call.
+  D(k) = common * (c1 E + c_alpha E^alpha + c_{1-alpha} E^{1-alpha} + c0),
+  E = -k^2, whose roots on the ray k = i kappa are the bound states.  The
+  four bracketed coefficients are real; the common factor e^{-i eta}/sin(pi
+  alpha) is kept separate, and ``CCoeffs.terms`` is the one place the
+  bracket is written.  ``d_of_k`` cross-checks the coefficient expansion
+  against the determinant of the channel system on every call.
 """
 
 from __future__ import annotations
@@ -70,8 +73,6 @@ from .specfun import (
 
 __all__ = [
     "REFERENCE_K",
-    "AMatrix",
-    "PMatrix",
     "CCoeffs",
     "AnalyticBasisElement",
     "ab_resolvent_kernel",
@@ -221,19 +222,11 @@ def _row(elem: AnalyticBasisElement, rho, zeta):
     return cmath.exp(-0.5j * math.pi * elem.nu) * elem(rho, np.negative(zeta))
 
 
-@dataclass(frozen=True)
-class AMatrix:
-    """Overlap matrix of the analytic family; diagonal by channel
-    orthogonality (the Kronecker deltas are exact zeros)."""
-
-    entries: np.ndarray
-    k1: UpperHalfK
-    k2: UpperHalfK
-
-
-def a_matrix(alpha, k1, k2) -> AMatrix:
-    """Overlaps A(k1, k2); the coincidence k1^2 = k2^2 is routed to the
-    derivative (l'Hopital) limit of the difference quotients."""
+def a_matrix(alpha, k1, k2) -> np.ndarray:
+    """Overlaps A(k1, k2) of the analytic family, a diagonal 2x2 array by
+    channel orthogonality (the off-diagonal zeros are exact).  The
+    coincidence k1^2 = k2^2 is routed to the derivative (l'Hopital) limit
+    of the difference quotients."""
     alpha = as_alpha(alpha)
     k1 = as_wavenumber(k1)
     k2 = as_wavenumber(k2)
@@ -248,39 +241,38 @@ def a_matrix(alpha, k1, k2) -> AMatrix:
     else:
         a00 = (branch_power(k1, alpha) - branch_power(k2, alpha)) / (s * denom)
         a11 = (branch_power(k1, 1.0 - alpha) - branch_power(k2, 1.0 - alpha)) / (c * denom)
-    return AMatrix(np.array([[a00, 0j], [0j, a11]]), k1, k2)
+    return np.array([[a00, 0j], [0j, a11]])
 
 
-@dataclass(frozen=True)
-class PMatrix:
-    """Channel coupling matrix, ordered channels (0, -1)."""
-
-    entries: np.ndarray
-    at_k: complex
-
-
-def p_at_i(params: ExtensionParams, alpha) -> PMatrix:
+def p_at_i(params: ExtensionParams, alpha) -> np.ndarray:
     """Coupling matrix at the reference point k0 = e^{i pi/4}:
     -(i/2) (I + conj(U)) written out in (eta, a, b)."""
     as_alpha(alpha)
     e = cmath.exp(-1j * params.eta)
     a, b = params.a, params.b
-    m = -0.5j * np.array(
+    return -0.5j * np.array(
         [[1.0 + e * a.conjugate(), -e * b], [e * b.conjugate(), 1.0 + e * a]]
     )
-    return PMatrix(m, REFERENCE_K.k)
 
 
 @dataclass(frozen=True)
 class CCoeffs:
     """Real bracketed coefficients of the channel determinant, with the
-    common factor e^{-i eta}/sin(pi alpha) kept separate."""
+    common factor e^{-i eta}/sin(pi alpha) kept separate, and the flux
+    parameter that sets the powers."""
 
     c1: float
     c_alpha: float
     c_1malpha: float
     c0: float
     common_factor: complex
+    alpha: float
+
+    def terms(self, power: Callable) -> tuple:
+        """The bracket's four terms c_s power(s) for s = 1, alpha,
+        1 - alpha, 0; with power(s) = E^s, D = common_factor * sum(terms)."""
+        return (self.c1 * power(1.0), self.c_alpha * power(self.alpha),
+                self.c_1malpha * power(1.0 - self.alpha), self.c0 * power(0.0))
 
 
 def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
@@ -299,23 +291,21 @@ def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
     c_1malpha = ap * c + math.cos(math.pi * alpha / 2.0 + eta) - app * s
     c0 = math.sin(eta) - app * math.cos(math.pi * alpha) - ap * math.sin(math.pi * alpha)
     common = cmath.exp(-1j * eta) / math.sin(math.pi * alpha)
-    return CCoeffs(c1, c_alpha, c_1malpha, c0, common)
+    return CCoeffs(c1, c_alpha, c_1malpha, c0, common, alpha)
 
 
 def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
-    """The channel solve shared by d_of_k and p_of_k: the determinant
-    coefficients, D(k), p(k0) and the channel system
-    S = 1 + (k^2 - i) p(k0) A(k, k0), with S p(k) = p(k0).  D(k) comes
-    from the coefficient expansion, cross-checked against det S."""
+    """The channel solve shared by d_of_k and p_of_k: D(k), the scale
+    |common factor| * (sum of the moduli of D's four terms), p(k0) and the
+    channel system S = 1 + (k^2 - i) p(k0) A(k, k0), with S p(k) = p(k0).
+    D(k) comes from the coefficient expansion, cross-checked against
+    det S."""
     cf = d_coeffs(params, alpha)
-    val = cf.common_factor * (
-        cf.c1 * branch_power(k, 1.0)
-        + cf.c_alpha * branch_power(k, alpha)
-        + cf.c_1malpha * branch_power(k, 1.0 - alpha)
-        + cf.c0
-    )
-    pref = p_at_i(params, alpha).entries
-    amat = a_matrix(alpha, k, REFERENCE_K).entries
+    terms = cf.terms(lambda s: branch_power(k, s))
+    val = cf.common_factor * sum(terms)
+    dscale = abs(cf.common_factor) * sum(abs(t) for t in terms)
+    pref = p_at_i(params, alpha)
+    amat = a_matrix(alpha, k, REFERENCE_K)
     system = np.eye(2) + (k.k * k.k - 1j) * (pref @ amat)
     det = complex(system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0])
     scale = max(abs(val), abs(det), 1e-300)
@@ -323,17 +313,17 @@ def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
         raise ConsistencyError(
             f"determinant paths disagree at k={k.k}: {val} vs {det}"
         )
-    return cf, complex(val), pref, system
+    return complex(val), dscale, pref, system
 
 
 def d_of_k(params: ExtensionParams, alpha, k) -> complex:
     """Channel determinant D(k), coefficient expansion cross-checked
     against the literal 2x2 determinant."""
-    return _channel_system(params, as_alpha(alpha), as_wavenumber(k))[1]
+    return _channel_system(params, as_alpha(alpha), as_wavenumber(k))[0]
 
 
-def p_of_k(params: ExtensionParams, alpha, k) -> PMatrix:
-    """Coupling matrix p(k), computed both by inverting
+def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
+    """Coupling matrix p(k) as a 2x2 array, computed both by inverting
     1 + (k^2 - i) p(k0) A(k, k0) and by the closed entry formulas; the
     two must agree to 1e-10 relative and the closed form is returned.
 
@@ -345,10 +335,7 @@ def p_of_k(params: ExtensionParams, alpha, k) -> PMatrix:
     """
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
-    cf, dval, pref, system = _channel_system(params, alpha, k)
-    ksq = abs(k.k) ** 2
-    dscale = abs(cf.common_factor) * (abs(cf.c1) * ksq + abs(cf.c_alpha) * ksq ** alpha
-                                      + abs(cf.c_1malpha) * ksq ** (1.0 - alpha) + abs(cf.c0))
+    dval, dscale, pref, system = _channel_system(params, alpha, k)
     if abs(dval) < 1e-12 * dscale:
         raise NearEigenvalueError(k.k, dval)
 
@@ -382,7 +369,7 @@ def p_of_k(params: ExtensionParams, alpha, k) -> PMatrix:
             f"coupling-matrix paths disagree at k={k.k}: "
             f"closed={closed.tolist()} inverted={inverted.tolist()}"
         )
-    return PMatrix(closed, k.k)
+    return closed
 
 
 def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
@@ -397,7 +384,7 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     k = as_wavenumber(k)
     r_vals, phi, shape = _polar_grid(x[0], x[1])
     out = ab_resolvent_kernel(alpha, k, (r_vals, phi), y)
-    pk = p_of_k(params, alpha, k).entries
+    pk = p_of_k(params, alpha, k)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
     for j, l in zip(*np.nonzero(pk)):
         row_val = complex(_row(basis[j], float(y[0]), float(y[1])))

@@ -122,7 +122,7 @@ def _psi_u_corrections(params: ExtensionParams, alpha: float, k: float):
     term is coefficient * e^{i n_theta theta} * column(r, phi), with the
     exactly-zero entries of p(k) skipped."""
     kk = UpperHalfK(k, on_real_axis=True)
-    pk = p_of_k(params, alpha, kk).entries
+    pk = p_of_k(params, alpha, kk)
     basis = [analytic_basis(ch, alpha, kk) for ch in _CHANNELS]
     # c_j(theta) e^{i j theta}: -4i e^{-i pi nu_j} prefactor_j e^{-i j pi}
     far = [-4j * cmath.exp(-1j * math.pi * row.nu) * row.prefactor * (-1) ** row.channel
@@ -267,7 +267,7 @@ def channel_mixing(params: ExtensionParams, alpha, k: float) -> ChannelMixing:
     k = float(k)
     if k <= 0.0:
         raise ValueError(f"momentum must be positive, got {k}")
-    pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True)).entries
+    pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
     const = 8.0 * k * math.sin(math.pi * alpha)
     p01 = abs(pk[0, 1])
     p10 = abs(pk[1, 0])

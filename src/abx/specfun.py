@@ -5,7 +5,10 @@ Hankel function H1_nu over arrays of orders and arguments (real or in the
 upper half-plane), the McDonald function K_nu on the rays
 arg z = +-pi/4 (where the deficiency elements live) and on the positive
 real axis, and the branch-consistent complex power (-k^2)^s that appears
-in every channel coefficient.
+in every channel coefficient.  The J/H1 ladders return numpy arrays
+broadcast over orders and arguments; ``bessel_k`` and ``branch_power``
+return plain complex numbers (K_nu is exactly 0 where its decay
+underflows).
 
 Numerical evaluation is delegated to the AMOS routines behind
 ``scipy.special``; this module owns input validation, the ray and branch
@@ -15,12 +18,14 @@ closed forms, asymptotics and the Wronskian.
 
 Branch convention
 -----------------
-``branch_power(k, s)`` is exp(s * Log(-k^2)) with the principal logarithm.
-For Im k > 0 the image -k^2 never touches the cut, so the power is
-analytic on the open upper half-plane and real positive on the ray
-k = i*kappa.  On the positive real axis the value is the continuous limit
-from Im k -> 0+, i.e. exp(-i*pi*s) * k**(2s); every module evaluates
-boundary quantities with this limit.
+``branch_power(k, s)`` is (-k^2)^s = exp(s (2 Log k - i pi)), one formula
+on the whole closed upper half-plane.  For 0 < arg k < pi it equals
+exp(s Log(-k^2)) with the principal logarithm: -k^2 never touches the cut,
+so the power is analytic there and real positive on the ray k = i*kappa.
+On the positive real axis (arg k = 0) it is the continuous limit from
+Im k -> 0+, exp(-i*pi*s) * k**(2s); every module evaluates boundary
+quantities with this limit.  k^2 is never formed, so tiny |k| does not
+underflow.
 
 All functions are pure and reentrant; there is no mutable module state.
 """
@@ -30,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -40,7 +44,6 @@ __all__ = [
     "as_order",
     "as_wavenumber",
     "bessel_k",
-    "KValue",
     "branch_power",
     "bessel_j_orders",
     "hankel1_orders",
@@ -100,18 +103,12 @@ def as_wavenumber(k) -> UpperHalfK:
     return UpperHalfK(kc)
 
 
-class KValue(NamedTuple):
-    value: complex
-    decayed: bool
-
-
-def bessel_k(nu, z: complex, *, with_flag: bool = False):
+def bessel_k(nu, z: complex) -> complex:
     """McDonald function K_nu on the rays arg z in {-pi/4, 0, +pi/4}.
 
     For |z| large enough that the exponential decay underflows double
-    precision the value 0 is returned and the ``decayed`` flag is set
-    (pass ``with_flag=True`` to receive it); subnormal noise is never
-    returned.  Other rays are rejected.
+    precision the value is exactly 0; subnormal noise is never returned.
+    Other rays are rejected.
     """
     nu = as_order(nu)
     z = complex(z)
@@ -123,33 +120,21 @@ def bessel_k(nu, z: complex, *, with_flag: bool = False):
         raise ValueError(
             f"bessel_k supports arg z in {{-pi/4, 0, +pi/4}}, got arg z = {ang:.6f}"
         )
-    decayed = z.real > _K_DECAY_RE
-    if decayed:
-        val = 0j
-    else:
-        val = complex(_sp.kv(nu, z))
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise ArithmeticError(f"bessel_k({nu}, {z}) did not evaluate finitely")
-        if val == 0:
-            decayed = True
-    if with_flag:
-        return KValue(val, decayed)
+    if z.real > _K_DECAY_RE:
+        return 0j
+    val = complex(_sp.kv(nu, z))
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        raise ArithmeticError(f"bessel_k({nu}, {z}) did not evaluate finitely")
     return val
 
 
 def branch_power(k, s: float) -> complex:
-    """(-k^2)**s on the upper half-plane, principal branch.
-
-    Interior points use the principal logarithm of -k^2 directly (the
-    image stays off the cut).  Boundary points return the continuous
-    limit from Im k -> 0+, which is exp(-i*pi*s) * k**(2s).
-    """
-    k = as_wavenumber(k)
-    s = float(s)
-    if k.on_real_axis:
-        k0 = k.k.real
-        return cmath.exp(complex(2.0 * s * math.log(k0), -math.pi * s))
-    return cmath.exp(s * cmath.log(-(k.k * k.k)))
+    """(-k^2)**s = exp(s (2 Log k - i pi)) on the closed upper half-plane:
+    the principal branch inside, its limit from Im k -> 0+ on the real
+    axis."""
+    k = as_wavenumber(k).k
+    # 2 Log k - i pi, with Log k = log|k| + i arg k
+    return cmath.exp(float(s) * complex(2.0 * math.log(abs(k)), 2.0 * cmath.phase(k) - math.pi))
 
 
 def bessel_j_orders(nus, z) -> np.ndarray:

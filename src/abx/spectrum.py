@@ -5,9 +5,12 @@ On the ray k = i kappa the channel determinant becomes the real function
 
     Phi(E) = c1 E + c_alpha E^alpha + c_{1-alpha} E^{1-alpha} + c0,   E = kappa^2,
 
-whose positive roots are the bound-state energies -E (there are at most
-two).  A vanishing constant coefficient c0 marks a threshold solution at
-E = 0: a zero-energy resonance, never reported as a bound state.
+the bracket of ``krein.CCoeffs.terms`` with real powers E^s, whose
+positive roots are the bound-state energies -E (there are at most two).
+``bound_states`` returns them as a ``SpectralSummary`` of ``BoundState``
+tuples; the essential spectrum is always [0, inf) and is not computed.
+A vanishing constant coefficient c0 marks a threshold solution at E = 0:
+a zero-energy resonance, never reported as a bound state.
 
 For rotationally invariant parameters (b = 0, a = e^{i tau}) the same
 determinant factorizes into s-wave and p-wave pieces controlled by
@@ -34,12 +37,9 @@ from .krein import d_coeffs
 __all__ = [
     "BoundState",
     "SpectralSummary",
-    "SpectralReport",
-    "RotInvariantForm",
     "RotInvariantRoots",
     "bound_states",
     "rot_invariant_equations",
-    "spectral_report",
 ]
 
 _GRID_DECADES = (-12.0, 8.0)
@@ -58,56 +58,12 @@ class SpectralSummary:
 
     bound_states: tuple[BoundState, ...]
     zero_resonance: bool
-    essential_spectrum: tuple[float, float] = (0.0, math.inf)
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    summary: SpectralSummary
-    notes: str
 
 
 class RotInvariantRoots(NamedTuple):
     s_wave_root: float | None
     p_wave_root: float | None
     zero_resonance: bool
-
-
-@dataclass(frozen=True)
-class RotInvariantForm:
-    """Half-sum/half-difference angles of a rotationally invariant point."""
-
-    omega: float
-    beta: float
-
-    @classmethod
-    def from_params(cls, params: ExtensionParams) -> "RotInvariantForm":
-        if abs(params.b) > 1e-12:
-            raise ValueError("rotationally invariant form needs b = 0")
-        tau = cmath.phase(params.a)
-        return cls((params.eta - tau) / 2.0, (params.eta + tau) / 2.0)
-
-    def eta_tau(self) -> tuple[float, float]:
-        return self.beta + self.omega, self.beta - self.omega
-
-
-@dataclass(frozen=True)
-class _RealPhi:
-    """Phi(E) with its flux parameter attached; scalar and vectorized."""
-
-    c1: float
-    c_alpha: float
-    c_1malpha: float
-    c0: float
-    alpha: float
-
-    def on_grid(self, e_vals: np.ndarray) -> np.ndarray:
-        e_vals = np.asarray(e_vals, dtype=float)
-        return (self.c1 * e_vals + self.c_alpha * e_vals ** self.alpha
-                + self.c_1malpha * e_vals ** (1.0 - self.alpha) + self.c0)
-
-    def __call__(self, e: float) -> float:
-        return float(self.on_grid(e))
 
 
 def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
@@ -129,9 +85,14 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
         raise AssertionError("degenerate all-zero determinant coefficients")
     zero_resonance = abs(cf.c0) <= 1e-12 * scale
 
-    phi = _RealPhi(cf.c1, cf.c_alpha, cf.c_1malpha, cf.c0, alpha)
+    def phi(e):
+        # numpy's power for the grid and the root finder alike: its
+        # vectorized pow and Python's ** can differ in the last bit
+        e = np.asarray(e, dtype=float)
+        return sum(cf.terms(lambda s: e ** s))
+
     grid = np.logspace(_GRID_DECADES[0], _GRID_DECADES[1], _GRID_POINTS)
-    vals = phi.on_grid(grid)
+    vals = phi(grid)
 
     roots: list[float] = []
     exact = np.flatnonzero(vals == 0.0)
@@ -148,7 +109,7 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
 
     states = []
     for e in sorted(roots):
-        resid = abs(phi(e))
+        resid = abs(float(phi(e)))
         tol = 1e-10 * (1.0 + abs(cf.c1) * e)
         if resid > tol:
             raise AssertionError(
@@ -169,13 +130,14 @@ def rot_invariant_equations(params: ExtensionParams, alpha) -> RotInvariantRoots
     alpha = as_alpha(alpha)
     if abs(params.b) > 1e-12:
         raise ValueError("rot_invariant_equations requires b = 0")
-    form = RotInvariantForm.from_params(params)
+    tau = cmath.phase(params.a)
+    beta, omega = (params.eta + tau) / 2.0, (params.eta - tau) / 2.0
     half = math.pi * alpha / 2.0
 
-    s_num = math.cos(form.beta + half)
-    s_den = math.cos(form.beta)
-    p_num = math.sin(half - form.omega)
-    p_den = math.cos(form.omega)
+    s_num = math.cos(beta + half)
+    s_den = math.cos(beta)
+    p_num = math.sin(half - omega)
+    p_den = math.cos(omega)
 
     resonance = abs(s_num) <= 1e-12 or abs(p_num) <= 1e-12
 
@@ -187,15 +149,3 @@ def rot_invariant_equations(params: ExtensionParams, alpha) -> RotInvariantRoots
         p_root = (p_num / p_den) ** (1.0 / (1.0 - alpha))
     return RotInvariantRoots(s_root, p_root, resonance)
 
-
-_REPORT_NOTES = (
-    "essential spectrum [0, inf), purely absolutely continuous away from the "
-    "listed eigenvalues; singular continuous part empty; wave operators exist "
-    "and are complete. These are theory statements echoed as metadata, not "
-    "computed here."
-)
-
-
-def spectral_report(params: ExtensionParams, alpha) -> SpectralReport:
-    """Bound states plus the declared continuous-spectrum facts."""
-    return SpectralReport(bound_states(params, alpha), _REPORT_NOTES)

@@ -67,9 +67,9 @@ def test_criterion_2_ab_reduction():
     ab = ExtensionParams.ab_point()
     ok = True
     for alpha in (0.1, 0.5, 0.9):
-        assert np.max(np.abs(p_at_i(ab, alpha).entries)) <= 1e-14
+        assert np.max(np.abs(p_at_i(ab, alpha))) <= 1e-14
         for k in (UpperHalfK(1j), UpperHalfK(1.3 + 0.4j), UpperHalfK(2.0, on_real_axis=True)):
-            assert np.max(np.abs(p_of_k(ab, alpha, k).entries)) <= 1e-14
+            assert np.max(np.abs(p_of_k(ab, alpha, k))) <= 1e-14
         assert bound_states(ab, alpha).bound_states == ()
         chan = PlaneWaveChannel(1.0, 0.4)
         for (r, phi) in ((0.7, 1.0), (1.9, 3.3), (3.2, 5.6)):
@@ -98,10 +98,10 @@ def test_criterion_3_dual_path_consistency():
         params = ExtensionParams(eta, a, b)
         alpha = float(rng.uniform(0.05, 0.95))
         k = UpperHalfK(complex(rng.uniform(-10, 10), rng.uniform(0.1, 10)))
-        closed = p_of_k(params, alpha, k).entries  # raises on internal mismatch
+        closed = p_of_k(params, alpha, k)  # raises on internal mismatch
         system = np.eye(2) + (k.k**2 - 1j) * (
-            p_at_i(params, alpha).entries @ a_matrix(alpha, k, REFERENCE_K).entries)
-        inverted = np.linalg.solve(system, p_at_i(params, alpha).entries)
+            p_at_i(params, alpha) @ a_matrix(alpha, k, REFERENCE_K))
+        inverted = np.linalg.solve(system, p_at_i(params, alpha))
         worst_p = max(worst_p, float(
             np.linalg.norm(closed - inverted) / max(np.linalg.norm(closed), 1e-300)))
         dval = d_of_k(params, alpha, k)
@@ -127,7 +127,7 @@ def test_criterion_4_analytic_basis_gate():
     for alpha in (0.1, 0.5, 0.9):
         for (z1, z2) in pairs:
             k1, k2 = UpperHalfK(z1), UpperHalfK(z2)
-            amat = a_matrix(alpha, k1, k2).entries
+            amat = a_matrix(alpha, k1, k2)
             for i, ch_row in enumerate((0, -1)):
                 bra = analytic_basis(ch_row, alpha, UpperHalfK(-k1.k.conjugate()))
                 for j, ch_col in enumerate((0, -1)):
@@ -187,7 +187,7 @@ def test_criterion_6_amplitude_extraction():
         got = extract_amplitude(params, alpha, chan, phi, 1e3 / k)
         want = amp.smooth(theta, phi)
         worst = max(worst, abs(got - want) / abs(want))
-    m = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True)).entries
+    m = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
     moduli_ok = abs(abs(m[0, 1]) - abs(m[1, 0])) <= 1e-12
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-2 and moduli_ok and elapsed < 120.0

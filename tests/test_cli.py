@@ -52,6 +52,11 @@ class TestParse:
         with pytest.raises(ValueError):
             cli.parse_config(["--alpha", "1.5", "spectrum"])
 
+    def test_angle_count_bounded_by_grid_limit(self):
+        # refused before the angle grid is allocated (8 GB here)
+        with pytest.raises(ValueError, match=str(krein._MAX_GRID_ELEMENTS)):
+            cli.parse_config(["--angles", "1000000000", "xsection"])
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("alpha=0.5\nk=1\nangles=360\nformat=csv\n")
@@ -199,6 +204,16 @@ class TestRun:
         rc, out, err = run_cli(["--k", "1e6", task])
         assert rc == 2 and out == ""
         assert "partial-wave grid too large at k*r = " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "1e-271", "validate"],
+        ["--k", "1e-200", "--k-imag", "1e-200", "--angles", "4", "--radii", "0.5", "resolvent"],
+    ])
+    def test_tiny_momenta_answer(self, argv):
+        # (-k^2)^s is formed without k^2, which underflows below |k| ~ 1e-154
+        rc, out, err = run_cli(argv)
+        assert (rc, err) == (0, "")
+        assert "NaN" not in out and "Infinity" not in out
 
     @pytest.mark.parametrize("k", ["1e-9", "1e-20", "1e-100"])
     def test_ill_conditioned_threshold_reported_as_near_eigenvalue(self, k):

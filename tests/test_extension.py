@@ -48,11 +48,11 @@ class TestParams:
 
 class TestUMatrix:
     def test_ab_point_is_minus_identity(self):
-        u = build_u_matrix(ExtensionParams.ab_point()).entries
+        u = build_u_matrix(ExtensionParams.ab_point())
         assert np.allclose(u, -np.eye(2), atol=0)
 
     def test_pure_coupling_point(self):
-        u = build_u_matrix(ExtensionParams(0.0, 0.0, 1.0)).entries
+        u = build_u_matrix(ExtensionParams(0.0, 0.0, 1.0))
         assert np.allclose(u, np.array([[0.0, -1.0], [1.0, 0.0]]), atol=0)
 
     def test_unitarity_random(self):
@@ -60,7 +60,7 @@ class TestUMatrix:
         for _ in range(50):
             eta, a, b = random_params(rng)
             u = build_u_matrix(ExtensionParams(eta, a, b))
-            assert u.unitarity_residual() <= 1e-12
+            assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
     def test_round_trip_bijection(self):
         rng = np.random.default_rng(8)
@@ -72,10 +72,17 @@ class TestUMatrix:
             assert q.a == pytest.approx(p.a, abs=1e-12)
             assert q.b == pytest.approx(p.b, abs=1e-12)
 
+    def test_params_from_array_like(self):
+        p = canonical_params(ExtensionParams.mixing(0.4, eta=0.2))
+        q = u_matrix_params(build_u_matrix(p).tolist())
+        assert (q.eta, q.a, q.b) == pytest.approx((p.eta, p.a, p.b), abs=1e-12)
+        with pytest.raises(ValueError, match="2x2"):
+            u_matrix_params(np.eye(3))
+
     def test_redundant_representation_same_matrix(self):
         p = ExtensionParams(0.3, 0.6 + 0.2j, math.sqrt(1 - abs(0.6 + 0.2j) ** 2))
         q = ExtensionParams(p.eta + PI, -p.a, -p.b)
-        assert np.allclose(build_u_matrix(p).entries, build_u_matrix(q).entries, atol=1e-15)
+        assert np.allclose(build_u_matrix(p), build_u_matrix(q), atol=1e-15)
 
 
 class TestClassify:

@@ -148,30 +148,30 @@ class TestAnalyticBasis:
         bra = analytic_basis(0, alpha, UpperHalfK(-k1.k.conjugate()))
         col = analytic_basis(0, alpha, k2)
         got = inner_product_2d(bra, col)
-        want = a_matrix(alpha, k1, k2).entries[0, 0]
+        want = a_matrix(alpha, k1, k2)[0, 0]
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
 
 class TestAMatrix:
     def test_off_diagonal_exactly_zero(self):
-        m = a_matrix(0.3, UpperHalfK(1j), UpperHalfK(0.5 + 0.5j)).entries
+        m = a_matrix(0.3, UpperHalfK(1j), UpperHalfK(0.5 + 0.5j))
         assert m[0, 1] == 0 and m[1, 0] == 0
 
     def test_reference_pair_is_identity(self):
         # A(k0, mirrored k0) = I for every alpha
         k2 = UpperHalfK(cmath.exp(3j * PI / 4))
         for alpha in (0.1, 0.5, 0.9):
-            m = a_matrix(alpha, REFERENCE_K, k2).entries
+            m = a_matrix(alpha, REFERENCE_K, k2)
             assert np.allclose(m, np.eye(2), atol=1e-14)
 
     def test_coincidence_limit_matches_derivative_form(self):
         alpha = 0.37
         k1 = UpperHalfK(0.9 + 1.3j)
         delta = 1e-5
-        lim = a_matrix(alpha, k1, k1).entries
+        lim = a_matrix(alpha, k1, k1)
         # central average kills the O(delta) term of the one-sided quotients
-        close = 0.5 * (a_matrix(alpha, k1, UpperHalfK(k1.k * (1 + delta))).entries
-                       + a_matrix(alpha, k1, UpperHalfK(k1.k * (1 - delta))).entries)
+        close = 0.5 * (a_matrix(alpha, k1, UpperHalfK(k1.k * (1 + delta)))
+                       + a_matrix(alpha, k1, UpperHalfK(k1.k * (1 - delta))))
         assert np.max(np.abs(lim - close)) <= 1e-8 * np.max(np.abs(lim))
         want00 = alpha * branch_power(k1, alpha - 1.0) / math.sin(PI * alpha / 2)
         assert lim[0, 0] == pytest.approx(want00, rel=1e-14)
@@ -179,17 +179,17 @@ class TestAMatrix:
 
 class TestCouplingMatrix:
     def test_reference_point_ab_is_zero(self):
-        assert np.all(p_at_i(AB, 0.5).entries == 0)
+        assert np.all(p_at_i(AB, 0.5) == 0)
 
     def test_reference_point_pure_mixing(self):
         gamma = 0.8
-        m = p_at_i(ExtensionParams.mixing(gamma), 0.3).entries
+        m = p_at_i(ExtensionParams.mixing(gamma), 0.3)
         want = -0.5j * np.array([[1.0, -cmath.exp(1j * gamma)],
                                  [cmath.exp(-1j * gamma), 1.0]])
         assert np.allclose(m, want, atol=1e-15)
 
     def test_reference_point_diagonal_for_b_zero(self):
-        m = p_at_i(ROTINV, 0.3).entries
+        m = p_at_i(ROTINV, 0.3)
         assert m[0, 1] == 0 and m[1, 0] == 0
 
     def test_reference_point_matches_inverse_overlap_path(self):
@@ -202,15 +202,15 @@ class TestCouplingMatrix:
             eta, a, b = random_params(rng)
             params = ExtensionParams(eta, a, b)
             alpha = float(rng.uniform(0.05, 0.95))
-            amat = a_matrix(alpha, REFERENCE_K, k2).entries
-            u = build_u_matrix(params).entries
+            amat = a_matrix(alpha, REFERENCE_K, k2)
+            u = build_u_matrix(params)
             want = 0.5j * np.linalg.solve(amat, -np.eye(2) - np.conj(u))
-            assert np.allclose(p_at_i(params, alpha).entries, want, atol=1e-13)
+            assert np.allclose(p_at_i(params, alpha), want, atol=1e-13)
 
     def test_ab_coupling_vanishes_for_all_k(self):
         for k in (UpperHalfK(1j), UpperHalfK(2.0 + 0.1j),
                   UpperHalfK(1.0, on_real_axis=True)):
-            assert np.all(p_of_k(AB, 0.4, k).entries == 0)
+            assert np.all(p_of_k(AB, 0.4, k) == 0)
 
     def test_cross_moduli_equal(self):
         rng = np.random.default_rng(12)
@@ -219,11 +219,11 @@ class TestCouplingMatrix:
             params = ExtensionParams(eta, a, b)
             alpha = float(rng.uniform(0.05, 0.95))
             k = UpperHalfK(complex(rng.uniform(-5, 5), rng.uniform(0.1, 5)))
-            m = p_of_k(params, alpha, k).entries
+            m = p_of_k(params, alpha, k)
             assert abs(abs(m[0, 1]) - abs(m[1, 0])) <= 1e-12 * max(abs(m[0, 1]), 1e-30)
 
     def test_diagonal_for_b_zero(self):
-        m = p_of_k(ROTINV, 0.6, UpperHalfK(0.7 + 0.9j)).entries
+        m = p_of_k(ROTINV, 0.6, UpperHalfK(0.7 + 0.9j))
         assert abs(m[0, 1]) <= 1e-14 and abs(m[1, 0]) <= 1e-14
 
     def test_pure_mixing_at_unit_imaginary(self):
@@ -233,7 +233,7 @@ class TestCouplingMatrix:
         params = ExtensionParams(0.0, 0.0, 1.0)
         dval = d_of_k(params, 0.5, UpperHalfK(1j))
         assert dval == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
-        m = p_of_k(params, 0.5, UpperHalfK(1j)).entries
+        m = p_of_k(params, 0.5, UpperHalfK(1j))
         assert m[0, 1] == pytest.approx(0.5j / (math.sqrt(2.0) - 1.0), rel=1e-13)
         assert m[1, 0] == pytest.approx(-0.5j / (math.sqrt(2.0) - 1.0), rel=1e-13)
 
@@ -247,7 +247,7 @@ class TestCouplingMatrix:
         k0 = 1.2 + 1.5j
 
         def f(k):
-            return p_of_k(params, alpha, UpperHalfK(k)).entries[0, 0]
+            return p_of_k(params, alpha, UpperHalfK(k))[0, 0]
 
         def g(k):
             return d_of_k(params, alpha, UpperHalfK(k))
@@ -322,7 +322,7 @@ class TestDeterminant:
             k = UpperHalfK(complex(rng.uniform(-10, 10), rng.uniform(0.1, 10)))
             val = d_of_k(params, alpha, k)
             m = np.eye(2) + (k.k**2 - 1j) * (
-                p_at_i(params, alpha).entries @ a_matrix(alpha, k, REFERENCE_K).entries
+                p_at_i(params, alpha) @ a_matrix(alpha, k, REFERENCE_K)
             )
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(val - det) <= 1e-10 * max(abs(val), 1.0)
@@ -381,7 +381,7 @@ class TestFullKernel:
                 complex(sp_hankel1(nu, k.k * r)) * inner
                 + complex(sp_jv(nu, k.k * r)) * outer)
 
-        pk = p_of_k(params, alpha, k).entries
+        pk = p_of_k(params, alpha, k)
         row = _row_element(0, alpha, k)
         overlap = 2.0 * PI * complex_quad(
             lambda rho: row(rho, 0.0) * bump(rho) * rho, lo_edge, hi_edge, limit=200)

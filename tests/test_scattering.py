@@ -123,7 +123,7 @@ class TestPsiU:
         assume(norm > 1e-3)
         params = ExtensionParams(eta, complex(g[0], g[1]) / norm, complex(g[2], g[3]) / norm)
         try:
-            pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True)).entries
+            pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
         except NearEigenvalueError:
             assume(False)
         chan = PlaneWaveChannel(k, theta)

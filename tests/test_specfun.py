@@ -5,6 +5,7 @@ extended-precision series."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -124,12 +125,9 @@ class TestBesselK:
         with pytest.raises(ValueError):
             bessel_k(0.3, -2.0 + 0j)
 
-    def test_underflow_returns_zero_with_flag(self):
-        val, decayed = bessel_k(0.5, cmath.exp(1j * PI / 4) * 1200.0, with_flag=True)
-        assert val == 0j
-        assert decayed
-        val, decayed = bessel_k(0.5, cmath.exp(1j * PI / 4) * 2.0, with_flag=True)
-        assert not decayed and val != 0
+    def test_underflow_returns_exact_zero(self):
+        assert bessel_k(0.5, cmath.exp(1j * PI / 4) * 1200.0) == 0j
+        assert bessel_k(0.5, cmath.exp(1j * PI / 4) * 2.0) != 0
 
 
 class TestBranchPower:
@@ -164,6 +162,14 @@ class TestBranchPower:
             for s in (0.3, 0.62):
                 val = branch_power(complex(0.0, kappa), s)
                 assert abs(val.imag) <= 1e-12 * abs(val)
+
+    def test_tiny_modulus_does_not_underflow(self):
+        # k^2 underflows to 0 below |k| ~ 1e-154; the power itself does not
+        k, s = 1e-200 * cmath.exp(1j), 0.3
+        val = branch_power(UpperHalfK(k), s)
+        want = mp_complex(mp.exp(s * mp.log(-(mp.mpc(k) ** 2))))
+        assert cmath.isfinite(val)
+        assert abs(val - want) <= 1e-14 * abs(want)
 
     def test_rejects_zero_and_lower_half(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,14 @@
 """Bound states, resonances, and the s/p-wave factorization."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from abx.extension import ExtensionParams
-from abx.spectrum import (
-    RotInvariantForm,
-    bound_states,
-    rot_invariant_equations,
-    spectral_report,
-)
+from abx.cli import main
+from abx.spectrum import bound_states, rot_invariant_equations
 
 from _oracles import random_params
 
@@ -36,7 +33,6 @@ class TestBoundStates:
         s = bound_states(ExtensionParams.ab_point(), 0.3)
         assert s.bound_states == ()
         assert not s.zero_resonance
-        assert s.essential_spectrum == (0.0, math.inf)
 
     def test_s_wave_only_example(self):
         # beta = -pi/8 at alpha = 1/2 gives the s-wave root
@@ -96,12 +92,6 @@ class TestBoundStates:
 
 
 class TestRotInvariantFactorization:
-    def test_form_round_trip(self):
-        form = RotInvariantForm.from_params(_rot_params(0.7, -1.1))
-        eta, tau = form.eta_tau()
-        assert eta == pytest.approx(0.7)
-        assert tau == pytest.approx(-1.1)
-
     def test_s_wave_substitution(self):
         # beta = -pi alpha/2 gives |E| = (1/cos(pi alpha/2))^{1/alpha}
         for alpha in (0.3, 0.5, 0.7):
@@ -146,18 +136,21 @@ class TestRotInvariantFactorization:
 
 
 class TestSpectralReport:
-    def test_ab_report(self):
-        rep = spectral_report(ExtensionParams.ab_point(), 0.4)
-        assert rep.summary.bound_states == ()
-        assert not rep.summary.zero_resonance
-        assert "essential spectrum" in rep.notes
+    def test_ab_report(self, capsys):
+        # the CLI spectrum task: bound states plus the echoed theory notes
+        assert main(["--alpha", "0.4", "spectrum"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["bound_states"] == []
+        assert not res["zero_resonance"]
+        assert res["essential_spectrum"] == [0.0, "inf"]
+        assert "essential spectrum" in res["notes"]
 
     def test_mixing_report_gamma_independent(self):
         vals = []
         for gamma in np.linspace(0.0, 2 * PI, 8, endpoint=False):
-            rep = spectral_report(ExtensionParams.mixing(float(gamma)), 0.5)
-            assert rep.summary.zero_resonance
-            vals.append(rep.summary.bound_states[0].energy)
+            s = bound_states(ExtensionParams.mixing(float(gamma)), 0.5)
+            assert s.zero_resonance
+            vals.append(s.bound_states[0].energy)
         assert np.ptp(vals) <= 1e-12
 
     def test_count_bounded_by_two_on_sweep(self):
