@@ -40,8 +40,8 @@ upper half-plane.  The pieces are:
   channels (0, -1)) at the reference point and its k-dependent
   continuation; ``p_of_k`` evaluates both the defining inversion of the
   channel system 1 + (k^2 - i) p(k0) A(k, k0) and the closed entry
-  formulas and insists they agree to 1e-10 before returning the closed
-  form.
+  formulas and insists they agree to 1e-10 of the size of p's terms
+  before returning the closed form.
 
 * ``d_coeffs`` / ``d_of_k`` -- the channel determinant
   D(k) = common * (c1 E + c_alpha E^alpha + c_{1-alpha} E^{1-alpha} + c0),
@@ -325,7 +325,9 @@ def d_of_k(params: ExtensionParams, alpha, k) -> complex:
 def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
     """Coupling matrix p(k) as a 2x2 array, computed both by inverting
     1 + (k^2 - i) p(k0) A(k, k0) and by the closed entry formulas; the
-    two must agree to 1e-10 relative and the closed form is returned.
+    two must agree to 1e-10 of the size of p's terms (|e^{-i eta}/(2 D)|
+    times the moduli in each entry's bracket; p itself can be a
+    cancellation far below that) and the closed form is returned.
 
     Raises NearEigenvalueError when |D(k)| is below 1e-12 times the sum
     of the moduli of D's four terms, |(-k^2)^s| = |k|^{2s}, and when the
@@ -347,21 +349,30 @@ def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
     ref_pow_a = cmath.exp(-1j * math.pi * alpha / 2.0)          # (-i)^alpha
     ref_pow_1a = cmath.exp(-1j * math.pi * (1.0 - alpha) / 2.0)  # (-i)^{1-alpha}
     drive = a.real + math.cos(eta)
+    pow_1a = branch_power(k, 1.0 - alpha)
+    pow_a = branch_power(k, alpha)
     p00 = e / (2.0 * dval) * (
-        drive / c * (branch_power(k, 1.0 - alpha) - ref_pow_1a)
+        drive / c * (pow_1a - ref_pow_1a)
         - 1j * (cmath.exp(1j * eta) + a.conjugate())
     )
     p0m1 = 1j * e / (2.0 * dval) * b
     pm10 = -1j * e / (2.0 * dval) * b.conjugate()
     pm1m1 = e / (2.0 * dval) * (
-        drive / s * (branch_power(k, alpha) - ref_pow_a)
+        drive / s * (pow_a - ref_pow_a)
         - 1j * (cmath.exp(1j * eta) + a)
     )
     closed = np.array([[p00, p0m1], [pm10, pm1m1]])
     inverted = np.linalg.solve(system, pref)
 
-    scale = max(np.linalg.norm(closed), np.linalg.norm(inverted), 1e-300)
-    if np.linalg.norm(closed - inverted) > _DUAL_PATH_TOL * max(scale, 1e-30):
+    # The size of p's terms, |e/(2D)| times the moduli in each entry's
+    # bracket (their Frobenius norm, by hypot so that huge |k| does not
+    # overflow): next to the regular point p is a cancellation of O(1)
+    # terms far below their size, and rounding scales with the terms.
+    scale = abs(e / (2.0 * dval)) * math.hypot(
+        abs(drive / c) * (abs(pow_1a) + 1.0) + 1.0 + abs(a),
+        abs(drive / s) * (abs(pow_a) + 1.0) + 1.0 + abs(a),
+        abs(b), abs(b))
+    if np.linalg.norm(closed - inverted) > _DUAL_PATH_TOL * scale:
         cond = float(np.linalg.cond(system))
         if cond * np.finfo(float).eps > _DUAL_PATH_TOL:
             raise NearEigenvalueError(k.k, dval, condition=cond)

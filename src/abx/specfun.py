@@ -11,8 +11,10 @@ return plain complex numbers (K_nu is exactly 0 where its decay
 underflows).
 
 Numerical evaluation is delegated to the AMOS routines behind
-``scipy.special``; this module owns input validation, the ray and branch
-conventions, and the underflow policy.  The J/H1 surface is checked in
+``scipy.special``, which is loaded on the first Bessel evaluation, not on
+import: the tasks that need no Bessel function never load scipy.  This
+module owns input validation, the ray and branch conventions, and the
+underflow policy.  The J/H1 surface is checked in
 the test tree against an independent extended-precision series oracle,
 closed forms, asymptotics and the Wronskian.
 
@@ -37,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "UpperHalfK",
@@ -122,7 +123,9 @@ def bessel_k(nu, z: complex) -> complex:
         )
     if z.real > _K_DECAY_RE:
         return 0j
-    val = complex(_sp.kv(nu, z))
+    from scipy import special  # here, not at module level: keeps it out of every CLI start
+
+    val = complex(special.kv(nu, z))
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise ArithmeticError(f"bessel_k({nu}, {z}) did not evaluate finitely")
     return val
@@ -141,11 +144,15 @@ def bessel_j_orders(nus, z) -> np.ndarray:
     """J_nu(z), broadcast over arrays of orders nu >= 0 and arguments z
     (real, or complex in the upper half-plane).  Orders far above |z|
     underflow to exactly 0."""
-    return _sp.jv(nus, z)
+    from scipy import special  # here, not at module level: keeps it out of every CLI start
+
+    return special.jv(nus, z)
 
 
 def hankel1_orders(nus, z) -> np.ndarray:
     """H1_nu(z) = J_nu(z) + i Y_nu(z), broadcast like bessel_j_orders; on
     the positive real axis Y_nu is its imaginary part.  z = 0 is singular
     (the value is not finite)."""
-    return _sp.hankel1(nus, z)
+    from scipy import special  # here, not at module level: keeps it out of every CLI start
+
+    return special.hankel1(nus, z)

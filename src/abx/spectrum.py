@@ -70,13 +70,11 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
     """All bound states of the selected extension.
 
     Roots of Phi are located by sign-change bracketing on a 600-point
-    logarithmic grid over E in [1e-12, 1e8] and refined by Brent
-    bisection to relative 1e-12; each root's residual must satisfy
+    logarithmic grid over E in [1e-12, 1e8] and refined by bisection to
+    relative 1e-12; each root's residual must satisfy
     |Phi(E)| <= 1e-10 (1 + |c1| E).  More than two roots is a hard
     internal failure.
     """
-    from scipy import optimize  # here, not at module level: keeps it out of every CLI start
-
     alpha = as_alpha(alpha)
     cf = d_coeffs(params, alpha)
     scale = max(abs(cf.c1), abs(cf.c_alpha), abs(cf.c_1malpha), 1.0)
@@ -98,9 +96,7 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
     exact = np.flatnonzero(vals == 0.0)
     roots.extend(float(grid[i]) for i in exact)
     sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    for i in sign_change:
-        root = optimize.brentq(phi, grid[i], grid[i + 1], rtol=_ROOT_RTOL, xtol=1e-30)
-        roots.append(float(root))
+    roots.extend(_bisect(phi, grid[i], grid[i + 1]) for i in sign_change)
 
     if len(roots) > 2:
         raise AssertionError(
@@ -120,12 +116,30 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
     return SpectralSummary(tuple(states), zero_resonance)
 
 
+def _bisect(phi, lo: float, hi: float) -> float:
+    """The root of phi in a sign-change bracket [lo, hi] with 0 < lo,
+    halved until hi - lo <= _ROOT_RTOL * hi: the last midpoint, or the
+    first midpoint where phi is exactly 0."""
+    lo_negative = phi(lo) < 0.0
+    while hi - lo > _ROOT_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        val = phi(mid)
+        if val == 0.0:
+            return float(mid)
+        if (val < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
+
+
 def rot_invariant_equations(params: ExtensionParams, alpha) -> RotInvariantRoots:
     """Closed-form s- and p-wave roots for b = 0.
 
     A bracket ratio <= 0 yields no root in that wave; a vanishing
     numerator puts the root exactly at E = 0, reported as a resonance
-    rather than a root.  b != 0 is rejected.
+    rather than a root.  A root beyond the double range is math.inf.
+    b != 0 is rejected.
     """
     alpha = as_alpha(alpha)
     if abs(params.b) > 1e-12:
@@ -143,9 +157,16 @@ def rot_invariant_equations(params: ExtensionParams, alpha) -> RotInvariantRoots
 
     s_root = None
     if abs(s_num) > 1e-12 and abs(s_den) > 1e-300 and s_num / s_den > 0.0:
-        s_root = (s_num / s_den) ** (1.0 / alpha)
+        s_root = _power_or_inf(s_num / s_den, 1.0 / alpha)
     p_root = None
     if abs(p_num) > 1e-12 and abs(p_den) > 1e-300 and p_num / p_den > 0.0:
-        p_root = (p_num / p_den) ** (1.0 / (1.0 - alpha))
+        p_root = _power_or_inf(p_num / p_den, 1.0 / (1.0 - alpha))
     return RotInvariantRoots(s_root, p_root, resonance)
 
+
+def _power_or_inf(base: float, exponent: float) -> float:
+    """base ** exponent, or math.inf where it overflows double precision."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf

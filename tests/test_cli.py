@@ -4,6 +4,7 @@ formats, determinism."""
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,6 +17,8 @@ from abx import cli, krein, scattering
 from abx.extension import ALPHA_MAX, ALPHA_MIN
 
 PI = math.pi
+# this checkout's package, ahead of any installed abx, for subprocess tests
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MIXING_ARGS = ["--alpha", "0.5", "--eta", "0", "--a", "0,0", "--b", "1,0"]
 POINTS = {
@@ -259,9 +262,47 @@ class TestRun:
         assert len(calls) == 3
 
 
-def test_import_leaves_optimize_and_integrate_unloaded():
-    code = ("import sys, abx.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+def run_python(code: str, *args: str) -> str:
+    """stdout of `python -c code args` in a fresh interpreter that imports
+    this checkout's abx."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy():
+    out = run_python(f"import sys, abx, abx.cli; print(abx.__file__); print({SCIPY_MODULES})")
+    assert out.splitlines() == [os.path.join(SRC, "abx", "__init__.py"), "[]"]
+
+
+def test_closed_form_tasks_load_no_scipy():
+    # the amplitude, cross section, mixing and spectrum need no Bessel
+    # function; eigenfunction and resolvent then load scipy.special on
+    # their first Bessel call
+    code = f"""
+import io, json, sys
+from contextlib import redirect_stdout
+from abx import cli
+args = json.loads(sys.argv[1])
+for task in ("xsection", "amplitude", "mixing", "spectrum"):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(args + [task]) == 0, task
+runs = {{}}
+loaded = {SCIPY_MODULES}
+for task in ("eigenfunction", "resolvent"):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runs[task] = [cli.main(args + [task]), out.getvalue()]
+print(json.dumps([loaded, runs]))
+"""
+    argv = POINTS["coupled"] + ["--k", "0.5,2", "--angles", "8", "--radii", "0.5,3"]
+    loaded, runs = json.loads(run_python(code, json.dumps(argv)))
+    assert loaded == []
+    for task, key in (("eigenfunction", "psi"), ("resolvent", "kernel")):
+        rc, out = runs[task]
+        assert rc == 0, task
+        assert "NaN" not in out and "Infinity" not in out
+        assert [len(block[key]) for block in json.loads(out)["results"]] == [2 * 8, 2 * 8]

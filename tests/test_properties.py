@@ -1,18 +1,18 @@
 """Invariants of the family over random (eta, a, b, alpha, k): the two
-representations of one channel map, equal cross-channel mixing, the
-regular point's flux-only amplitude, and at most two bound states."""
+representations of one channel map, the two routes to p(k), equal
+cross-channel mixing, the regular point's flux-only amplitude, and at most
+two bound states."""
 
 import cmath
 import math
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from abx.errors import ConsistencyError, NearEigenvalueError
+from abx.errors import NearEigenvalueError
 from abx.extension import ExtensionParams, classify
-from abx.krein import d_of_k, p_of_k
+from abx.krein import REFERENCE_K, a_matrix, d_of_k, p_at_i, p_of_k
 from abx.scattering import FORWARD_EPSILON, amplitude_ab, amplitude_u, channel_mixing
 from abx.specfun import as_wavenumber
 from abx.spectrum import bound_states
@@ -33,11 +33,20 @@ def family_points(draw):
                            complex(g[2], g[3]) / norm)
 
 
+@st.composite
+def near_regular_points(draw):
+    """(eta, a, b) within 1e-12 .. 1e-3 of the regular point (0, -1, 0),
+    where p(k) is a cancellation of O(1) terms."""
+    d = [draw(st.sampled_from((-1.0, 0.0, 1.0))) * 10.0 ** draw(st.floats(-12.0, -3.0))
+         for _ in range(4)]
+    b = complex(d[2], d[3])
+    return ExtensionParams(d[0], -cmath.exp(1j * d[1]) * math.sqrt(1.0 - abs(b) ** 2), b)
+
+
 alphas = st.floats(0.02, 0.98)
 log_k = st.floats(-2.0, 2.0)
-# p_of_k refuses near an eigenvalue, and (a known defect, pinned by
-# test_near_regular_point_answers) within about 1e-6 of the regular point
-REFUSED = (NearEigenvalueError, ConsistencyError)
+# p_of_k refuses near an eigenvalue
+REFUSED = NearEigenvalueError
 
 
 def _mirror(params: ExtensionParams) -> ExtensionParams:
@@ -64,6 +73,28 @@ def test_both_representations_agree(params, alpha, log_k, arg_k):
     assert len(got) == len(want)
     for s, t in zip(got, want):
         assert abs(s.energy - t.energy) <= 1e-10 * abs(s.energy)
+
+
+@SETTINGS
+@given(params=st.one_of(family_points(), near_regular_points()), alpha=alphas, log_k=log_k,
+       arg_k=st.floats(0.0, PI - 1e-3))
+def test_dual_paths_agree(params, alpha, log_k, arg_k):
+    # p_of_k answers with the closed entry formulas; the inversion of the
+    # channel system S p(k) = p(k0), redone here, must agree with them to
+    # 1e-10 of a bound on the size of p's terms, (2 + 2 |(-k^2)^s| / min(sin,
+    # cos)(pi alpha/2) + |b|) / (2 |D|), even where p cancels far below it
+    k = as_wavenumber(10.0 ** log_k * cmath.exp(1j * arg_k))
+    try:
+        p = p_of_k(params, alpha, k)
+    except REFUSED:
+        assume(False)
+    pref = p_at_i(params, alpha)
+    inverted = np.linalg.solve(np.eye(2) + (k.k ** 2 - 1j) * (pref @ a_matrix(alpha, k, REFERENCE_K)),
+                               pref)
+    power = max(abs(k.k) ** (2.0 * alpha), abs(k.k) ** (2.0 - 2.0 * alpha))
+    trig = min(math.sin(PI * alpha / 2.0), math.cos(PI * alpha / 2.0))
+    size = (2.0 + 2.0 * (1.0 + power) / trig + abs(params.b)) / (2.0 * abs(d_of_k(params, alpha, k)))
+    assert np.linalg.norm(p - inverted) <= 1e-10 * size
 
 
 @SETTINGS
@@ -97,9 +128,10 @@ def test_at_most_two_bound_states(params, alpha):
     assert all(s.energy < 0 for s in states)
 
 
-@pytest.mark.xfail(strict=True, raises=ConsistencyError,
-                   reason="known defect: next to the regular point p(k) is a cancellation of "
-                          "O(1) terms, so the two paths cannot agree to 1e-10 of |p|")
 def test_near_regular_point_answers():
     # a = -e^{i 1e-6}, b = 0: a valid, well-conditioned point whose p(k) ~ 5e-7
-    p_of_k(ExtensionParams(0.0, -cmath.exp(1e-6j), 0.0), 0.5, 10.0)
+    # is a cancellation of O(1) terms, so the two routes agree to 1e-10 of
+    # those terms but not of |p|
+    p = p_of_k(ExtensionParams(0.0, -cmath.exp(1e-6j), 0.0), 0.5, 10.0)
+    assert np.all(np.isfinite(p)) and p[0, 1] == p[1, 0] == 0
+    assert 1e-7 < abs(p[0, 0]) < 1e-6 and 1e-7 < abs(p[1, 1]) < 1e-6

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from abx.extension import ExtensionParams
 from abx.cli import main
-from abx.spectrum import bound_states, rot_invariant_equations
+from abx.krein import d_coeffs
+from abx.spectrum import _GRID_DECADES, _GRID_POINTS, bound_states, rot_invariant_equations
 
 from _oracles import random_params
 
@@ -114,6 +117,12 @@ class TestRotInvariantFactorization:
         assert roots.p_wave_root is None
         assert roots.zero_resonance
 
+    def test_root_beyond_double_range_is_inf(self):
+        # cos(beta) = cos(-pi/2) ~ 6e-17 at alpha = 1/32: a ratio of about
+        # 8e14 raised to the 32nd power
+        roots = rot_invariant_equations(_rot_params(0.0, -PI), 1.0 / 32.0)
+        assert roots.s_wave_root == math.inf
+
     def test_rejects_coupling(self):
         with pytest.raises(ValueError):
             rot_invariant_equations(ExtensionParams.mixing(0.1), 0.5)
@@ -133,6 +142,28 @@ class TestRotInvariantFactorization:
             assert len(closed) == len(general), (eta, tau, alpha)
             for c, g in zip(closed, general):
                 assert abs(c - g) <= 1e-10 * (1.0 + abs(c))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(eta=st.floats(-PI, PI), tau=st.floats(-PI, PI), alpha=st.floats(0.02, 0.98))
+    def test_refined_roots_match_closed_form(self, eta, tau, alpha):
+        # the grid brackets and bisection refines: every closed-form root
+        # inside the grid range comes back to 1e-10 relative
+        params = _rot_params(eta, tau)
+        roots = rot_invariant_equations(params, alpha)
+        assume(not roots.zero_resonance)
+        grid = np.logspace(*_GRID_DECADES, _GRID_POINTS)
+        closed = sorted(r for r in (roots.s_wave_root, roots.p_wave_root)
+                        if r is not None and grid[0] <= r <= grid[-1])
+        # two roots in one grid cell show no sign change: the grid's known blind spot
+        assume(len(set(np.searchsorted(grid, closed))) == len(closed))
+        states = bound_states(params, alpha).bound_states
+        general = sorted(-s.energy for s in states)
+        assert len(general) == len(closed)
+        for c, g in zip(closed, general):
+            assert abs(g - c) <= 1e-10 * c
+        c1 = d_coeffs(params, alpha).c1
+        for state in states:
+            assert state.residual <= 1e-10 * (1.0 + abs(c1) * -state.energy)
 
 
 class TestSpectralReport:
