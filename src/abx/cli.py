@@ -6,8 +6,10 @@ Usage:
     abx --alpha 0.3 --k 1.0 --angles 360 --format csv xsection
     abx --config run.cfg eigenfunction --out psi.json
 
-A flat key=value config file may supply any flag's value; command-line
-flags override the file.  Exit codes: 0 success, 2 validation error,
+A flat key=value config file may supply any flag's value, keyed by the
+flag's name (k-imag or k_imag); an unknown key is an error.  Command-line
+flags override the file.  Exit codes: 0 success, 2 validation error
+(including an unreadable config file or an unwritable output path),
 3 numerical failure (near-eigenvalue momentum, non-converged quadrature
 or extraction, overflow at extreme momenta).  Each task evaluates its
 whole grid with one call per momentum, so the coupling matrix p(k) is
@@ -28,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConsistencyError, ConvergenceError, NearEigenvalueError
-from .extension import ExtensionParams, FluxAlpha, classify
-from .krein import _MAX_GRID_ELEMENTS, d_of_k, full_resolvent_kernel, p_of_k
+from .extension import ExtensionParams, as_alpha, classify
+from .krein import _MAX_GRID_ELEMENTS, full_resolvent_kernel, p_of_k
 from .scattering import (
     FORWARD_EPSILON,
     PlaneWaveChannel,
@@ -39,7 +41,7 @@ from .scattering import (
     cross_section,
     psi_u,
 )
-from .specfun import UpperHalfK, hankel1_orders
+from .specfun import UpperHalfK, as_wavenumber, hankel1_orders
 from .spectrum import bound_states
 
 TASKS = ("spectrum", "amplitude", "xsection", "eigenfunction", "resolvent", "mixing", "validate")
@@ -71,7 +73,7 @@ class RunConfig:
     live in _DEFAULTS."""
 
     task: str
-    alpha: FluxAlpha
+    alpha: float
     params: ExtensionParams
     k_values: tuple[float, ...]
     k_imag: float
@@ -160,9 +162,12 @@ def parse_config(argv) -> RunConfig:
     ns = build_parser().parse_args(argv)
     merged = dict(_DEFAULTS)
     if ns.config:
-        rename = {"format": "fmt"}
         for key, val in _read_config_file(ns.config).items():
-            merged[rename.get(key, key)] = val
+            name = key.replace("-", "_")
+            name = "fmt" if name == "format" else name
+            if name not in _DEFAULTS and name != "task":
+                raise ValueError(f"{ns.config}: unknown key {key!r}")
+            merged[name] = val
     for key in ("alpha", "eta", "a", "b", "k", "k_imag", "theta", "angles",
                 "radii", "source", "fmt", "out"):
         val = getattr(ns, key)
@@ -172,7 +177,9 @@ def parse_config(argv) -> RunConfig:
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
 
-    alpha = FluxAlpha(float(merged["alpha"]))
+    if merged["fmt"] not in ("json", "csv"):
+        raise ValueError(f"format must be json or csv, got {merged['fmt']!r}")
+    alpha = as_alpha(merged["alpha"])
     params = ExtensionParams(
         float(merged["eta"]),
         _parse_complex_pair(merged["a"]),
@@ -205,7 +212,7 @@ def parse_config(argv) -> RunConfig:
         angle_count=angle_count,
         radii=radii,
         source=(float(source[0]), float(source[1])),
-        fmt=str(merged["fmt"]),
+        fmt=merged["fmt"],
         out=merged["out"],
     )
 
@@ -223,20 +230,12 @@ def _c2l(z: complex) -> list[float]:
 def _param_header(cfg: RunConfig) -> dict:
     p = cfg.params
     return {
-        "alpha": cfg.alpha.alpha,
+        "alpha": cfg.alpha,
         "eta": p.eta,
         "a": _c2l(p.a),
         "b": _c2l(p.b),
         "class": classify(p).kind.value,
     }
-
-
-def _provenance_row(cfg: RunConfig) -> list:
-    p = cfg.params
-    return [cfg.alpha.alpha, p.eta, p.a.real, p.a.imag, p.b.real, p.b.imag]
-
-
-_PROV_COLS = ["alpha", "eta", "a_re", "a_im", "b_re", "b_im"]
 
 
 def _task_spectrum(cfg: RunConfig):
@@ -248,8 +247,8 @@ def _task_spectrum(cfg: RunConfig):
         "essential_spectrum": [0.0, "inf"],
         "notes": _SPECTRUM_NOTES,
     }
-    rows = [_provenance_row(cfg) + [st.energy, st.residual] for st in s.bound_states]
-    cols = _PROV_COLS + ["energy", "residual"]
+    rows = ([st.energy, st.residual] for st in s.bound_states)
+    cols = ["energy", "residual"]
     meta = [f"zero_resonance={s.zero_resonance}", "essential_spectrum=[0,inf)"]
     return results, cols, rows, meta
 
@@ -261,9 +260,8 @@ def _task_mixing(cfg: RunConfig):
                 "prob_m1_to_0": mix.prob_m1_to_0, "constant": mix.constant}
 
     results = [one(k) for k in cfg.k_values]
-    cols = _PROV_COLS + ["k", "prob_0_to_m1", "prob_m1_to_0", "constant"]
-    rows = [_provenance_row(cfg) + [r["k"], r["prob_0_to_m1"], r["prob_m1_to_0"], r["constant"]]
-            for r in results]
+    cols = ["k", "prob_0_to_m1", "prob_m1_to_0", "constant"]
+    rows = ([r["k"], r["prob_0_to_m1"], r["prob_m1_to_0"], r["constant"]] for r in results)
     return results, cols, rows, []
 
 
@@ -277,7 +275,7 @@ def _off_cone(cfg: RunConfig, angles: np.ndarray, values_at) -> list:
 
 def _task_xsection(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-    results, rows = [], []
+    results = []
     for k in cfg.k_values:
         vals = _off_cone(cfg, angles,
                          lambda phi: cross_section(cfg.params, cfg.alpha, k, cfg.theta, phi))
@@ -285,16 +283,16 @@ def _task_xsection(cfg: RunConfig):
                         "phi": angles.tolist(),
                         "dsigma_dphi": vals,
                         "forward_excluded": [v is None for v in vals]})
-        rows += [_provenance_row(cfg) + [k, cfg.theta, phi, "" if v is None else v, v is None]
-                 for phi, v in zip(angles.tolist(), vals)]
-    cols = _PROV_COLS + ["k", "theta", "phi", "dsigma_dphi", "in_forward_cone"]
+    cols = ["k", "theta", "phi", "dsigma_dphi", "in_forward_cone"]
+    rows = ([r["k"], r["theta"], phi, "" if v is None else v, v is None]
+            for r in results for phi, v in zip(r["phi"], r["dsigma_dphi"]))
     meta = [f"forward_cone_halfwidth={FORWARD_EPSILON}"]
     return results, cols, rows, meta
 
 
 def _task_amplitude(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-    results, rows = [], []
+    results = []
     for k in cfg.k_values:
         amp = amplitude_u(cfg.params, cfg.alpha, k)
         vals = [None if v is None else _c2l(v)
@@ -305,24 +303,23 @@ def _task_amplitude(cfg: RunConfig):
                         "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
                         "forward_pv_weight": _c2l(amp.forward_pv_weight),
                         "notes": list(amp.convention_notes)})
-        rows += [_provenance_row(cfg)
-                 + [k, cfg.theta, phi, *(["", ""] if v is None else v), v is None]
-                 for phi, v in zip(angles.tolist(), vals)]
-    cols = _PROV_COLS + ["k", "theta", "phi", "f_re", "f_im", "in_forward_cone"]
+    cols = ["k", "theta", "phi", "f_re", "f_im", "in_forward_cone"]
+    rows = ([r["k"], r["theta"], phi, *(["", ""] if v is None else v), v is None]
+            for r in results for phi, v in zip(r["phi"], r["smooth"]))
     return results, cols, rows, []
 
 
 def _task_eigenfunction(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
     points = [[float(r), float(phi)] for r in cfg.radii for phi in angles]
-    results, rows = [], []
+    results = []
     for k in cfg.k_values:
         chan = PlaneWaveChannel(k, cfg.theta)
         vals = psi_u(cfg.params, cfg.alpha, chan, cfg.radii, angles)
         vals = [_c2l(v) for v in vals.ravel().tolist()]
         results.append({"k": k, "theta": cfg.theta, "points": points, "psi": vals})
-        rows += [_provenance_row(cfg) + [k, cfg.theta, *p, *v] for p, v in zip(points, vals)]
-    cols = _PROV_COLS + ["k", "theta", "r", "phi", "psi_re", "psi_im"]
+    cols = ["k", "theta", "r", "phi", "psi_re", "psi_im"]
+    rows = ([r["k"], r["theta"], *p, *v] for r in results for p, v in zip(r["points"], r["psi"]))
     return results, cols, rows, []
 
 
@@ -330,14 +327,14 @@ def _task_resolvent(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
     points = [[float(r), float(phi)] for r in cfg.radii for phi in angles]
     y = cfg.source
-    results, rows = [], []
+    results = []
     for k in cfg.k_values:
-        kk = UpperHalfK(complex(k, cfg.k_imag)) if cfg.k_imag > 0 else UpperHalfK(k, on_real_axis=True)
+        kk = as_wavenumber(complex(k, cfg.k_imag))
         vals = full_resolvent_kernel(cfg.params, cfg.alpha, kk, (cfg.radii, angles), y)
         vals = [_c2l(v) for v in vals.ravel().tolist()]
         results.append({"k": [k, cfg.k_imag], "source": list(y), "points": points, "kernel": vals})
-        rows += [_provenance_row(cfg) + [k, cfg.k_imag, *y, *p, *v] for p, v in zip(points, vals)]
-    cols = _PROV_COLS + ["k_re", "k_im", "src_r", "src_phi", "r", "phi", "kernel_re", "kernel_im"]
+    cols = ["k_re", "k_im", "src_r", "src_phi", "r", "phi", "kernel_re", "kernel_im"]
+    rows = ([*r["k"], *r["source"], *p, *v] for r in results for p, v in zip(r["points"], r["kernel"]))
     return results, cols, rows, []
 
 
@@ -352,11 +349,10 @@ def _task_validate(cfg: RunConfig):
                                  complex(g[0], g[1]) / n, complex(g[2], g[3]) / n)
         alpha = rng.uniform(0.05, 0.95)
         k = UpperHalfK(complex(rng.uniform(-10, 10), rng.uniform(0.1, 10)))
-        # p_of_k and d_of_k raise ConsistencyError on dual-path failure
+        # raises ConsistencyError if either dual-path check (p or D) fails
         p_of_k(params, alpha, k)
-        d_of_k(params, alpha, k)
 
-    alpha = cfg.alpha.alpha
+    alpha = cfg.alpha
     params = cfg.params
     k = cfg.k_values[0]
     theta, r, phi = 0.4, 1.2, 1.6
@@ -379,8 +375,8 @@ def _task_validate(cfg: RunConfig):
         raise ConsistencyError(
             f"eigenfunction limit oracle failed: rel error {rel:.3e} >= 2e-2"
         )
-    rows = [_provenance_row(cfg) + [50, rel]]
-    cols = _PROV_COLS + ["dual_path_samples", "limit_oracle_rel_error"]
+    rows = [[50, rel]]
+    cols = ["dual_path_samples", "limit_oracle_rel_error"]
     return results, cols, rows, []
 
 
@@ -411,15 +407,17 @@ def _render_json(cfg: RunConfig, results) -> str:
 
 
 def _render_csv(cfg: RunConfig, cols, rows, meta) -> str:
+    """The task's rows, each led by the run's provenance columns."""
     buf = io.StringIO()
     p = cfg.params
     buf.write(f"# task={cfg.task}\n")
-    buf.write(f"# alpha={cfg.alpha.alpha!r} eta={p.eta!r} a={p.a!r} b={p.b!r}\n")
+    buf.write(f"# alpha={cfg.alpha!r} eta={p.eta!r} a={p.a!r} b={p.b!r}\n")
     for line in meta:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    writer.writerows(rows)
+    writer.writerow(["alpha", "eta", "a_re", "a_im", "b_re", "b_im"] + cols)
+    prov = [cfg.alpha, p.eta, p.a.real, p.a.imag, p.b.real, p.b.imag]
+    writer.writerows(prov + row for row in rows)
     return buf.getvalue()
 
 
@@ -439,13 +437,16 @@ def run(config: RunConfig, stream=None) -> int:
 def main(argv=None) -> int:
     try:
         config = parse_config(argv if argv is not None else sys.argv[1:])
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: the config file cannot be read
         print(f"abx: invalid configuration: {exc}", file=sys.stderr)
         return 2
     try:
         return run(config)
     except ValueError as exc:
         print(f"abx: invalid request: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the output file cannot be written
+        print(f"abx: invalid output: {exc}", file=sys.stderr)
         return 2
     except (NearEigenvalueError, ConvergenceError, ConsistencyError) as exc:
         print(f"abx: numerical failure: {exc}", file=sys.stderr)

@@ -26,6 +26,11 @@ reduce to them), and the quadrature diagnostic of their norms.  With
 these constants the two-dimensional elements r^{-1/2} xi(r) e^{i m phi}
 have unit L2 norm; the radial elements themselves have norm
 1/sqrt(2 pi).
+
+K is evaluated through the Hankel ladder of the special-function module,
+K_nu(z) = (i pi/2) e^{i nu pi/2} H1_nu(i z) (DLMF 10.27.8): i z lies on
+the ray e^{i pi/4} for the plus elements and e^{3 i pi/4} for the minus
+elements, the same H1 that the resolvent module's analytic basis uses.
 """
 
 from __future__ import annotations
@@ -38,12 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .specfun import bessel_k
+from .specfun import hankel1_orders
 
 __all__ = [
     "ALPHA_MIN",
     "ALPHA_MAX",
-    "FluxAlpha",
     "ExtensionParams",
     "DeficiencyElement",
     "ExtensionKind",
@@ -66,30 +70,17 @@ _NORM_TOL = 1e-12
 _CLASS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FluxAlpha:
-    """Magnetic flux parameter, restricted to [1e-6, 1 - 1e-6].
+def as_alpha(alpha) -> float:
+    """The magnetic flux parameter as a float in [1e-6, 1 - 1e-6].
 
     The channel coefficients carry 1/sin(pi alpha); the endpoints are
     excluded to keep them finite.  Out-of-range values are an error, not
     clamped.
     """
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        object.__setattr__(self, "alpha", a)
-        if not math.isfinite(a) or not ALPHA_MIN <= a <= ALPHA_MAX:
-            raise ValueError(
-                f"flux parameter must lie in [{ALPHA_MIN}, {ALPHA_MAX}], got {a}"
-            )
-
-
-def as_alpha(alpha) -> float:
-    if isinstance(alpha, FluxAlpha):
-        return alpha.alpha
-    return FluxAlpha(float(alpha)).alpha
+    a = float(alpha)
+    if not ALPHA_MIN <= a <= ALPHA_MAX:  # NaN fails this too
+        raise ValueError(f"flux parameter must lie in [{ALPHA_MIN}, {ALPHA_MAX}], got {a}")
+    return a
 
 
 def _wrap_angle(eta: float) -> float:
@@ -229,20 +220,25 @@ def deficiency_radial(element: DeficiencyElement, alpha, r: float) -> complex:
 
     The plus element solves  -xi'' + (nu^2 - 1/4) r^{-2} xi = +i xi  and
     the minus element the -i counterpart, both square-integrable with
-    small-r behavior proportional to r^{1/2 - nu}.
+    small-r behavior proportional to r^{1/2 - nu}.  Each is evaluated on
+    its own ray, so their conjugate relation is a check, not an identity.
     """
     alpha = as_alpha(alpha)
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"deficiency_radial requires r > 0, got {r}")
+    # xi decays like e^{-r/sqrt 2}; once that underflows the element is
+    # exactly 0, which also keeps r below AMOS's limit |z| < 2^51 for H1
+    if math.exp(-r / math.sqrt(2.0)) == 0.0:
+        return 0j
     nu, norm = _channel_order_norm(element.channel, alpha)
     if element.sign > 0:
-        ray = cmath.exp(-1j * math.pi / 4)
-        phase = 1.0 + 0j
+        z, phase = cmath.exp(-0.25j * math.pi) * r, 1.0
     else:
-        ray = cmath.exp(1j * math.pi / 4)
-        phase = cmath.exp(1j * math.pi * nu / 2.0)
-    return norm * phase * math.sqrt(r) * bessel_k(nu, ray * r)
+        z, phase = cmath.exp(0.25j * math.pi) * r, cmath.exp(0.5j * math.pi * nu)
+    # K_nu(z) = (i pi/2) e^{i nu pi/2} H1_nu(i z), DLMF 10.27.8
+    k_nu = 0.5j * math.pi * cmath.exp(0.5j * math.pi * nu) * complex(hankel1_orders(nu, 1j * z))
+    return norm * phase * math.sqrt(r) * k_nu
 
 
 def classify(params: ExtensionParams) -> "ExtensionClass":
@@ -286,11 +282,9 @@ def l2_norm_deficiency(element: DeficiencyElement, alpha) -> float:
     error estimate above 1e-8 raises ConvergenceError.
     """
     alpha = as_alpha(alpha)
-    nu, norm = _channel_order_norm(element.channel, alpha)
-    ray = cmath.exp(-1j * math.pi / 4) if element.sign > 0 else cmath.exp(1j * math.pi / 4)
 
     def integrand(r: float) -> float:
-        return norm * norm * r * abs(bessel_k(nu, ray * r)) ** 2
+        return abs(deficiency_radial(element, alpha, r)) ** 2
 
     from scipy import integrate  # here, not at module level: keeps it out of every CLI start
 

@@ -2,21 +2,19 @@
 
 One vector surface for the fractional-order Bessel function J_nu and the
 Hankel function H1_nu over arrays of orders and arguments (real or in the
-upper half-plane), the McDonald function K_nu on the rays
-arg z = +-pi/4 (where the deficiency elements live) and on the positive
-real axis, and the branch-consistent complex power (-k^2)^s that appears
-in every channel coefficient.  The J/H1 ladders return numpy arrays
-broadcast over orders and arguments; ``bessel_k`` and ``branch_power``
-return plain complex numbers (K_nu is exactly 0 where its decay
-underflows).
+upper half-plane), and the branch-consistent complex power (-k^2)^s that
+appears in every channel coefficient.  The J/H1 ladders return numpy
+arrays broadcast over orders and arguments; ``branch_power`` returns a
+plain complex number.  Every other Bessel-family value is read off this
+surface: the McDonald function of the deficiency elements, for one, is
+K_nu(z) = (i pi/2) e^{i nu pi/2} H1_nu(i z) (DLMF 10.27.8).
 
 Numerical evaluation is delegated to the AMOS routines behind
 ``scipy.special``, which is loaded on the first Bessel evaluation, not on
 import: the tasks that need no Bessel function never load scipy.  This
-module owns input validation, the ray and branch conventions, and the
-underflow policy.  The J/H1 surface is checked in
-the test tree against an independent extended-precision series oracle,
-closed forms, asymptotics and the Wronskian.
+module owns the wavenumber and branch conventions.  The J/H1 surface is
+checked in the test tree against an independent extended-precision series
+oracle, closed forms, asymptotics and the Wronskian.
 
 Branch convention
 -----------------
@@ -42,18 +40,11 @@ import numpy as np
 
 __all__ = [
     "UpperHalfK",
-    "as_order",
     "as_wavenumber",
-    "bessel_k",
     "branch_power",
     "bessel_j_orders",
     "hankel1_orders",
 ]
-
-_RAY_ANGLE_TOL = 1e-12
-# Re z beyond which exp(-Re z) underflows double precision.
-_K_DECAY_RE = 700.0
-
 
 @dataclass(frozen=True)
 class UpperHalfK:
@@ -81,15 +72,6 @@ class UpperHalfK:
             raise ValueError(f"interior wavenumber needs Im k > 0, got {kc}")
 
 
-def as_order(nu) -> float:
-    """A finite order in [0, 2), the range bessel_k serves: the channel
-    formulas evaluate K only at the orders alpha and 1 - alpha."""
-    nu = float(nu)
-    if not 0.0 <= nu < 2.0:  # NaN fails this too
-        raise ValueError(f"order must be finite and lie in [0, 2), got {nu}")
-    return nu
-
-
 def as_wavenumber(k) -> UpperHalfK:
     """Coerce a complex number to UpperHalfK.
 
@@ -102,33 +84,6 @@ def as_wavenumber(k) -> UpperHalfK:
     if kc.imag == 0.0:
         return UpperHalfK(kc, on_real_axis=True)
     return UpperHalfK(kc)
-
-
-def bessel_k(nu, z: complex) -> complex:
-    """McDonald function K_nu on the rays arg z in {-pi/4, 0, +pi/4}.
-
-    For |z| large enough that the exponential decay underflows double
-    precision the value is exactly 0; subnormal noise is never returned.
-    Other rays are rejected.
-    """
-    nu = as_order(nu)
-    z = complex(z)
-    az = abs(z)
-    if az == 0.0 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"bessel_k requires finite z != 0, got {z}")
-    ang = cmath.phase(z)
-    if min(abs(ang), abs(ang - math.pi / 4), abs(ang + math.pi / 4)) > _RAY_ANGLE_TOL:
-        raise ValueError(
-            f"bessel_k supports arg z in {{-pi/4, 0, +pi/4}}, got arg z = {ang:.6f}"
-        )
-    if z.real > _K_DECAY_RE:
-        return 0j
-    from scipy import special  # here, not at module level: keeps it out of every CLI start
-
-    val = complex(special.kv(nu, z))
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise ArithmeticError(f"bessel_k({nu}, {z}) did not evaluate finitely")
-    return val
 
 
 def branch_power(k, s: float) -> complex:

@@ -40,7 +40,7 @@ class TestParse:
     def test_mixing_spectrum_run(self):
         cfg = cli.parse_config(MIXING_ARGS + ["spectrum"])
         assert cfg.task == "spectrum"
-        assert cfg.alpha.alpha == 0.5
+        assert cfg.alpha == 0.5
         assert cfg.params.b == 1.0 + 0j
         from abx.extension import ExtensionKind, classify
 
@@ -74,6 +74,12 @@ class TestParse:
         # flags override the file
         cfg2 = cli.parse_config(["--config", str(cfgfile), "--angles", "8", "xsection"])
         assert cfg2.angle_count == 8
+
+    def test_config_keys_are_flag_names(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        for key in ("k-imag", "k_imag"):
+            cfgfile.write_text(f"{key}=0.4\n")
+            assert cli.parse_config(["--config", str(cfgfile), "resolvent"]).k_imag == 0.4
 
     def test_task_from_config_file_only(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -184,12 +190,28 @@ class TestRun:
         ["--k-imag=nan"],
         ["--k-imag=-0.5"],
         ["--k", "nan"],
+        ["--config", "/nonexistent.cfg"],
+        ["--out", "/nonexistent/x.json"],
     ])
     def test_nonfinite_and_mislabelled_inputs_rejected(self, args, capsys):
         task = "resolvent" if args[0] in ("--source", "--k-imag=-0.5") else "eigenfunction"
         assert cli.main(args + ["--angles", "4", task]) == 2
         out = capsys.readouterr()
         assert "NaN" not in out.out and "invalid" in out.err
+
+    @pytest.mark.parametrize("text, named", [
+        ("alhpa=0.3\n", "'alhpa'"),
+        ("k-img=0.4\n", "'k-img'"),
+        ("config=other.cfg\n", "'config'"),
+        ("format=xml\n", "'xml'"),
+    ])
+    def test_config_file_keys_checked(self, text, named, tmp_path):
+        # a misspelt key or an unknown format is refused, not dropped
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text, encoding="utf-8")
+        rc, out, err = run_cli(["--config", str(cfgfile), "spectrum"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("abx: invalid configuration") and named in err
 
     @pytest.mark.parametrize("point", sorted(POINTS))
     @pytest.mark.parametrize("task", ["xsection", "mixing"])

@@ -11,7 +11,7 @@ from abx.extension import (
     DeficiencyElement,
     ExtensionKind,
     ExtensionParams,
-    FluxAlpha,
+    as_alpha,
     build_u_matrix,
     canonical_params,
     classify,
@@ -27,14 +27,14 @@ PI = math.pi
 
 class TestParams:
     def test_alpha_bounds(self):
-        FluxAlpha(1e-6)
-        FluxAlpha(1.0 - 1e-6)
+        assert as_alpha(1e-6) == 1e-6
+        assert as_alpha(1.0 - 1e-6) == 1.0 - 1e-6
         with pytest.raises(ValueError):
-            FluxAlpha(0.0)
+            as_alpha(0.0)
         with pytest.raises(ValueError):
-            FluxAlpha(1.0)
+            as_alpha(1.0)
         with pytest.raises(ValueError):
-            FluxAlpha(-0.3)
+            as_alpha(-0.3)
 
     def test_norm_constraint(self):
         with pytest.raises(ValueError, match=r"\|a\|\^2 \+ \|b\|\^2"):
@@ -121,13 +121,24 @@ class TestDeficiencyElements:
                                     rel=1e-11)
 
     def test_matches_oracle_both_channels(self):
+        # xi_+ = norm r^{1/2} K_nu(e^{-i pi/4} r), xi_- = norm e^{i pi nu/2} r^{1/2}
+        # K_nu(e^{i pi/4} r), against the extended-precision K series
         for alpha in (0.2, 0.55):
-            for r in (0.4, 2.5):
-                got = deficiency_radial(DeficiencyElement(-1, +1), alpha, r)
-                norm = math.sqrt(2.0 * math.sin(PI * alpha / 2)) / PI
-                want = norm * math.sqrt(r) * mp_complex(
-                    series_besselk(1.0 - alpha, cmath.exp(-1j * PI / 4) * r))
-                assert got == pytest.approx(want, rel=1e-10)
+            for channel in (0, -1):
+                nu = alpha if channel == 0 else 1.0 - alpha
+                trig = math.cos if channel == 0 else math.sin
+                norm = math.sqrt(2.0 * trig(PI * alpha / 2)) / PI
+                for sign in (+1, -1):
+                    e = DeficiencyElement(channel, sign)
+                    phase = 1.0 if sign > 0 else cmath.exp(1j * PI * nu / 2)
+                    for r in (0.3, 3.0, 20.0):
+                        want = norm * phase * math.sqrt(r) * mp_complex(
+                            series_besselk(nu, cmath.exp(-sign * 1j * PI / 4) * r))
+                        assert deficiency_radial(e, alpha, r) == pytest.approx(want, rel=1e-10)
+                    # the decay underflows: exactly 0, also beyond the range
+                    # where H1 itself can be evaluated
+                    assert deficiency_radial(e, alpha, 2000.0) == 0j
+                    assert deficiency_radial(e, alpha, 1e300) == 0j
 
     def test_minus_to_plus_conjugate_ratio(self):
         # xi_-(r) / conj(xi_+(r)) = e^{i pi nu / 2} for every r

@@ -93,7 +93,8 @@ class TestAbKernel:
 class TestAnalyticBasis:
     def test_reduces_to_plus_deficiency_element_at_reference(self):
         # psi_{k0} must equal the unit-norm deficiency element
-        # r^{-1/2} xi_+(r) e^{i m phi} (independent evaluation through K)
+        # r^{-1/2} xi_+(r) e^{i m phi}; both go through H1, so the
+        # independent check of xi is the K-series oracle in test_extension
         for alpha in (0.1, 0.5, 0.9):
             for channel in (0, -1):
                 elem = analytic_basis(channel, alpha, REFERENCE_K)
