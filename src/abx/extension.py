@@ -228,7 +228,7 @@ def deficiency_radial(element: DeficiencyElement, alpha, r: float) -> complex:
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"deficiency_radial requires r > 0, got {r}")
     # xi decays like e^{-r/sqrt 2}; once that underflows the element is
-    # exactly 0, which also keeps r below AMOS's limit |z| < 2^51 for H1
+    # exactly 0, without asking H1 for a value below the float range
     if math.exp(-r / math.sqrt(2.0)) == 0.0:
         return 0j
     nu, norm = _channel_order_norm(element.channel, alpha)

@@ -147,14 +147,19 @@ def _partial_wave_sum(alpha: float, mmax: int, dphi: np.ndarray, ladder: Callabl
     return ladder(m, np.abs(m + alpha)) @ np.exp(1j * np.outer(m, dphi))
 
 
-def _kernel_ladder(k: complex, nu: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
-    """J_nu(k r_in) H1_nu(k r_out) over the orders nu."""
-    j_in = bessel_j_orders(nu, k * r_in)
-    # Orders far above |k| r_in underflow to exactly 0; skip their H1
-    # factors, which may be astronomically large.
-    mask = j_in != 0
-    terms = np.zeros(nu.shape, dtype=complex)
-    terms[mask] = j_in[mask] * hankel1_orders(nu[mask], k * r_out)
+def _kernel_ladder(k: complex, m: np.ndarray, nu: np.ndarray, r_in: np.ndarray,
+                   r_out: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """J_nu(k r_in) H1_nu(k r_out) over the orders nu, one row per radius
+    pair, each row cut at its own partial-wave cutoff: one J and one H1
+    ladder call for all radii."""
+    j_in = bessel_j_orders(nu, k * r_in[:, None])
+    # Orders far above |k| r_in underflow to exactly 0, and orders beyond a
+    # row's cutoff are dropped; their H1 factors, which may be beyond the
+    # float range, stay out of the product.
+    keep = (j_in != 0) & (np.abs(m + 0.5) <= cutoffs[:, None] + 0.5)
+    h_out = hankel1_orders(nu, k * r_out[:, None])
+    terms = np.zeros(keep.shape, dtype=complex)
+    terms[keep] = j_in[keep] * h_out[keep]
     return terms
 
 
@@ -175,15 +180,15 @@ def ab_resolvent_kernel(alpha, k, x, y, extra_terms: int = 0):
     rho, zeta = float(y[0]), float(y[1])
     if rho <= 0.0:
         raise ValueError("kernel arguments need positive radii")
-    near_source = np.any(_angular_distance(phi - zeta) <= _COINCIDENCE_TOL)
-    out = np.empty((r_vals.size, phi.size), dtype=complex)
-    for i, r in enumerate(r_vals):
-        if near_source and abs(r - rho) <= _COINCIDENCE_TOL * max(r, rho):
-            raise ValueError("kernel is singular at coincident points x = y")
-        r_in, r_out = min(r, rho), max(r, rho)
-        mmax = _cutoff(abs(k.k), r_out, phi.size, int(extra_terms))
-        out[i] = 0.25j * _partial_wave_sum(
-            alpha, mmax, phi - zeta, lambda m, nu: _kernel_ladder(k.k, nu, r_in, r_out))
+    if (np.any(_angular_distance(phi - zeta) <= _COINCIDENCE_TOL)
+            and np.any(np.abs(r_vals - rho) <= _COINCIDENCE_TOL * np.maximum(r_vals, rho))):
+        raise ValueError("kernel is singular at coincident points x = y")
+    r_in, r_out = np.minimum(r_vals, rho), np.maximum(r_vals, rho)
+    width = max(r_vals.size, phi.size)
+    cutoffs = np.array([_cutoff(abs(k.k), r, width, int(extra_terms)) for r in r_out])
+    out = 0.25j * _partial_wave_sum(
+        alpha, int(cutoffs.max()), phi - zeta,
+        lambda m, nu: _kernel_ladder(k.k, m, nu, r_in, r_out, cutoffs))
     return _unwrap(out.reshape(shape))
 
 
@@ -202,6 +207,16 @@ class AnalyticBasisElement:
         if self.channel == 0:
             return _unwrap(rad)
         return _unwrap(rad * np.exp(-1j * np.asarray(phi)))
+
+
+def _channel_grid(basis, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Every element of basis (all at one k) on the polar grid of the 1-D
+    arrays r x phi, stacked: shape (len(basis), r.size, phi.size), from one
+    H1 ladder call for all of them."""
+    nu = np.array([[elem.nu] for elem in basis])
+    radial = np.array([[elem.prefactor] for elem in basis]) * hankel1_orders(nu, basis[0].k.k * r)
+    phase = np.exp(1j * np.outer([elem.channel for elem in basis], phi))
+    return radial[:, :, None] * phase[:, None, :]
 
 
 def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
@@ -397,7 +412,10 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     out = ab_resolvent_kernel(alpha, k, (r_vals, phi), y)
     pk = p_of_k(params, alpha, k)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
-    for j, l in zip(*np.nonzero(pk)):
-        row_val = complex(_row(basis[j], float(y[0]), float(y[1])))
-        out += complex(pk[j, l]) * row_val * basis[l](r_vals[:, None], phi[None, :])
+    entries = list(zip(*np.nonzero(pk)))
+    if entries:
+        rows = [complex(_row(elem, float(y[0]), float(y[1]))) for elem in basis]
+        cols = _channel_grid(basis, r_vals, phi)
+    for j, l in entries:
+        out += complex(pk[j, l]) * rows[j] * cols[l]
     return _unwrap(out.reshape(shape))

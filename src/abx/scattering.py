@@ -41,6 +41,7 @@ from .extension import ExtensionParams, as_alpha
 from .krein import (
     _CHANNELS,
     _angular_distance,
+    _channel_grid,
     _cutoff,
     _partial_wave_sum,
     _polar_grid,
@@ -118,16 +119,16 @@ def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
 
 
 def _psi_u_corrections(params: ExtensionParams, alpha: float, k: float):
-    """The outgoing corrections as (coefficient, n_theta, column): each
-    term is coefficient * e^{i n_theta theta} * column(r, phi), with the
-    exactly-zero entries of p(k) skipped."""
+    """The outgoing corrections: the channel elements, and one
+    (coefficient, n_theta, l) per nonzero entry of p(k); each term is
+    coefficient * e^{i n_theta theta} * basis[l](r, phi)."""
     kk = UpperHalfK(k, on_real_axis=True)
     pk = p_of_k(params, alpha, kk)
     basis = [analytic_basis(ch, alpha, kk) for ch in _CHANNELS]
     # c_j(theta) e^{i j theta}: -4i e^{-i pi nu_j} prefactor_j e^{-i j pi}
     far = [-4j * cmath.exp(-1j * math.pi * row.nu) * row.prefactor * (-1) ** row.channel
            for row in basis]
-    return [(far[j] * pk[j, l], -basis[j].channel, basis[l]) for j, l in zip(*np.nonzero(pk))]
+    return basis, [(far[j] * pk[j, l], -basis[j].channel, l) for j, l in zip(*np.nonzero(pk))]
 
 
 def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
@@ -141,8 +142,11 @@ def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     alpha = as_alpha(alpha)
     r_vals, phi, shape = _polar_grid(r, phi)
     out = _psi_ab_grid(alpha, chan, r_vals, phi)
-    for coef, n_theta, col in _psi_u_corrections(params, alpha, chan.k):
-        out += coef * cmath.exp(1j * n_theta * chan.theta) * col(r_vals[:, None], phi)
+    basis, terms = _psi_u_corrections(params, alpha, chan.k)
+    if terms:
+        cols = _channel_grid(basis, r_vals, phi)
+    for coef, n_theta, l in terms:
+        out += coef * cmath.exp(1j * n_theta * chan.theta) * cols[l]
     return _unwrap(out.reshape(shape))
 
 
@@ -214,9 +218,10 @@ def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
     k = float(k)
     base = amplitude_ab(alpha, k)
     root = math.sqrt(2.0 / (math.pi * k))
-    corr = [(coef * col.prefactor * root * cmath.exp(-1j * (col.nu * math.pi / 2.0 + math.pi / 4.0)),
-             n_theta, col.channel)
-            for coef, n_theta, col in _psi_u_corrections(params, alpha, k)]
+    basis, terms = _psi_u_corrections(params, alpha, k)
+    corr = [(coef * basis[l].prefactor * root
+             * cmath.exp(-1j * (basis[l].nu * math.pi / 2.0 + math.pi / 4.0)), n_theta, basis[l].channel)
+            for coef, n_theta, l in terms]
 
     def smooth(theta, phi):
         out = base.smooth(theta, phi)

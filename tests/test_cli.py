@@ -300,31 +300,27 @@ def test_import_loads_no_scipy():
     assert out.splitlines() == [os.path.join(SRC, "abx", "__init__.py"), "[]"]
 
 
-def test_closed_form_tasks_load_no_scipy():
-    # the amplitude, cross section, mixing and spectrum need no Bessel
-    # function; eigenfunction and resolvent then load scipy.special on
-    # their first Bessel call
+def test_tasks_load_no_scipy():
+    # every task, the Bessel ones included, runs on numpy alone
     code = f"""
 import io, json, sys
 from contextlib import redirect_stdout
 from abx import cli
 args = json.loads(sys.argv[1])
-for task in ("xsection", "amplitude", "mixing", "spectrum"):
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(args + [task]) == 0, task
 runs = {{}}
-loaded = {SCIPY_MODULES}
-for task in ("eigenfunction", "resolvent"):
+for task in cli.TASKS:
     out = io.StringIO()
     with redirect_stdout(out):
         runs[task] = [cli.main(args + [task]), out.getvalue()]
-print(json.dumps([loaded, runs]))
+print(json.dumps([{SCIPY_MODULES}, runs]))
 """
     argv = POINTS["coupled"] + ["--k", "0.5,2", "--angles", "8", "--radii", "0.5,3"]
     loaded, runs = json.loads(run_python(code, json.dumps(argv)))
+    assert sorted(runs) == sorted(["spectrum", "amplitude", "xsection", "mixing",
+                                   "eigenfunction", "resolvent", "validate"])
     assert loaded == []
+    assert all(rc == 0 for rc, _ in runs.values()), runs
     for task, key in (("eigenfunction", "psi"), ("resolvent", "kernel")):
         rc, out = runs[task]
-        assert rc == 0, task
         assert "NaN" not in out and "Infinity" not in out
         assert [len(block[key]) for block in json.loads(out)["results"]] == [2 * 8, 2 * 8]

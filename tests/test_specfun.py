@@ -1,6 +1,7 @@
 """Special-function surface: frozen oracle values, classical identities,
 branch conventions, and the J/H1 order ladders against an independent
-extended-precision series."""
+extended-precision series and against the AMOS routines of scipy.special
+(imported here only: the package itself never loads scipy.special)."""
 
 import cmath
 import math
@@ -8,7 +9,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import hankel1 as amos_hankel1
+from scipy.special import jv as amos_jv
 
+from abx.krein import _MAX_GRID_ELEMENTS, _cutoff, truncation_order
 from abx.specfun import (
     UpperHalfK,
     bessel_j_orders,
@@ -163,3 +169,97 @@ class TestWronskian:
             yp = yv(nu - 1.0, x) - (nu / x) * y
             want = 2.0 / (PI * x)
             assert (j * yp - jp * y) == pytest.approx(want, rel=1e-9)
+
+
+def partial_wave_orders(alpha, mmax):
+    """|m + alpha| for m = -mmax-1 .. mmax: the two ladders alpha + n and
+    1 - alpha + n, in the order the partial-wave sums use them."""
+    return np.abs(np.arange(-mmax - 1, mmax + 1) + alpha)
+
+
+class TestLaddersAgainstAmos:
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0, exclude_max=True), log_r=st.floats(-8.0, 3.0),
+           arg=st.one_of(st.sampled_from((0.0, 0.75 * PI)), st.floats(0.0, 0.75 * PI)))
+    def test_random_ladders(self, alpha, log_r, arg):
+        # |z| in [1e-8, 1e3], arg z in [0, 3 pi/4], orders up to the
+        # partial-wave cutoff at |z|; arg z = 0 goes in as a real float
+        r = 10.0 ** log_r
+        z = r if arg == 0.0 else r * cmath.exp(1j * arg)
+        nus = partial_wave_orders(alpha, truncation_order(r, 1.0))
+        j, h = bessel_j_orders(nus, z), hankel1_orders(nus, z)
+        j_ref, h_ref = amos_jv(nus, z), amos_hankel1(nus, z)
+        assert not np.isnan(j).any() and not np.isnan(h).any()
+        assert np.isrealobj(j) == (arg == 0.0)
+        at = np.isfinite(j_ref) & np.isfinite(h_ref)
+        scale = np.maximum(np.abs(j_ref[at]), np.abs(h_ref[at]))
+        assert np.all(np.abs(j[at] - j_ref[at]) <= 1e-12 * scale)
+        at = np.isfinite(h_ref) & (h_ref != 0)
+        assert np.all(np.abs(h[at] - h_ref[at]) <= 1e-12 * np.abs(h_ref[at]))
+        # underflow is exact 0, and only where the value is below the float range
+        for got, ref in ((j, j_ref), (h, h_ref)):
+            assert np.all(np.abs(ref[got == 0]) < 1e-300)
+            assert np.all(np.abs(got[ref == 0]) < 1e-290)
+
+    def test_rejects_outside_domain(self):
+        with pytest.raises(ValueError):
+            bessel_j_orders(-0.5, 1.0)
+        with pytest.raises(ValueError):
+            hankel1_orders(0.5, 1.0 - 1e-3j)
+        with pytest.raises(ValueError):
+            bessel_j_orders(0.5, -1.0)
+        with pytest.raises(ValueError):   # its continued fraction would take 1e8 steps
+            bessel_j_orders(0.5, 1e8)
+
+
+class TestLadderEdges:
+    @pytest.mark.parametrize("alpha", [0.05, 0.37, 0.5, 0.9])
+    def test_channel_order_down_to_tiny_radius(self, alpha):
+        # the deficiency elements read H1 at r e^{i pi/4} and r e^{3 i pi/4},
+        # the analytic basis at k r; against the two leading terms of the
+        # ascending series, exact to double precision at these radii:
+        # H1_nu(z) = [(z/2)^-nu / G(1-nu) - e^{-i nu pi} (z/2)^nu / G(1+nu)] / (i sin nu pi)
+        for nu in (alpha, 1.0 - alpha):
+            for r in (1e-300, 1e-200, 1e-100, 1e-20, 1e-9):
+                for z in (r * cmath.exp(0.25j * PI), r * cmath.exp(0.75j * PI), r, 1j * r):
+                    half = cmath.log(z / 2.0)
+                    want = (cmath.exp(-nu * half) / math.gamma(1.0 - nu)
+                            - cmath.exp(-1j * nu * PI + nu * half) / math.gamma(1.0 + nu)
+                            ) / (1j * math.sin(nu * PI))
+                    got = complex(hankel1_orders(nu, z))
+                    assert cmath.isfinite(got)
+                    assert abs(got - want) <= 1e-13 * abs(want), (nu, z)
+
+    def test_order_zero_at_validate_source(self):
+        # validate reads H1_0 at k rho = 300 (1 + 1e-6 i)
+        for z in (300.0 * (1.0 + 1e-6j), 300.0):
+            got, want = complex(hankel1_orders(0.0, z)), complex(amos_hankel1(0.0, z))
+            assert abs(got - want) <= 1e-13 * abs(want)
+        assert bessel_j_orders(0.0, 300.0) == pytest.approx(amos_jv(0.0, 300.0), rel=1e-12)
+
+    def test_ladders_at_the_grid_cap(self):
+        # the largest |k| r whose partial-wave grid _cutoff admits at a width
+        # of 256 angles, as in the field-grid requests: every value finite
+        # or exactly 0, the Wronskian J_nu+1 Y_nu - J_nu Y_nu+1 = 2/(pi z)
+        # holds along both ladders, and spot orders match AMOS
+        width = 256
+        z = float(_MAX_GRID_ELEMENTS // (2 * width))
+        while True:
+            try:
+                mmax = _cutoff(z, 1.0, width)
+                break
+            except ValueError:
+                z -= 1.0
+        for arg in (z, z * (1.0 + 1e-6j)):
+            nus = partial_wave_orders(0.37, mmax)
+            j, h = bessel_j_orders(nus, arg), hankel1_orders(nus, arg)
+            assert np.all(np.isfinite(j)) and np.all(np.isfinite(h))
+            spots = np.array([0, 1, mmax // 2, mmax - 5, mmax + 1, 2 * mmax + 1])
+            for got, ref in ((j, amos_jv(nus[spots], arg)), (h, amos_hankel1(nus[spots], arg))):
+                assert np.all(np.abs(got[spots] - ref) <= 1e-9 * np.abs(h[spots]))
+        for start in (0.37, 0.63):
+            ladder = start + np.arange(mmax)
+            j, y = bessel_j_orders(ladder, z), hankel1_orders(ladder, z).imag
+            wronskian = j[1:] * y[:-1] - j[:-1] * y[1:]
+            live = j[1:] != 0
+            assert np.all(np.abs(wronskian[live] * (PI * z / 2.0) - 1.0) <= 1e-10)
