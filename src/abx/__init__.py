@@ -1,102 +1,18 @@
 """Self-adjoint realizations of the planar magnetic flux-line Hamiltonian:
-resolvents, spectra, generalized eigenfunctions and scattering."""
+resolvents, spectra, generalized eigenfunctions and scattering.
+
+The package exports every module's ``__all__``; each public name is
+declared once, in its module."""
 
 __version__ = "0.1.0"
 
-from .errors import ConsistencyError, ConvergenceError, NearEigenvalueError
-from .extension import (
-    DeficiencyElement,
-    ExtensionClass,
-    ExtensionKind,
-    ExtensionParams,
-    build_u_matrix,
-    canonical_params,
-    classify,
-    deficiency_radial,
-    l2_norm_deficiency,
-    p_channel_norm,
-    s_channel_norm,
-    u_matrix_params,
-)
-from .krein import (
-    REFERENCE_K,
-    AnalyticBasisElement,
-    CCoeffs,
-    a_matrix,
-    ab_resolvent_kernel,
-    analytic_basis,
-    d_coeffs,
-    d_of_k,
-    full_resolvent_kernel,
-    p_at_i,
-    p_of_k,
-)
-from .scattering import (
-    FORWARD_EPSILON,
-    Amplitude,
-    ChannelMixing,
-    PlaneWaveChannel,
-    amplitude_ab,
-    amplitude_u,
-    channel_mixing,
-    cross_section,
-    extract_amplitude,
-    psi_ab,
-    psi_u,
-)
-from .specfun import UpperHalfK, branch_power
-from .spectrum import (
-    BoundState,
-    RotInvariantRoots,
-    SpectralSummary,
-    bound_states,
-    rot_invariant_equations,
-)
+from . import errors, extension, krein, scattering, specfun, spectrum
+from .errors import *  # noqa: F401,F403
+from .extension import *  # noqa: F401,F403
+from .krein import *  # noqa: F401,F403
+from .scattering import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "ConsistencyError",
-    "ConvergenceError",
-    "NearEigenvalueError",
-    "DeficiencyElement",
-    "ExtensionClass",
-    "ExtensionKind",
-    "ExtensionParams",
-    "build_u_matrix",
-    "canonical_params",
-    "classify",
-    "deficiency_radial",
-    "l2_norm_deficiency",
-    "p_channel_norm",
-    "s_channel_norm",
-    "u_matrix_params",
-    "REFERENCE_K",
-    "AnalyticBasisElement",
-    "CCoeffs",
-    "a_matrix",
-    "ab_resolvent_kernel",
-    "analytic_basis",
-    "d_coeffs",
-    "d_of_k",
-    "full_resolvent_kernel",
-    "p_at_i",
-    "p_of_k",
-    "FORWARD_EPSILON",
-    "Amplitude",
-    "ChannelMixing",
-    "PlaneWaveChannel",
-    "amplitude_ab",
-    "amplitude_u",
-    "channel_mixing",
-    "cross_section",
-    "extract_amplitude",
-    "psi_ab",
-    "psi_u",
-    "UpperHalfK",
-    "branch_power",
-    "BoundState",
-    "RotInvariantRoots",
-    "SpectralSummary",
-    "bound_states",
-    "rot_invariant_equations",
-]
+__all__ = ["__version__", *errors.__all__, *extension.__all__, *krein.__all__,
+           *scattering.__all__, *specfun.__all__, *spectrum.__all__]

@@ -44,8 +44,6 @@ from .scattering import (
 from .specfun import UpperHalfK, as_wavenumber, hankel1_orders
 from .spectrum import bound_states
 
-TASKS = ("spectrum", "amplitude", "xsection", "eigenfunction", "resolvent", "mixing", "validate")
-
 _PROVENANCE = {
     "branch": "principal logarithm of -k^2; real-axis values are limits from Im k > 0",
     "eigenfunction_phases": (
@@ -70,7 +68,7 @@ _SPECTRUM_NOTES = (
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration, built by parse_config; the defaults
-    live in _DEFAULTS."""
+    live in _OPTIONS."""
 
     task: str
     alpha: float
@@ -115,70 +113,58 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+# Every option but --config and --version: name -> (default, help).  A name
+# is a config-file key and, with - for _, a flag; values from either stay
+# strings until parse_config converts and checks them.
+_OPTIONS = {
+    "alpha": ("0.5", "flux parameter in (0, 1)"),
+    "eta": ("0.0", "overall phase of the channel map (radians)"),
+    "a": ("-1,0", "diagonal parameter a as re,im"),
+    "b": ("0,0", "coupling parameter b as re,im"),
+    "k": ("1.0", "comma-separated momenta k > 0"),
+    "k_imag": ("0.0", "imaginary part of k (resolvent task only)"),
+    "theta": ("0.0", "incidence angle (radians)"),
+    "angles": ("360", "number of angular grid points on [0, 2pi)"),
+    "radii": ("0.5,1.0,2.0,4.0", "comma-separated radial grid"),
+    "source": ("1.0,0.0", "resolvent source point as r,phi"),
+    "format": ("json", "output format, json or csv"),
+    "out": (None, "output path (default: stdout)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="abx",
         description="Self-adjoint flux-line Hamiltonians: spectra, eigenfunctions, scattering.",
     )
     ap.add_argument("--config", help="flat key=value config file; flags override it")
-    ap.add_argument("--alpha", type=float, help="flux parameter in (0, 1)")
-    ap.add_argument("--eta", type=float, help="overall phase of the channel map (radians)")
-    ap.add_argument("--a", help="diagonal parameter a as re,im")
-    ap.add_argument("--b", help="coupling parameter b as re,im")
-    ap.add_argument("--k", help="comma-separated momenta k > 0")
-    ap.add_argument("--k-imag", type=float, dest="k_imag",
-                    help="imaginary part of k (resolvent task only)")
-    ap.add_argument("--theta", type=float, help="incidence angle (radians)")
-    ap.add_argument("--angles", type=int, help="number of angular grid points on [0, 2pi)")
-    ap.add_argument("--radii", help="comma-separated radial grid")
-    ap.add_argument("--source", help="resolvent source point as r,phi")
-    ap.add_argument("--format", dest="fmt", choices=("json", "csv"), help="output format")
-    ap.add_argument("--out", help="output path (default: stdout)")
+    for name, (_, text) in _OPTIONS.items():
+        ap.add_argument("--" + name.replace("_", "-"), help=text)
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    ap.add_argument("task", nargs="?", choices=TASKS,
-                    help="computation to run (may also come from the config file)")
+    ap.add_argument("task", nargs="?", help=f"computation to run: {', '.join(TASKS)} "
+                    "(may also come from the config file)")
     return ap
-
-
-_DEFAULTS = {
-    "alpha": 0.5,
-    "eta": 0.0,
-    "a": "-1,0",
-    "b": "0,0",
-    "k": "1.0",
-    "k_imag": 0.0,
-    "theta": 0.0,
-    "angles": 360,
-    "radii": "0.5,1.0,2.0,4.0",
-    "source": "1.0,0.0",
-    "fmt": "json",
-    "out": None,
-}
 
 
 def parse_config(argv) -> RunConfig:
     """Build a validated RunConfig from flags plus an optional config
     file (flags win)."""
     ns = build_parser().parse_args(argv)
-    merged = dict(_DEFAULTS)
+    merged = {name: default for name, (default, _) in _OPTIONS.items()}
     if ns.config:
         for key, val in _read_config_file(ns.config).items():
             name = key.replace("-", "_")
-            name = "fmt" if name == "format" else name
-            if name not in _DEFAULTS and name != "task":
+            if name not in _OPTIONS and name != "task":
                 raise ValueError(f"{ns.config}: unknown key {key!r}")
             merged[name] = val
-    for key in ("alpha", "eta", "a", "b", "k", "k_imag", "theta", "angles",
-                "radii", "source", "fmt", "out"):
-        val = getattr(ns, key)
-        if val is not None:
-            merged[key] = val
+    merged.update((name, val) for name, val in vars(ns).items()
+                  if name in _OPTIONS and val is not None)
     task = ns.task or merged.get("task")
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
 
-    if merged["fmt"] not in ("json", "csv"):
-        raise ValueError(f"format must be json or csv, got {merged['fmt']!r}")
+    if merged["format"] not in ("json", "csv"):
+        raise ValueError(f"format must be json or csv, got {merged['format']!r}")
     alpha = as_alpha(merged["alpha"])
     params = ExtensionParams(
         float(merged["eta"]),
@@ -212,7 +198,7 @@ def parse_config(argv) -> RunConfig:
         angle_count=angle_count,
         radii=radii,
         source=(float(source[0]), float(source[1])),
-        fmt=merged["fmt"],
+        fmt=merged["format"],
         out=merged["out"],
     )
 
@@ -382,13 +368,14 @@ def _task_validate(cfg: RunConfig):
 
 _TASK_FNS = {
     "spectrum": _task_spectrum,
-    "mixing": _task_mixing,
-    "xsection": _task_xsection,
     "amplitude": _task_amplitude,
+    "xsection": _task_xsection,
     "eigenfunction": _task_eigenfunction,
     "resolvent": _task_resolvent,
+    "mixing": _task_mixing,
     "validate": _task_validate,
 }
+TASKS = tuple(_TASK_FNS)
 
 
 def _render_json(cfg: RunConfig, results) -> str:
@@ -403,7 +390,7 @@ def _render_json(cfg: RunConfig, results) -> str:
         },
         "provenance": _PROVENANCE,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _render_csv(cfg: RunConfig, cols, rows, meta) -> str:

@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+__all__ = ["NearEigenvalueError", "ConvergenceError", "ConsistencyError"]
+
 
 class NearEigenvalueError(RuntimeError):
     """Raised when the channel determinant is too small to invert safely.

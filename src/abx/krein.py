@@ -63,13 +63,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NearEigenvalueError
 from .extension import ExtensionParams, _channel_order_norm, as_alpha
-from .specfun import (
-    UpperHalfK,
-    as_wavenumber,
-    bessel_j_orders,
-    branch_power,
-    hankel1_orders,
-)
+from .specfun import UpperHalfK, _ladder_values, as_wavenumber, branch_power, hankel1_orders
 
 __all__ = [
     "REFERENCE_K",
@@ -103,12 +97,12 @@ def truncation_order(k_abs: float, r_outer: float) -> int:
     return int(math.ceil(z) + math.ceil(8.0 * z ** (1.0 / 3.0)) + 20)
 
 
-def _cutoff(k_abs: float, r_outer: float, width: int, extra_terms: int = 0) -> int:
-    """truncation_order(k_abs, r_outer) + extra_terms, refused before
-    anything is allocated when the orders x width arrays of the partial-wave
-    sum would exceed _MAX_GRID_ELEMENTS."""
+def _cutoff(k_abs: float, r_outer: float, width: int) -> int:
+    """truncation_order(k_abs, r_outer), refused before anything is
+    allocated when the orders x width arrays of the partial-wave sum would
+    exceed _MAX_GRID_ELEMENTS."""
     z = k_abs * r_outer
-    mmax = truncation_order(k_abs, r_outer) + extra_terms if z < _MAX_GRID_ELEMENTS else math.inf
+    mmax = truncation_order(k_abs, r_outer) if z < _MAX_GRID_ELEMENTS else math.inf
     if (2 * mmax + 2) * width > _MAX_GRID_ELEMENTS:
         raise ValueError(
             f"partial-wave grid too large at k*r = {z:.3g}: its orders x {width} radii "
@@ -151,28 +145,30 @@ def _kernel_ladder(k: complex, m: np.ndarray, nu: np.ndarray, r_in: np.ndarray,
                    r_out: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
     """J_nu(k r_in) H1_nu(k r_out) over the orders nu, one row per radius
     pair, each row cut at its own partial-wave cutoff: one J and one H1
-    ladder call for all radii."""
-    j_in = bessel_j_orders(nu, k * r_in[:, None])
+    ladder call for all radii.  J's growth e^{Im k r_in} and H1's decay
+    e^{-Im k r_out} are cancelled before the product, so that neither
+    factor leaves the float range when their product does not."""
+    j_in = _ladder_values(nu, k * r_in[:, None], want_j=True, scaled=True)
     # Orders far above |k| r_in underflow to exactly 0, and orders beyond a
     # row's cutoff are dropped; their H1 factors, which may be beyond the
     # float range, stay out of the product.
     keep = (j_in != 0) & (np.abs(m + 0.5) <= cutoffs[:, None] + 0.5)
-    h_out = hankel1_orders(nu, k * r_out[:, None])
+    h_out = _ladder_values(nu, k * r_out[:, None], want_j=False, scaled=True)
+    damping = np.broadcast_to(np.exp(k.imag * (r_in - r_out))[:, None], keep.shape)
     terms = np.zeros(keep.shape, dtype=complex)
-    terms[keep] = j_in[keep] * h_out[keep]
+    terms[keep] = j_in[keep] * h_out[keep] * damping[keep]
     return terms
 
 
-def ab_resolvent_kernel(alpha, k, x, y, extra_terms: int = 0):
+def ab_resolvent_kernel(alpha, k, x, y):
     """Reference resolvent kernel at observation x = (r, phi), source
     y = (rho, zeta).
 
     r and phi may each be a scalar or a 1-D array; the result is then the
     polar grid of shape shape(r) + shape(phi), or a complex for a single
     point.  The m-sum at each radius is truncated at
-    ``truncation_order(|k|, max(r, rho))``; ``extra_terms`` pads the
-    cutoff (used by convergence tests).  Coincident points are rejected
-    (logarithmic singularity).
+    ``truncation_order(|k|, max(r, rho))``.  Coincident points are
+    rejected (logarithmic singularity).
     """
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
@@ -185,7 +181,7 @@ def ab_resolvent_kernel(alpha, k, x, y, extra_terms: int = 0):
         raise ValueError("kernel is singular at coincident points x = y")
     r_in, r_out = np.minimum(r_vals, rho), np.maximum(r_vals, rho)
     width = max(r_vals.size, phi.size)
-    cutoffs = np.array([_cutoff(abs(k.k), r, width, int(extra_terms)) for r in r_out])
+    cutoffs = np.array([_cutoff(abs(k.k), r, width) for r in r_out])
     out = 0.25j * _partial_wave_sum(
         alpha, int(cutoffs.max()), phi - zeta,
         lambda m, nu: _kernel_ladder(k.k, m, nu, r_in, r_out, cutoffs))
@@ -359,34 +355,26 @@ def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
     eta = params.eta
     a, b = params.a, params.b
     e = cmath.exp(-1j * eta)
-    s = math.sin(math.pi * alpha / 2.0)
-    c = math.cos(math.pi * alpha / 2.0)
-    ref_pow_a = cmath.exp(-1j * math.pi * alpha / 2.0)          # (-i)^alpha
-    ref_pow_1a = cmath.exp(-1j * math.pi * (1.0 - alpha) / 2.0)  # (-i)^{1-alpha}
     drive = a.real + math.cos(eta)
-    pow_1a = branch_power(k, 1.0 - alpha)
-    pow_a = branch_power(k, alpha)
-    p00 = e / (2.0 * dval) * (
-        drive / c * (pow_1a - ref_pow_1a)
-        - 1j * (cmath.exp(1j * eta) + a.conjugate())
-    )
-    p0m1 = 1j * e / (2.0 * dval) * b
-    pm10 = -1j * e / (2.0 * dval) * b.conjugate()
-    pm1m1 = e / (2.0 * dval) * (
-        drive / s * (pow_a - ref_pow_a)
-        - 1j * (cmath.exp(1j * eta) + a)
-    )
-    closed = np.array([[p00, p0m1], [pm10, pm1m1]])
+    half = e / (2.0 * dval)
+    # The diagonal, channel 0 then -1: e/(2D) (drive/w ((-k^2)^s - (-i)^s)
+    # - i (e^{i eta} + a_j)), and the moduli of each bracket's terms.
+    diag, sizes = [], []
+    for weight, power, a_j in ((math.cos(math.pi * alpha / 2.0), 1.0 - alpha, a.conjugate()),
+                               (math.sin(math.pi * alpha / 2.0), alpha, a)):
+        pow_k = branch_power(k, power)
+        pow_ref = cmath.exp(-1j * math.pi * power / 2.0)   # (-i)^s
+        diag.append(half * (drive / weight * (pow_k - pow_ref) - 1j * (cmath.exp(1j * eta) + a_j)))
+        sizes.append(abs(drive / weight) * (abs(pow_k) + 1.0) + 1.0 + abs(a))
+    closed = np.array([[diag[0], 1j * e / (2.0 * dval) * b],
+                       [-1j * e / (2.0 * dval) * b.conjugate(), diag[1]]])
     inverted = np.linalg.solve(system, pref)
 
     # The size of p's terms, |e/(2D)| times the moduli in each entry's
     # bracket (their Frobenius norm, by hypot so that huge |k| does not
     # overflow): next to the regular point p is a cancellation of O(1)
     # terms far below their size, and rounding scales with the terms.
-    scale = abs(e / (2.0 * dval)) * math.hypot(
-        abs(drive / c) * (abs(pow_1a) + 1.0) + 1.0 + abs(a),
-        abs(drive / s) * (abs(pow_a) + 1.0) + 1.0 + abs(a),
-        abs(b), abs(b))
+    scale = abs(half) * math.hypot(*sizes, abs(b), abs(b))
     if np.linalg.norm(closed - inverted) > _DUAL_PATH_TOL * scale:
         cond = float(np.linalg.cond(system))
         if cond * np.finfo(float).eps > _DUAL_PATH_TOL:

@@ -71,6 +71,11 @@ __all__ = [
 # are carried symbolically.
 FORWARD_EPSILON = 1e-3
 
+# Far-field extraction: radii sampled over a window of this many periods of
+# the slower residual oscillation.
+_EXTRACT_SAMPLES = 96
+_EXTRACT_WINDOW_PERIODS = 3.0
+
 
 @dataclass(frozen=True)
 class PlaneWaveChannel:
@@ -288,8 +293,7 @@ def extraction_remainder_bound(k: float, r_max: float, delta: float) -> float:
 
 
 def extract_amplitude(params: ExtensionParams, alpha, chan: PlaneWaveChannel,
-                      phi: float, r_max: float, *, num_samples: int = 96,
-                      window_periods: float = 3.0) -> complex:
+                      phi: float, r_max: float) -> complex:
     """Numerical amplitude from the eigenfunction's far field.
 
     The raw quantity [Psi_U(r, phi) - e^{i k r cos(phi-theta)}] sqrt(r)
@@ -314,8 +318,8 @@ def extract_amplitude(params: ExtensionParams, alpha, chan: PlaneWaveChannel,
     w1 = k * (math.cos(delta) - 1.0)
     w2 = -2.0 * k
     slow = min(abs(w1), abs(w2))
-    window = min(window_periods * 2.0 * math.pi / max(slow, 1e-6), 1.2 * r_max)
-    radii = np.linspace(r_max, r_max + window, int(num_samples))
+    window = min(_EXTRACT_WINDOW_PERIODS * 2.0 * math.pi / max(slow, 1e-6), 1.2 * r_max)
+    radii = np.linspace(r_max, r_max + window, _EXTRACT_SAMPLES)
     vals = psi_u(params, alpha, chan, radii, phi)
     raw = (vals - np.exp(1j * k * radii * np.cos(delta))) * np.sqrt(radii) * np.exp(-1j * k * radii)
 

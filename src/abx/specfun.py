@@ -165,10 +165,12 @@ _MAX_EXP = 2100                            # beyond the float range either way
 _MAX_CF1_STEPS = 1e7
 
 
-def _ladder_values(nus, z, want_j: bool) -> np.ndarray:
+def _ladder_values(nus, z, want_j: bool, scaled: bool = False) -> np.ndarray:
     """J or H1 at every (nu, z) pair: the orders are grouped into ladders
     mu + n, n = 0, 1, ..., one per fractional part (|mu| <= 1/2), and each
-    ladder is evaluated once per distinct argument."""
+    ladder is evaluated once per distinct argument.  scaled drops the
+    growth e^{Im z} of J or the decay e^{-Im z} of H1: J e^{-Im z} or
+    H1 e^{Im z}, which stay in the float range where J or H1 would not."""
     nus = np.asarray(nus, dtype=float)
     z = np.asarray(z)
     real = not np.iscomplexobj(z)
@@ -194,7 +196,7 @@ def _ladder_values(nus, z, want_j: bool) -> np.ndarray:
     zcol = np.tile(args, len(bases))
     at_zero = zcol == 0
     with np.errstate(all="ignore"):
-        table = _ladders(mu, zcol + at_zero, int(steps[-1]), want_j)
+        table = _ladders(mu, zcol + at_zero, int(steps[-1]), want_j, scaled)
     if at_zero.any():
         # J_nu(0) = 0 except J_0(0) = 1; H1 is singular there
         table[:, at_zero] = 0.0 if want_j else complex(math.nan, math.nan)
@@ -212,15 +214,17 @@ def _distinct(values):
     return found, idx.reshape(values.shape)
 
 
-def _ladders(mu, z, top: int, want_j: bool) -> np.ndarray:
+def _ladders(mu, z, top: int, want_j: bool, scaled: bool) -> np.ndarray:
     """J_{mu+n}(z) (want_j) or H1_{mu+n}(z) for n = 0 .. top, one column per
-    (mu, z) pair, |mu| <= 1/2, z != 0: shape (top + 1, columns).
+    (mu, z) pair, |mu| <= 1/2, z != 0: shape (top + 1, columns); scaled by
+    e^{-Im z} (J) or e^{Im z} (H1) when scaled.
 
     H1_mu and H1_{mu+1} come from K_mu(-i z); the H1 ladder climbs by
     forward recurrence, in which H1 is the dominant solution.  J is the
     minimal solution: its ratios J_{nu}/J_{nu-1} descend from a continued
     fraction above the top order, and J_mu is fixed by the Wronskian."""
     k_mu, k_ratio = _k_pair(mu, -1j * z)
+    im_z = 0.0 if scaled else z.imag
     # H1_nu(z) = (2/(i pi)) e^{-i nu pi/2} K_nu(-i z) (DLMF 10.27.8), carried
     # as H1_mu(z) e^{-i z}, and H1_{mu+1}/H1_mu
     h_mu = (2.0 / (1j * math.pi)) * np.exp(-0.5j * math.pi * mu) * k_mu
@@ -232,7 +236,7 @@ def _ladders(mu, z, top: int, want_j: bool) -> np.ndarray:
             ratios[0] = h_ratio
         for n in range(1, top):
             np.subtract(recur[n], 1.0 / ratios[n - 1], out=ratios[n])
-        return _climb(np.log(np.abs(h_mu)) - z.imag, _unit(h_mu) * np.exp(1j * z.real), ratios)
+        return _climb(np.log(np.abs(h_mu)) - im_z, _unit(h_mu) * np.exp(1j * z.real), ratios)
     steps = max(top, 1)
     if np.abs(z).max() > steps + _MAX_CF1_STEPS:
         raise ValueError(f"J needs |z| at most {_MAX_CF1_STEPS:.0e} above the highest order asked for")
@@ -251,7 +255,7 @@ def _ladders(mu, z, top: int, want_j: bool) -> np.ndarray:
     # Wronskian J_mu H1_{mu+1} - J_{mu+1} H1_mu = -2i/(pi z) (DLMF 10.5.5),
     # J_mu = -2i/(pi D) e^{-i z} with D = z (H1_mu e^{-iz}) (h_ratio - J_{mu+1}/J_mu)
     d = z * h_mu * (h_ratio - ratios[0])
-    log_j = math.log(2.0 / math.pi) - np.log(np.abs(d)) + z.imag
+    log_j = math.log(2.0 / math.pi) - np.log(np.abs(d)) + im_z
     return _climb(log_j, -1j * np.conj(_unit(d)) * np.exp(-1j * z.real), ratios[:top])
 
 

@@ -1,10 +1,12 @@
 """Command-line front end: parsing, validation exit codes, output
 formats, determinism."""
 
+import csv
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -26,6 +28,13 @@ POINTS = {
     "b0": ["--eta", "0.3", "--a", "0,1", "--b", "0,0"],
     "coupled": ["--alpha", "0.4", "--eta", "0", "--a", "0,0", "--b", "1,0"],
 }
+
+
+def readme_cli_lines() -> list[str]:
+    """The `abx ...` command lines of README.md's CLI section."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("abx ")]
 
 
 def run_cli(argv) -> tuple[int, str, str]:
@@ -190,6 +199,8 @@ class TestRun:
         ["--k-imag=nan"],
         ["--k-imag=-0.5"],
         ["--k", "nan"],
+        ["--theta", "x"],
+        ["--format", "xml"],
         ["--config", "/nonexistent.cfg"],
         ["--out", "/nonexistent/x.json"],
     ])
@@ -204,6 +215,7 @@ class TestRun:
         ("k-img=0.4\n", "'k-img'"),
         ("config=other.cfg\n", "'config'"),
         ("format=xml\n", "'xml'"),
+        ("fmt=csv\n", "'fmt'"),
     ])
     def test_config_file_keys_checked(self, text, named, tmp_path):
         # a misspelt key or an unknown format is refused, not dropped
@@ -282,6 +294,17 @@ class TestRun:
         assert cli.main(MIXING_ARGS + ["--k", "0.5,1.0,2.0", "--angles", "16",
                                        "--radii", "0.5,2.0", task]) == 0
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_examples_run(line):
+    rc, out, err = run_cli(shlex.split(line)[1:])
+    assert (rc, err) == (0, "")
+    if "--format csv" in line:
+        header, *rows = csv.reader(l for l in out.splitlines() if not l.startswith("#"))
+        assert rows and all(len(row) == len(header) for row in rows)
+    else:
+        assert json.loads(out)["task"] == line.split()[-1]
 
 
 def run_python(code: str, *args: str) -> str:

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hankel1 as sp_hankel1
+from scipy.special import hankel1e as sp_hankel1e
 from scipy.special import jv as sp_jv
+from scipy.special import jve as sp_jve
 
+from abx import krein
 from abx.errors import NearEigenvalueError
 from abx.extension import DeficiencyElement, ExtensionParams, deficiency_radial
 from abx.krein import (
@@ -60,13 +63,34 @@ class TestAbKernel:
         want = 0.25j * complex(sp_hankel1(0, k.k * 1.0))
         assert abs(got - want) <= 2e-5
 
-    def test_truncation_converged(self):
+    def test_truncation_converged(self, monkeypatch):
         k = UpperHalfK(2.0 + 1.0j)
         x, y = (4.0, 1.2), (9.0, 2.8)  # k r up to ~20, radii ratio < 0.5
         base = ab_resolvent_kernel(0.3, k, x, y)
+        order = krein.truncation_order
         for extra in (10, 70):  # +10 and a cutoff-doubling pad
-            again = ab_resolvent_kernel(0.3, k, x, y, extra_terms=extra)
+            monkeypatch.setattr(krein, "truncation_order",
+                                lambda k_abs, r, extra=extra: order(k_abs, r) + extra)
+            again = ab_resolvent_kernel(0.3, k, x, y)
             assert abs(base - again) < 1e-12
+
+    def test_no_overflow_when_exponentials_cancel(self):
+        # J(k r_in) ~ e^{750} overflows and H1(k r_out) ~ e^{-1000} underflows
+        # while their product does neither: each term against scipy's scaled
+        # jve and hankel1e, J H1 = jve hankel1e e^{Im z_in - Im z_out + i Re z_out}
+        alpha, k = 0.5, 100.0 + 25.0j
+        phi = (np.arange(4) + 0.5) * (PI / 2.0)
+        got = ab_resolvent_kernel(alpha, UpperHalfK(k), (30.0, phi), (40.0, 0.0))
+        z_in, z_out = 30.0 * k, 40.0 * k
+        mmax = krein.truncation_order(abs(k), 40.0)
+        m = np.arange(-mmax - 1, mmax + 1)
+        nu = np.abs(m + alpha)
+        jve = sp_jve(nu, z_in)
+        terms = np.where(jve != 0, jve * sp_hankel1e(nu, z_out), 0.0) * np.exp(
+            z_in.imag - z_out.imag + 1j * z_out.real)
+        want = 0.25j * np.exp(1j * np.outer(phi, m)) @ terms
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12 * 0.25 * np.sum(np.abs(terms))
 
     def test_pde_residual_in_x(self):
         # (H - k^2) applied in x, away from the source, vanishes at O(h^2)
