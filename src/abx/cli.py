@@ -99,6 +99,14 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return vals
 
 
+def _convert(merged, name: str, parse):
+    """parse(merged[name]); a malformed value names its option."""
+    try:
+        return parse(merged[name])
+    except ValueError as exc:
+        raise ValueError(f"{name.replace('_', '-')}: {exc}") from None
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -165,27 +173,27 @@ def parse_config(argv) -> RunConfig:
 
     if merged["format"] not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, got {merged['format']!r}")
-    alpha = as_alpha(merged["alpha"])
+    alpha = as_alpha(_convert(merged, "alpha", float))
     params = ExtensionParams(
-        float(merged["eta"]),
-        _parse_complex_pair(merged["a"]),
-        _parse_complex_pair(merged["b"]),
+        _convert(merged, "eta", float),
+        _convert(merged, "a", _parse_complex_pair),
+        _convert(merged, "b", _parse_complex_pair),
     )
-    k_values = _parse_float_list(merged["k"])
+    k_values = _convert(merged, "k", _parse_float_list)
     for k in k_values:
         if not (math.isfinite(k) and k > 0):
             raise ValueError(f"momenta must be positive, got {k}")
-    radii = _parse_float_list(merged["radii"])
-    source = _parse_float_list(merged["source"])
+    radii = _convert(merged, "radii", _parse_float_list)
+    source = _convert(merged, "source", _parse_float_list)
     if len(source) != 2:
         raise ValueError("source must be r,phi")
-    k_imag = float(merged["k_imag"])
-    theta = float(merged["theta"])
+    k_imag = _convert(merged, "k_imag", float)
+    theta = _convert(merged, "theta", float)
     if not all(math.isfinite(v) for v in (k_imag, theta, *source, *radii)):
         raise ValueError("k-imag, theta, source and radii must be finite")
     if k_imag < 0:
         raise ValueError(f"k-imag must be >= 0 (k lies in the upper half-plane), got {k_imag}")
-    angle_count = int(merged["angles"])
+    angle_count = _convert(merged, "angles", int)
     if not 1 <= angle_count <= _MAX_GRID_ELEMENTS:
         raise ValueError(f"angle grid needs 1 to {_MAX_GRID_ELEMENTS} points, got {angle_count}")
     return RunConfig(

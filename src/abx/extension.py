@@ -53,8 +53,6 @@ __all__ = [
     "ExtensionKind",
     "ExtensionClass",
     "as_alpha",
-    "s_channel_norm",
-    "p_channel_norm",
     "build_u_matrix",
     "u_matrix_params",
     "canonical_params",
@@ -181,18 +179,6 @@ def u_matrix_params(u) -> ExtensionParams:
     return canonical_params(ExtensionParams(eta, a, b))
 
 
-def s_channel_norm(alpha) -> float:
-    """N = sqrt(2 cos(pi alpha/2))/pi."""
-    alpha = as_alpha(alpha)
-    return math.sqrt(2.0 * math.cos(math.pi * alpha / 2.0)) / math.pi
-
-
-def p_channel_norm(alpha) -> float:
-    """M = sqrt(2 sin(pi alpha/2))/pi."""
-    alpha = as_alpha(alpha)
-    return math.sqrt(2.0 * math.sin(math.pi * alpha / 2.0)) / math.pi
-
-
 @dataclass(frozen=True)
 class DeficiencyElement:
     """Label of one radial deficiency element: channel in {0, -1} and the
@@ -209,9 +195,11 @@ class DeficiencyElement:
 
 
 def _channel_order_norm(channel: int, alpha: float) -> tuple[float, float]:
+    """The channel's order nu and normalization constant, N (s-wave) or M
+    (p-wave), at an alpha already checked by as_alpha."""
     if channel == 0:
-        return alpha, s_channel_norm(alpha)
-    return 1.0 - alpha, p_channel_norm(alpha)
+        return alpha, math.sqrt(2.0 * math.cos(math.pi * alpha / 2.0)) / math.pi
+    return 1.0 - alpha, math.sqrt(2.0 * math.sin(math.pi * alpha / 2.0)) / math.pi
 
 
 def deficiency_radial(element: DeficiencyElement, alpha, r: float) -> complex:

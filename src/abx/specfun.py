@@ -36,10 +36,14 @@ Both ladders are multiplied out from their ratios with the powers of two
 split off, the factors e^{+-i z} included, so no partial product over- or
 underflows before the value itself does; a value below the smallest
 normal float is exactly 0.  Domain: orders >= 0 and z in the closed
-upper half-plane with |z| above about 1e-300.  The work is one pass per
-order of the highest ladder, vectorized over arguments; J at orders far
-below |z| costs about |z| steps of its continued fraction, so |z| more
-than 1e7 above the highest order is refused.  No scipy module is loaded.
+upper half-plane with |z| above about 1e-300.  The start values (the K
+pair of step 1 and the continued fraction of step 3) are computed per
+column, one (ladder, argument) pair at a time in scalar loops, so a
+value does not depend on the batch it is asked in; the recurrences and
+products run vectorized over all columns, one pass per order of the
+highest ladder.  J at orders far below |z| costs about |z| steps of its
+continued fraction, so |z| more than 1e7 above the highest order is
+refused.  No scipy module is loaded.
 
 The surface is checked in the test tree against the AMOS routines of
 ``scipy.special`` (to 1e-12 for |z| in [1e-8, 1e3], arg z in
@@ -223,7 +227,7 @@ def _ladders(mu, z, top: int, want_j: bool, scaled: bool) -> np.ndarray:
     forward recurrence, in which H1 is the dominant solution.  J is the
     minimal solution: its ratios J_{nu}/J_{nu-1} descend from a continued
     fraction above the top order, and J_mu is fixed by the Wronskian."""
-    k_mu, k_ratio = _k_pair(mu, -1j * z)
+    k_mu, k_ratio = _by_column(_k_pair, mu, -1j * z)
     im_z = 0.0 if scaled else z.imag
     # H1_nu(z) = (2/(i pi)) e^{-i nu pi/2} K_nu(-i z) (DLMF 10.27.8), carried
     # as H1_mu(z) e^{-i z}, and H1_{mu+1}/H1_mu
@@ -288,37 +292,21 @@ def _climb(log_base, unit_base, ratios) -> np.ndarray:
     return out
 
 
-# Below this many columns, numpy's per-call cost outweighs the arithmetic:
-# the iterations run column by column on scalars.
-_SCALAR_COLUMNS = 16
-
-
 def _by_column(fn, *cols):
-    """fn over columns, vectorized, or column by column when there are few."""
-    if cols[0].size > _SCALAR_COLUMNS:
-        return fn(*cols)
+    """fn on each column's scalars; its outputs stacked, one row each."""
     return np.array([fn(*args) for args in zip(*(c.tolist() for c in cols))]).T
 
 
 def _k_pair(mu, w):
-    """K_mu(w) e^w and K_{mu+1}(w)/K_mu(w) per column, |mu| <= 1/2."""
+    """K_mu(w) e^w and K_{mu+1}(w)/K_mu(w) for |mu| <= 1/2."""
     # Temme's series cancels by about e^{|w| + Re w}: it serves up to 1e-14
-    series = abs(w) + w.real <= 4.0
-    out = np.empty((2, w.size), dtype=complex)
-    for fn, cols in ((_temme_series, series), (_steed_cf2, ~series)):
-        if cols.any():
-            out[:, cols] = _by_column(fn, mu[cols], w[cols])
-    return out
-
-
-def _pending(flags) -> bool:
-    return flags.any() if isinstance(flags, np.ndarray) else bool(flags)
+    return (_temme_series if abs(w) + w.real <= 4.0 else _steed_cf2)(mu, w)
 
 
 def _temme_series(mu, w):
     """K_mu(w) e^w and K_{mu+1}(w)/K_mu(w) for |mu| <= 1/2 by Temme's
     series, with gam1 and gam2 from the Taylor series of 1/Gamma, so that
-    mu -> 0 loses no digits.  Arrays or scalars."""
+    mu -> 0 loses no digits."""
     mu2 = mu * mu
     gam1 = gam2 = 0.0
     for c_even, c_odd in _GAM_TAYLOR:
@@ -329,9 +317,7 @@ def _temme_series(mu, w):
     e = mu * log_half
     # sinh(e)/e, which is 1 to rounding below |e| = 1e-100, where the
     # complex division itself could underflow
-    tiny = abs(e) < 1e-100
-    sinhc = np.sinh(e + tiny) / (e + tiny)
-    sinhc = sinhc + tiny * (1.0 - sinhc)
+    sinhc = np.sinh(e) / e if not abs(e) < 1e-100 else 1.0
     # Gamma(1+mu) Gamma(1-mu) = pi mu / sin(pi mu)
     f = (gam1 * np.cosh(e) + gam2 * sinhc * log_half) / (rg_plus * rg_minus)
     ee = np.exp(e)
@@ -349,7 +335,7 @@ def _temme_series(mu, w):
         term = c * f
         k0 = k0 + term
         k1 = k1 + c * (p - i * f)
-        if not _pending(abs(term) > _EPS * abs(k0)):
+        if not abs(term) > _EPS * abs(k0):
             break
         i += 1
     return k0 * np.exp(w), (k1 / k0) * (2.0 / w)
@@ -358,7 +344,7 @@ def _temme_series(mu, w):
 def _steed_cf2(mu, w):
     """K_mu(w) e^w and K_{mu+1}(w)/K_mu(w) for |mu| <= 1/2 by Steed's
     algorithm on Temme's continued fraction CF2, in complex arithmetic as
-    Campbell has it; quick for large |w|.  Arrays or scalars."""
+    Campbell has it; quick for large |w|."""
     b = 2.0 * (1.0 + w)
     d = 1.0 / b
     h = delh = d
@@ -380,7 +366,7 @@ def _steed_cf2(mu, w):
         h = h + delh
         dels = q * delh
         s = s + dels
-        if not _pending(abs(dels) > _EPS * abs(s)):
+        if not abs(dels) > _EPS * abs(s):
             break
         i += 1
     return np.sqrt(0.5 * math.pi / w) / s, (mu + w + 0.5 - a1 * h) / w
@@ -388,22 +374,26 @@ def _steed_cf2(mu, w):
 
 def _cf1(nu, z):
     """J_nu(z)/J_{nu-1}(z) from its continued fraction (DLMF 10.10.1) by the
-    modified Lentz method; quick once nu exceeds |z|.  Arrays or scalars."""
+    modified Lentz method; quick once nu exceeds |z|."""
     tiny = 1e-300
     f = 2.0 * nu / z
-    f = f + (f == 0) * tiny
+    if f == 0:
+        f = tiny
     cc = f
     dd = 0.0
     j = 1
     while True:
         b = 2.0 * (nu + j) / z
         dd = b - dd
-        dd = 1.0 / (dd + (dd == 0) * tiny)
+        if dd == 0:
+            dd = tiny
+        dd = 1.0 / dd
         cc = b - 1.0 / cc
-        cc = cc + (cc == 0) * tiny
+        if cc == 0:
+            cc = tiny
         delta = cc * dd
         f = f * delta
-        if not _pending(abs(delta - 1.0) > _EPS):
+        if not abs(delta - 1.0) > _EPS:
             break
         j += 1
     return 1.0 / f

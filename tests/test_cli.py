@@ -216,14 +216,31 @@ class TestRun:
         ("config=other.cfg\n", "'config'"),
         ("format=xml\n", "'xml'"),
         ("fmt=csv\n", "'fmt'"),
+        ("angles=4.5\n", "configuration: angles: "),
+        ("alpha=x\n", "configuration: alpha: "),
+        ("k=1,x\n", "configuration: k: "),
+        ("theta=y\n", "configuration: theta: "),
     ])
     def test_config_file_keys_checked(self, text, named, tmp_path):
-        # a misspelt key or an unknown format is refused, not dropped
+        # a misspelt key, an unknown format or a malformed value is refused,
+        # not dropped, and the message names it
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(text, encoding="utf-8")
         rc, out, err = run_cli(["--config", str(cfgfile), "spectrum"])
         assert (rc, out) == (2, "")
         assert err.startswith("abx: invalid configuration") and named in err
+
+    @pytest.mark.parametrize("args", [
+        ["--angles", "4.5"],
+        ["--alpha", "x"],
+        ["--k", "1,x"],
+        ["--theta", "y"],
+        ["--k-imag", "z"],
+    ])
+    def test_malformed_flag_value_named(self, args):
+        rc, out, err = run_cli(args + ["xsection"])
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"abx: invalid configuration: {args[0][2:]}: ")
 
     @pytest.mark.parametrize("point", sorted(POINTS))
     @pytest.mark.parametrize("task", ["xsection", "mixing"])

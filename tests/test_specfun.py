@@ -237,6 +237,22 @@ class TestLadderEdges:
             assert abs(got - want) <= 1e-13 * abs(want)
         assert bessel_j_orders(0.0, 300.0) == pytest.approx(amos_jv(0.0, 300.0), rel=1e-12)
 
+    def test_value_does_not_depend_on_its_batch(self):
+        # 2 ladders x 40 arguments (80 start-value columns, both Temme's
+        # series and Steed's CF2) in one call give the same bits as one
+        # call per argument
+        rng = np.random.default_rng(7)
+        z = 10.0 ** rng.uniform(-1.0, 1.6, 40) + 1j * rng.uniform(0.0, 3.0, 40)
+        nus = np.concatenate([np.arange(30) + 0.37, np.arange(30) + 0.63])
+        for ladder in (bessel_j_orders, hankel1_orders):
+            batch = ladder(nus[:, None], z)
+            single = np.stack([ladder(nus, arg) for arg in z], axis=1)
+            assert batch.tobytes() == single.tobytes(), ladder.__name__
+        # a NaN argument ends every series and continued fraction, and
+        # comes back as NaN
+        assert math.isnan(bessel_j_orders(0.5, math.nan))
+        assert cmath.isnan(complex(hankel1_orders(0.5, complex(1.0, math.nan))))
+
     def test_ladders_at_the_grid_cap(self):
         # the largest |k| r whose partial-wave grid _cutoff admits at a width
         # of 256 angles, as in the field-grid requests: every value finite
