@@ -22,8 +22,8 @@ class NearEigenvalueError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an adaptive quadrature or an averaged extraction fails
-    to meet its advertised error bound."""
+    """Raised when the averaged far-field amplitude extraction fails to
+    meet its advertised error bound."""
 
 
 class ConsistencyError(RuntimeError):

@@ -14,25 +14,25 @@ Hamiltonian; b = 0 gives the rotationally invariant extensions; b != 0
 couples the two channels, so angular momentum is no longer conserved.
 
 This module holds the parameter types with their validation, the unitary
-matrix and its inverse parametrization, the radial deficiency elements
+matrix and its inverse parametrization, and the order and normalization
+constant of each channel's radial deficiency elements
 
     xi0_pm(r)  = N r^{1/2} K_alpha(e^{-+i pi/4} r)        (s-wave)
     xim1_pm(r) = M r^{1/2} K_{1-alpha}(e^{-+i pi/4} r)    (p-wave)
 
-with N = sqrt(2 cos(pi alpha/2))/pi, M = sqrt(2 sin(pi alpha/2))/pi (the
-minus elements carry the extra phases e^{i pi alpha/2} resp.
+(the minus elements carry the extra phases e^{i pi alpha/2} resp.
 e^{i pi (1-alpha)/2} that make the analytic basis of the resolvent module
-reduce to them), and the quadrature diagnostic of their norms.  With
-these constants the two-dimensional elements r^{-1/2} xi(r) e^{i m phi}
-have unit L2 norm; the radial elements themselves have norm
-1/sqrt(2 pi).
+reduce to them).  Their norms are closed forms: Gradshteyn-Ryzhik 6.521.3,
+the integral of x K_nu(a x) K_nu(b x) at a = e^{i pi/4}, b = e^{-i pi/4},
+gives
 
-K is evaluated through the Hankel ladder of the special-function module,
-K_nu(z) = (i pi/2) e^{i nu pi/2} H1_nu(i z) (DLMF 10.27.8): i z lies on
-the ray e^{i pi/4} for the plus elements and e^{3 i pi/4} for the minus
-elements, the same H1 that the resolvent module's analytic basis uses.
+    int_0^inf r |K_nu(e^{+-i pi/4} r)|^2 dr = pi / (4 cos(pi nu/2)),
+
+so N = sqrt(2 cos(pi alpha/2))/pi and M = sqrt(2 sin(pi alpha/2))/pi make
+every radial norm exactly 1/sqrt(2 pi), and the two-dimensional elements
+r^{-1/2} xi(r) e^{i m phi} have unit L2 norm.  The elements themselves are
+never evaluated: the analytic basis needs only the orders and N and M.
 """
-
 from __future__ import annotations
 
 import cmath
@@ -42,23 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .specfun import hankel1_orders
-
 __all__ = [
     "ALPHA_MIN",
     "ALPHA_MAX",
     "ExtensionParams",
-    "DeficiencyElement",
     "ExtensionKind",
     "ExtensionClass",
     "as_alpha",
     "build_u_matrix",
     "u_matrix_params",
     "canonical_params",
-    "deficiency_radial",
     "classify",
-    "l2_norm_deficiency",
 ]
 
 ALPHA_MIN = 1e-6
@@ -179,54 +173,12 @@ def u_matrix_params(u) -> ExtensionParams:
     return canonical_params(ExtensionParams(eta, a, b))
 
 
-@dataclass(frozen=True)
-class DeficiencyElement:
-    """Label of one radial deficiency element: channel in {0, -1} and the
-    sign of the defect eigenvalue (+1 for +i, -1 for -i)."""
-
-    channel: int
-    sign: int
-
-    def __post_init__(self):
-        if self.channel not in (0, -1):
-            raise ValueError(f"channel must be 0 or -1, got {self.channel}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-
 def _channel_order_norm(channel: int, alpha: float) -> tuple[float, float]:
     """The channel's order nu and normalization constant, N (s-wave) or M
     (p-wave), at an alpha already checked by as_alpha."""
     if channel == 0:
         return alpha, math.sqrt(2.0 * math.cos(math.pi * alpha / 2.0)) / math.pi
     return 1.0 - alpha, math.sqrt(2.0 * math.sin(math.pi * alpha / 2.0)) / math.pi
-
-
-def deficiency_radial(element: DeficiencyElement, alpha, r: float) -> complex:
-    """Radial deficiency element xi(r), including its normalization
-    constant and, on the minus element, the phase e^{i pi nu / 2}.
-
-    The plus element solves  -xi'' + (nu^2 - 1/4) r^{-2} xi = +i xi  and
-    the minus element the -i counterpart, both square-integrable with
-    small-r behavior proportional to r^{1/2 - nu}.  Each is evaluated on
-    its own ray, so their conjugate relation is a check, not an identity.
-    """
-    alpha = as_alpha(alpha)
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValueError(f"deficiency_radial requires r > 0, got {r}")
-    # xi decays like e^{-r/sqrt 2}; once that underflows the element is
-    # exactly 0, without asking H1 for a value below the float range
-    if math.exp(-r / math.sqrt(2.0)) == 0.0:
-        return 0j
-    nu, norm = _channel_order_norm(element.channel, alpha)
-    if element.sign > 0:
-        z, phase = cmath.exp(-0.25j * math.pi) * r, 1.0
-    else:
-        z, phase = cmath.exp(0.25j * math.pi) * r, cmath.exp(0.5j * math.pi * nu)
-    # K_nu(z) = (i pi/2) e^{i nu pi/2} H1_nu(i z), DLMF 10.27.8
-    k_nu = 0.5j * math.pi * cmath.exp(0.5j * math.pi * nu) * complex(hankel1_orders(nu, 1j * z))
-    return norm * phase * math.sqrt(r) * k_nu
 
 
 def classify(params: ExtensionParams) -> "ExtensionClass":
@@ -254,33 +206,3 @@ class ExtensionKind(enum.Enum):
 class ExtensionClass:
     kind: ExtensionKind
     tau: float | None = None
-
-
-# Radius beyond which |K_nu(e^{+-i pi/4} r)|^2 ~ exp(-sqrt(2) r) is below
-# double-precision resolution of the norm integral.
-_NORM_CUTOFF_R = 60.0
-
-
-def l2_norm_deficiency(element: DeficiencyElement, alpha) -> float:
-    """sqrt(int_0^inf |xi(r)|^2 dr) by adaptive quadrature.
-
-    The integrand has an integrable r^{1 - 2 nu} singularity at the
-    origin and decays like exp(-sqrt(2) r); the integral is cut at a
-    radius where the tail is below 1e-16.  Quadrature failure or an
-    error estimate above 1e-8 raises ConvergenceError.
-    """
-    alpha = as_alpha(alpha)
-
-    def integrand(r: float) -> float:
-        return abs(deficiency_radial(element, alpha, r)) ** 2
-
-    from scipy import integrate  # here, not at module level: keeps it out of every CLI start
-
-    val, abserr = integrate.quad(
-        integrand, 0.0, _NORM_CUTOFF_R, epsabs=1e-11, epsrel=1e-11, limit=300
-    )
-    if not math.isfinite(val) or abserr > 1e-8:
-        raise ConvergenceError(
-            f"deficiency norm quadrature did not converge (error estimate {abserr:.3g})"
-        )
-    return math.sqrt(val)

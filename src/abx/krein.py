@@ -371,11 +371,11 @@ def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
     inverted = np.linalg.solve(system, pref)
 
     # The size of p's terms, |e/(2D)| times the moduli in each entry's
-    # bracket (their Frobenius norm, by hypot so that huge |k| does not
-    # overflow): next to the regular point p is a cancellation of O(1)
+    # bracket (their Frobenius norm, by hypot so that huge |k| or |p| does
+    # not overflow): next to the regular point p is a cancellation of O(1)
     # terms far below their size, and rounding scales with the terms.
     scale = abs(half) * math.hypot(*sizes, abs(b), abs(b))
-    if np.linalg.norm(closed - inverted) > _DUAL_PATH_TOL * scale:
+    if math.hypot(*np.abs(closed - inverted).flat) > _DUAL_PATH_TOL * scale:
         cond = float(np.linalg.cond(system))
         if cond * np.finfo(float).eps > _DUAL_PATH_TOL:
             raise NearEigenvalueError(k.k, dval, condition=cond)

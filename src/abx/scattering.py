@@ -182,6 +182,14 @@ _U_NOTE = (
 )
 
 
+def _finite(values, what: str, k: float):
+    """values, unless one of them has left the float range: then
+    OverflowError, naming the quantity and the momentum."""
+    if not np.isfinite(values).all():
+        raise OverflowError(f"{what} leaves the float range at k = {k}")
+    return values
+
+
 def amplitude_ab(alpha, k: float) -> Amplitude:
     """Amplitude of the regular extension.
 
@@ -192,7 +200,8 @@ def amplitude_ab(alpha, k: float) -> Amplitude:
     k = float(k)
     if k <= 0.0:
         raise ValueError(f"momentum must be positive, got {k}")
-    pref = math.sqrt(2.0 * math.pi / k) * cmath.exp(-0.25j * math.pi)
+    pref = _finite(math.sqrt(2.0 * math.pi / k), "amplitude prefactor sqrt(2 pi/k)", k)
+    pref *= cmath.exp(-0.25j * math.pi)
     weight = pref * 1j * math.sin(math.pi * alpha) / math.pi
 
     def smooth(theta, phi):
@@ -250,7 +259,9 @@ def cross_section(params: ExtensionParams, alpha, k: float, theta: float, phi):
     per call.
     """
     amp = amplitude_u(params, alpha, float(k))
-    return _unwrap(np.abs(amp.smooth(float(theta), phi)) ** 2)
+    with np.errstate(over="ignore"):
+        values = np.abs(amp.smooth(float(theta), phi)) ** 2
+    return _unwrap(_finite(values, "cross section", k))
 
 
 class ChannelMixing(NamedTuple):

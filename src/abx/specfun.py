@@ -5,9 +5,8 @@ Hankel function H1_nu over arrays of orders and arguments (real or in the
 upper half-plane), and the branch-consistent complex power (-k^2)^s that
 appears in every channel coefficient.  The J/H1 ladders return numpy
 arrays broadcast over orders and arguments; ``branch_power`` returns a
-plain complex number.  Every other Bessel-family value is read off this
-surface: the McDonald function of the deficiency elements, for one, is
-K_nu(z) = (i pi/2) e^{i nu pi/2} H1_nu(i z) (DLMF 10.27.8).
+plain complex number.  Every other Bessel-family value the package needs
+is read off this surface.
 
 Numerical method
 ----------------
@@ -36,14 +35,15 @@ Both ladders are multiplied out from their ratios with the powers of two
 split off, the factors e^{+-i z} included, so no partial product over- or
 underflows before the value itself does; a value below the smallest
 normal float is exactly 0.  Domain: orders >= 0 and z in the closed
-upper half-plane with |z| above about 1e-300.  The start values (the K
-pair of step 1 and the continued fraction of step 3) are computed per
-column, one (ladder, argument) pair at a time in scalar loops, so a
-value does not depend on the batch it is asked in; the recurrences and
-products run vectorized over all columns, one pass per order of the
-highest ladder.  J at orders far below |z| costs about |z| steps of its
-continued fraction, so |z| more than 1e7 above the highest order is
-refused.  No scipy module is loaded.
+upper half-plane, z = 0 or |z| >= 1e-300; a smaller nonzero |z| is
+refused, as intermediate values such as 1/z leave the float range near
+1e-308.  The start values (the K pair of step 1 and the continued
+fraction of step 3) are computed per column, one (ladder, argument) pair
+at a time in scalar loops, so a value does not depend on the batch it is
+asked in; the recurrences and products run vectorized over all columns,
+one pass per order of the highest ladder.  J at orders far below |z|
+costs about |z| steps of its continued fraction, so |z| more than 1e7
+above the highest order is refused.  No scipy module is loaded.
 
 The surface is checked in the test tree against the AMOS routines of
 ``scipy.special`` (to 1e-12 for |z| in [1e-8, 1e3], arg z in
@@ -164,6 +164,7 @@ _GAM_TAYLOR = list(zip(_RGAMMA_TAYLOR[1::2], _RGAMMA_TAYLOR[0::2]))[::-1]
 _EPS = np.finfo(float).eps
 _MIN_NORMAL_EXP = np.finfo(float).minexp   # 2**-1022, the smallest normal float
 _MAX_EXP = 2100                            # beyond the float range either way
+_MIN_ABS_Z = 1e-300                        # smallest nonzero |z| of the domain
 # The continued fraction for J_nu/J_{nu-1} takes about |z| - nu steps
 # below the turning point: a bound on its cost.
 _MAX_CF1_STEPS = 1e7
@@ -182,6 +183,8 @@ def _ladder_values(nus, z, want_j: bool, scaled: bool = False) -> np.ndarray:
         raise ValueError("Bessel ladders need orders >= 0 and z in the closed upper half-plane")
     orders, order_idx = _distinct(nus)
     args, arg_idx = _distinct(z.astype(complex))
+    if ((args != 0) & (np.abs(args) < _MIN_ABS_Z)).any():
+        raise ValueError(f"Bessel ladders need z = 0 or |z| >= {_MIN_ABS_Z:g}")
     steps = np.floor(orders + 0.5)
     frac = orders - steps
     # Orders whose fractional parts agree to rounding share a ladder; the

@@ -2,16 +2,18 @@
 
 Extended-precision series evaluation of the Bessel family (hand-rolled
 ascending series in mpmath arithmetic at 40 digits, cross-checked against
-mpmath's own implementations), a finite-difference application of the
-flux Hamiltonian, quadrature helpers, and the paper's hand-written table
-of eigenfunction corrections.  Nothing here is imported by
-the package; oracles must stay independent of the paths they check.
+mpmath's own implementations), the radial deficiency elements with their
+normalization constants and norms, a finite-difference application of
+the flux Hamiltonian, quadrature helpers, and the paper's hand-written
+table of eigenfunction corrections.  Nothing here is imported by the
+package; oracles must stay independent of the paths they check.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -77,6 +79,37 @@ def mp_complex(val) -> complex:
     return complex(float(mp.re(val)), float(mp.im(val)))
 
 
+class DeficiencyElement(NamedTuple):
+    """One radial deficiency element: channel 0 or -1 and the sign of the
+    defect eigenvalue (+1 for +i, -1 for -i)."""
+
+    channel: int
+    sign: int
+
+
+def deficiency_radial(element: DeficiencyElement, alpha: float, r: float) -> complex:
+    """xi(r) = norm r^{1/2} K_nu(e^{-sign i pi/4} r), times e^{i pi nu/2} on
+    the minus element, with K from mpmath at 20 digits: nu = alpha and
+    N = sqrt(2 cos(pi alpha/2))/pi on channel 0, nu = 1 - alpha and
+    M = sqrt(2 sin(pi alpha/2))/pi on channel -1."""
+    channel, sign = element
+    trig = math.cos if channel == 0 else math.sin
+    nu = alpha if channel == 0 else 1.0 - alpha
+    norm = math.sqrt(2.0 * trig(math.pi * alpha / 2.0)) / math.pi
+    phase = 1.0 if sign > 0 else cmath.exp(0.5j * math.pi * nu)
+    with mp.workdps(20):
+        k_nu = mp_complex(mp.besselk(nu, mp.expjpi(mp.mpf(-sign) / 4) * r))
+    return norm * phase * math.sqrt(r) * k_nu
+
+
+def l2_norm_deficiency(element: DeficiencyElement, alpha: float) -> float:
+    """sqrt(int |xi(r)|^2 dr) by radial_rule, cut at r = 24, beyond which
+    |xi|^2 ~ e^{-sqrt(2) r} holds less than 1e-14 of the integral."""
+    r, w = radial_rule(24.0)
+    vals = np.array([abs(deficiency_radial(element, alpha, x)) ** 2 for x in r])
+    return math.sqrt(float(vals @ w))
+
+
 def apply_flux_operator(u, alpha: float, r: float, phi: float, h: float) -> complex:
     """Second-order finite-difference application of the flux Hamiltonian
 
@@ -109,17 +142,32 @@ def complex_quad(f, a: float, b: float, **kw) -> complex:
     return complex(re, im)
 
 
-def inner_product_2d(row_fn, col_fn, r_cut: float = 120.0, n_ang: int = 64) -> complex:
+def radial_rule(r_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a composite Gauss-Legendre rule for
+    int_0^r_cut f(r) dr, f smooth but for integrable powers r^e, e >= -0.9,
+    at the origin.  On [0, 1] the rule runs in s = r^(1/10) with 24 nodes,
+    which turns r^e dr into 10 s^(10 e + 9) ds, free of the singularity;
+    beyond r = 1 it has panels of width at most 2, 12 nodes each."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    s = 0.5 * (x + 1.0)
+    nodes, weights = [s**10], [5.0 * w * s**9]
+    x, w = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(1.0, r_cut, int(math.ceil((r_cut - 1.0) / 2.0)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes.append((edges[:-1, None] + half * (x + 1.0)).ravel())
+    weights.append((half * w).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def inner_product_2d(row_fn, col_fn, r_cut: float = 60.0, n_ang: int = 64) -> complex:
     """L2(R^2) inner product (row, col) = int conj(row) col r dr dphi by
-    trapezoid in angle (exact for trigonometric integrands) and adaptive
-    quadrature in radius."""
+    trapezoid in angle (exact for trigonometric integrands) and radial_rule
+    in radius, each function called once on the radius x angle grid.  The
+    integrand must have decayed by r_cut."""
     phis = np.arange(n_ang) * (2.0 * math.pi / n_ang)
-
-    def radial(r: float) -> complex:
-        vals = np.conj(row_fn(r, phis)) * col_fn(r, phis)
-        return complex(np.mean(vals)) * 2.0 * math.pi * r
-
-    return complex_quad(radial, 0.0, r_cut, limit=800)
+    r, w = radial_rule(r_cut)
+    vals = np.conj(row_fn(r[:, None], phis)) * col_fn(r[:, None], phis)
+    return complex(2.0 * math.pi * (np.mean(vals, axis=-1) * r) @ w)
 
 
 def psi_u_correction_table(alpha: float, k: float, pk) -> tuple:

@@ -269,6 +269,21 @@ class TestRun:
         assert (rc, err) == (0, "")
         assert "NaN" not in out and "Infinity" not in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--radii", "1e-310", "--angles", "2", "eigenfunction"],
+        ["--k", "1e-300", "--radii", "1e-10", "--angles", "2", "eigenfunction"],
+        ["--a", "0,0", "--b", "1,0", "--source", "1e-320,0", "--angles", "2", "resolvent"],
+        ["--k", "2.3e-308", "--angles", "6000", "xsection"],
+        ["--k", "2.3e-308", "--angles", "6000", "amplitude"],
+        ["--k", "1e-305", "--angles", "6000", "xsection"],
+    ])
+    def test_tiny_arguments_refused(self, argv):
+        # k r below the Bessel ladders' domain exits 2; sqrt(2 pi/k) or
+        # |f|^2 beyond the float range exits 3
+        rc, out, err = run_cli(argv)
+        assert rc in (2, 3) and out == "", err
+        assert "NaN" not in out and "Infinity" not in out
+
     @pytest.mark.parametrize("k", ["1e-9", "1e-20", "1e-100"])
     def test_ill_conditioned_threshold_reported_as_near_eigenvalue(self, k):
         # zero-energy resonance of the coupled point: the channel system's
@@ -341,10 +356,23 @@ def test_import_loads_no_scipy():
 
 
 def test_tasks_load_no_scipy():
-    # every task, the Bessel ones included, runs on numpy alone
+    # every task, the Bessel ones included, runs on numpy alone: with every
+    # scipy import refused and recorded, a guarded or lazy one included
     code = f"""
-import io, json, sys
+import importlib.abc, io, json, sys
 from contextlib import redirect_stdout
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    tried = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            self.tried.append(name)
+            raise ImportError('scipy is blocked: ' + name)
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import abx
 from abx import cli
 args = json.loads(sys.argv[1])
 runs = {{}}
@@ -352,13 +380,13 @@ for task in cli.TASKS:
     out = io.StringIO()
     with redirect_stdout(out):
         runs[task] = [cli.main(args + [task]), out.getvalue()]
-print(json.dumps([{SCIPY_MODULES}, runs]))
+print(json.dumps([{SCIPY_MODULES}, BlockScipy.tried, runs]))
 """
     argv = POINTS["coupled"] + ["--k", "0.5,2", "--angles", "8", "--radii", "0.5,3"]
-    loaded, runs = json.loads(run_python(code, json.dumps(argv)))
+    loaded, tried, runs = json.loads(run_python(code, json.dumps(argv)))
     assert sorted(runs) == sorted(["spectrum", "amplitude", "xsection", "mixing",
                                    "eigenfunction", "resolvent", "validate"])
-    assert loaded == []
+    assert loaded == [] and tried == []
     assert all(rc == 0 for rc, _ in runs.values()), runs
     for task, key in (("eigenfunction", "psi"), ("resolvent", "kernel")):
         rc, out = runs[task]

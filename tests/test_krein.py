@@ -15,7 +15,7 @@ from scipy.special import jve as sp_jve
 
 from abx import krein
 from abx.errors import NearEigenvalueError
-from abx.extension import DeficiencyElement, ExtensionParams, deficiency_radial
+from abx.extension import ExtensionParams
 from abx.krein import (
     REFERENCE_K,
     _row,
@@ -31,8 +31,10 @@ from abx.krein import (
 from abx.specfun import UpperHalfK, branch_power
 
 from _oracles import (
+    DeficiencyElement,
     apply_flux_operator,
     complex_quad,
+    deficiency_radial,
     inner_product_2d,
     observed_orders,
     random_params,
@@ -117,8 +119,9 @@ class TestAbKernel:
 class TestAnalyticBasis:
     def test_reduces_to_plus_deficiency_element_at_reference(self):
         # psi_{k0} must equal the unit-norm deficiency element
-        # r^{-1/2} xi_+(r) e^{i m phi}; both go through H1, so the
-        # independent check of xi is the K-series oracle in test_extension
+        # r^{-1/2} xi_+(r) e^{i m phi}; the reference element takes K from
+        # mpmath and computes N and M itself, so the basis's constants and
+        # prefactors are checked against code they share nothing with
         for alpha in (0.1, 0.5, 0.9):
             for channel in (0, -1):
                 elem = analytic_basis(channel, alpha, REFERENCE_K)
@@ -265,6 +268,13 @@ class TestCouplingMatrix:
     def test_near_eigenvalue_rejected(self):
         with pytest.raises(NearEigenvalueError):
             p_of_k(ExtensionParams.mixing(0.0), 0.5, UpperHalfK(1j * math.sqrt(2.0)))
+
+    def test_huge_coupling_near_zero_energy_resonance_rejected(self):
+        # |p| ~ 1e200 next to the coupled point's zero-energy resonance: the
+        # ill-conditioned solve is refused, and the dual-path difference is
+        # measured without an overflow warning
+        with pytest.raises(NearEigenvalueError, match="condition number"):
+            p_of_k(ExtensionParams.mixing(0.0), 0.5, UpperHalfK(1e-200, on_real_axis=True))
 
     def test_entries_analytic_in_k(self):
         # Cauchy-Riemann residual of a 4-point stencil decays at O(h^2)

@@ -83,8 +83,8 @@ class TestHankel1:
 
 
 def bessel_k(nu, z):
-    """K_nu(z) = (i pi/2) e^{i nu pi/2} H1_nu(i z) (DLMF 10.27.8), the way
-    the deficiency elements read K off the H1 surface."""
+    """K_nu(z) = (i pi/2) e^{i nu pi/2} H1_nu(i z) (DLMF 10.27.8), read
+    off the H1 surface."""
     return 0.5j * PI * cmath.exp(0.5j * PI * nu) * complex(hankel1_orders(nu, 1j * z))
 
 
@@ -210,13 +210,18 @@ class TestLaddersAgainstAmos:
             bessel_j_orders(0.5, -1.0)
         with pytest.raises(ValueError):   # its continued fraction would take 1e8 steps
             bessel_j_orders(0.5, 1e8)
+        for z in (1e-310, 5e-301j, 5e-324):  # nonzero |z| below 1e-300
+            with pytest.raises(ValueError, match="1e-300"):
+                bessel_j_orders(0.5, z)
+            with pytest.raises(ValueError, match="1e-300"):
+                hankel1_orders(0.5, z)
 
 
 class TestLadderEdges:
     @pytest.mark.parametrize("alpha", [0.05, 0.37, 0.5, 0.9])
     def test_channel_order_down_to_tiny_radius(self, alpha):
-        # the deficiency elements read H1 at r e^{i pi/4} and r e^{3 i pi/4},
-        # the analytic basis at k r; against the two leading terms of the
+        # the analytic basis reads H1 at k r, on the rays e^{i pi/4} and
+        # e^{3 i pi/4} at its reference points; against the two leading terms of the
         # ascending series, exact to double precision at these radii:
         # H1_nu(z) = [(z/2)^-nu / G(1-nu) - e^{-i nu pi} (z/2)^nu / G(1+nu)] / (i sin nu pi)
         for nu in (alpha, 1.0 - alpha):
