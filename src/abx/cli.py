@@ -11,15 +11,17 @@ flag's name (k-imag or k_imag); an unknown key is an error.  Command-line
 flags override the file.  Exit codes: 0 success, 2 validation error
 (including an unreadable config file or an unwritable output path),
 3 numerical failure (near-eigenvalue momentum, non-converged extraction,
-overflow at extreme momenta).  Each task evaluates its
-whole grid with one call per momentum, so the coupling matrix p(k) is
-solved once per momentum.
+overflow at extreme momenta).  Each task evaluates its whole grid with
+one call per momentum, so the coupling matrix p(k) is solved once per
+momentum.  Importing this module freezes its import-time heap (gc.freeze)
+for the one task a CLI process runs; `import abx` leaves the GC alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -44,6 +46,10 @@ from .scattering import (
 from .specfun import UpperHalfK, as_wavenumber, hankel1_orders
 from .spectrum import bound_states
 
+# A CLI process runs one task and exits, and the modules imported above live
+# until that exit: the cyclic collector, which runs at exit too, can skip them.
+gc.freeze()
+
 _PROVENANCE = {
     "branch": "principal logarithm of -k^2; real-axis values are limits from Im k > 0",
     "eigenfunction_phases": (
@@ -56,6 +62,9 @@ _PROVENANCE = {
     ),
     "mixing_constant": "8 k sin(pi alpha), the angle-integrated cross-channel cross section",
 }
+
+# Stands for the angle grid, which _render_json encodes once for all momenta.
+_ANGLE_GRID = "\0angle grid"
 
 _SPECTRUM_NOTES = (
     "essential spectrum [0, inf), purely absolutely continuous away from the "
@@ -217,8 +226,9 @@ def _angle_grid(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
 
 
-def _c2l(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _c2l(z) -> list:
+    """A complex value as [re, im]; a 1-d array of them as a list of those."""
+    return np.stack((np.real(z), np.imag(z)), -1).tolist()
 
 
 def _param_header(cfg: RunConfig) -> dict:
@@ -259,27 +269,27 @@ def _task_mixing(cfg: RunConfig):
     return results, cols, rows, []
 
 
-def _off_cone(cfg: RunConfig, angles: np.ndarray, values_at) -> list:
-    """values_at(off-cone angles) spread over the angle grid, with None
-    inside the forward cone."""
+def _off_cone(cfg: RunConfig, angles: np.ndarray, values_at) -> tuple[list, np.ndarray]:
+    """The list values_at(off-cone angles) spread over the angle grid, with
+    None inside the forward cone; and the cone mask."""
     cone = _in_forward_cone(cfg.theta, angles)
-    vals = iter(values_at(angles[~cone]).tolist())
-    return [None if inside else next(vals) for inside in cone]
+    vals = values_at(angles[~cone])
+    for i in np.flatnonzero(cone).tolist():  # ascending: each lands in place
+        vals.insert(i, None)
+    return vals, cone
 
 
 def _task_xsection(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
     results = []
     for k in cfg.k_values:
-        vals = _off_cone(cfg, angles,
-                         lambda phi: cross_section(cfg.params, cfg.alpha, k, cfg.theta, phi))
-        results.append({"k": k, "theta": cfg.theta,
-                        "phi": angles.tolist(),
-                        "dsigma_dphi": vals,
-                        "forward_excluded": [v is None for v in vals]})
+        vals, cone = _off_cone(cfg, angles, lambda phi: cross_section(
+            cfg.params, cfg.alpha, k, cfg.theta, phi).tolist())
+        results.append({"k": k, "theta": cfg.theta, "phi": _ANGLE_GRID,
+                        "dsigma_dphi": vals, "forward_excluded": cone.tolist()})
     cols = ["k", "theta", "phi", "dsigma_dphi", "in_forward_cone"]
     rows = ([r["k"], r["theta"], phi, "" if v is None else v, v is None]
-            for r in results for phi, v in zip(r["phi"], r["dsigma_dphi"]))
+            for r in results for phi, v in zip(angles.tolist(), r["dsigma_dphi"]))
     meta = [f"forward_cone_halfwidth={FORWARD_EPSILON}"]
     return results, cols, rows, meta
 
@@ -289,29 +299,25 @@ def _task_amplitude(cfg: RunConfig):
     results = []
     for k in cfg.k_values:
         amp = amplitude_u(cfg.params, cfg.alpha, k)
-        vals = [None if v is None else _c2l(v)
-                for v in _off_cone(cfg, angles, lambda phi: amp.smooth(cfg.theta, phi))]
-        results.append({"k": k, "theta": cfg.theta,
-                        "phi": angles.tolist(),
+        vals, _ = _off_cone(cfg, angles, lambda phi: _c2l(amp.smooth(cfg.theta, phi)))
+        results.append({"k": k, "theta": cfg.theta, "phi": _ANGLE_GRID,
                         "smooth": vals,
                         "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
                         "forward_pv_weight": _c2l(amp.forward_pv_weight),
                         "notes": list(amp.convention_notes)})
     cols = ["k", "theta", "phi", "f_re", "f_im", "in_forward_cone"]
     rows = ([r["k"], r["theta"], phi, *(["", ""] if v is None else v), v is None]
-            for r in results for phi, v in zip(r["phi"], r["smooth"]))
+            for r in results for phi, v in zip(angles.tolist(), r["smooth"]))
     return results, cols, rows, []
 
 
 def _task_eigenfunction(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-    points = [[float(r), float(phi)] for r in cfg.radii for phi in angles]
+    points = np.stack(np.meshgrid(cfg.radii, angles, indexing="ij"), -1).reshape(-1, 2).tolist()
     results = []
     for k in cfg.k_values:
-        chan = PlaneWaveChannel(k, cfg.theta)
-        vals = psi_u(cfg.params, cfg.alpha, chan, cfg.radii, angles)
-        vals = [_c2l(v) for v in vals.ravel().tolist()]
-        results.append({"k": k, "theta": cfg.theta, "points": points, "psi": vals})
+        vals = psi_u(cfg.params, cfg.alpha, PlaneWaveChannel(k, cfg.theta), cfg.radii, angles)
+        results.append({"k": k, "theta": cfg.theta, "points": points, "psi": _c2l(vals.ravel())})
     cols = ["k", "theta", "r", "phi", "psi_re", "psi_im"]
     rows = ([r["k"], r["theta"], *p, *v] for r in results for p, v in zip(r["points"], r["psi"]))
     return results, cols, rows, []
@@ -319,13 +325,12 @@ def _task_eigenfunction(cfg: RunConfig):
 
 def _task_resolvent(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-    points = [[float(r), float(phi)] for r in cfg.radii for phi in angles]
+    points = np.stack(np.meshgrid(cfg.radii, angles, indexing="ij"), -1).reshape(-1, 2).tolist()
     y = cfg.source
     results = []
     for k in cfg.k_values:
         kk = as_wavenumber(complex(k, cfg.k_imag))
-        vals = full_resolvent_kernel(cfg.params, cfg.alpha, kk, (cfg.radii, angles), y)
-        vals = [_c2l(v) for v in vals.ravel().tolist()]
+        vals = _c2l(full_resolvent_kernel(cfg.params, cfg.alpha, kk, (cfg.radii, angles), y).ravel())
         results.append({"k": [k, cfg.k_imag], "source": list(y), "points": points, "kernel": vals})
     cols = ["k_re", "k_im", "src_r", "src_phi", "r", "phi", "kernel_re", "kernel_im"]
     rows = ([*r["k"], *r["source"], *p, *v] for r in results for p, v in zip(r["points"], r["kernel"]))
@@ -398,7 +403,9 @@ def _render_json(cfg: RunConfig, results) -> str:
         },
         "provenance": _PROVENANCE,
     }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    head, *tails = json.dumps(doc, sort_keys=True).split(json.dumps(_ANGLE_GRID))
+    grid = json.dumps(_angle_grid(cfg.angle_count).tolist()) if tails else ""
+    return grid.join([head, *tails]) + "\n"
 
 
 def _render_csv(cfg: RunConfig, cols, rows, meta) -> str:

@@ -124,10 +124,13 @@ def as_wavenumber(k) -> UpperHalfK:
 def branch_power(k, s: float) -> complex:
     """(-k^2)**s = exp(s (2 Log k - i pi)) on the closed upper half-plane:
     the principal branch inside, its limit from Im k -> 0+ on the real
-    axis."""
+    axis.  Beyond the float range: OverflowError naming s and k."""
     k = as_wavenumber(k).k
     # 2 Log k - i pi, with Log k = log|k| + i arg k
-    return cmath.exp(float(s) * complex(2.0 * math.log(abs(k)), 2.0 * cmath.phase(k) - math.pi))
+    try:
+        return cmath.exp(float(s) * complex(2.0 * math.log(abs(k)), 2.0 * cmath.phase(k) - math.pi))
+    except OverflowError:
+        raise OverflowError(f"(-k^2)^s with s = {s} leaves the float range at k = {k}") from None
 
 
 def bessel_j_orders(nus, z) -> np.ndarray:

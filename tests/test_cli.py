@@ -243,13 +243,14 @@ class TestRun:
         assert err.startswith(f"abx: invalid configuration: {args[0][2:]}: ")
 
     @pytest.mark.parametrize("point", sorted(POINTS))
-    @pytest.mark.parametrize("task", ["xsection", "mixing"])
+    @pytest.mark.parametrize("task", ["xsection", "amplitude", "mixing"])
     def test_overflow_at_extreme_momenta_exits_3(self, task, point):
-        # (-k^2)^s overflows above k ~ 1.3e154
-        for k in ("1e155", "1e308"):
+        # (-k^2)^s overflows above k ~ 1.3e154; the message names it and k
+        for k in ("1e155", "1e300", "1e308"):
             rc, out, err = run_cli(POINTS[point] + ["--k", k, "--angles", "4", task])
             assert rc == 3 and out == ""
-            assert err.startswith("abx: numerical failure: OverflowError")
+            assert err.startswith("abx: numerical failure: OverflowError: (-k^2)^s ")
+            assert f"k = ({float(k)!r}+0j)" in err
 
     @pytest.mark.parametrize("task", ["eigenfunction", "resolvent"])
     def test_oversized_partial_wave_grid_refused(self, task):
@@ -326,6 +327,127 @@ class TestRun:
         assert cli.main(MIXING_ARGS + ["--k", "0.5,1.0,2.0", "--angles", "16",
                                        "--radii", "0.5,2.0", task]) == 0
         assert len(calls) == 3
+
+
+def _c2l(z):
+    return [float(z.real), float(z.imag)]
+
+
+def _off_cone(cfg, angles, values_at):
+    cone = scattering._in_forward_cone(cfg.theta, angles)
+    vals = iter(values_at(angles[~cone]).tolist())
+    return [None if inside else next(vals) for inside in cone]
+
+
+def _xsection_per_value(cfg):
+    angles = cli._angle_grid(cfg.angle_count)
+    results = []
+    for k in cfg.k_values:
+        vals = _off_cone(cfg, angles, lambda phi: scattering.cross_section(
+            cfg.params, cfg.alpha, k, cfg.theta, phi))
+        results.append({"k": k, "theta": cfg.theta, "phi": angles.tolist(), "dsigma_dphi": vals,
+                        "forward_excluded": [v is None for v in vals]})
+    cols = ["k", "theta", "phi", "dsigma_dphi", "in_forward_cone"]
+    rows = ([r["k"], r["theta"], phi, "" if v is None else v, v is None]
+            for r in results for phi, v in zip(r["phi"], r["dsigma_dphi"]))
+    return results, cols, rows, [f"forward_cone_halfwidth={scattering.FORWARD_EPSILON}"]
+
+
+def _amplitude_per_value(cfg):
+    angles = cli._angle_grid(cfg.angle_count)
+    results = []
+    for k in cfg.k_values:
+        amp = scattering.amplitude_u(cfg.params, cfg.alpha, k)
+        vals = [None if v is None else _c2l(v)
+                for v in _off_cone(cfg, angles, lambda phi: amp.smooth(cfg.theta, phi))]
+        results.append({"k": k, "theta": cfg.theta, "phi": angles.tolist(), "smooth": vals,
+                        "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
+                        "forward_pv_weight": _c2l(amp.forward_pv_weight),
+                        "notes": list(amp.convention_notes)})
+    cols = ["k", "theta", "phi", "f_re", "f_im", "in_forward_cone"]
+    rows = ([r["k"], r["theta"], phi, *(["", ""] if v is None else v), v is None]
+            for r in results for phi, v in zip(r["phi"], r["smooth"]))
+    return results, cols, rows, []
+
+
+def _eigenfunction_per_value(cfg):
+    angles = cli._angle_grid(cfg.angle_count)
+    points = [[float(r), float(phi)] for r in cfg.radii for phi in angles]
+    results = []
+    for k in cfg.k_values:
+        vals = scattering.psi_u(cfg.params, cfg.alpha, scattering.PlaneWaveChannel(k, cfg.theta),
+                                cfg.radii, angles)
+        results.append({"k": k, "theta": cfg.theta, "points": points,
+                        "psi": [_c2l(v) for v in vals.ravel().tolist()]})
+    cols = ["k", "theta", "r", "phi", "psi_re", "psi_im"]
+    rows = ([r["k"], r["theta"], *p, *v] for r in results for p, v in zip(r["points"], r["psi"]))
+    return results, cols, rows, []
+
+
+def _resolvent_per_value(cfg):
+    angles = cli._angle_grid(cfg.angle_count)
+    points = [[float(r), float(phi)] for r in cfg.radii for phi in angles]
+    results = []
+    for k in cfg.k_values:
+        vals = krein.full_resolvent_kernel(cfg.params, cfg.alpha, complex(k, cfg.k_imag),
+                                           (cfg.radii, angles), cfg.source)
+        results.append({"k": [k, cfg.k_imag], "source": list(cfg.source), "points": points,
+                        "kernel": [_c2l(v) for v in vals.ravel().tolist()]})
+    cols = ["k_re", "k_im", "src_r", "src_phi", "r", "phi", "kernel_re", "kernel_im"]
+    rows = ([*r["k"], *r["source"], *p, *v]
+            for r in results for p, v in zip(r["points"], r["kernel"]))
+    return results, cols, rows, []
+
+
+# The grid tasks as they were first written: one Python value at a time,
+# with the angle grid listed again in every momentum block.
+PER_VALUE_TASKS = {
+    "xsection": _xsection_per_value,
+    "amplitude": _amplitude_per_value,
+    "eigenfunction": _eigenfunction_per_value,
+    "resolvent": _resolvent_per_value,
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", [
+    # two cone points at each end of the grid; one at each, theta below 2 pi
+    ["--theta", "0", "--angles", "10000", "--k", "0.7,1.9", "--radii", "0.5"],
+    ["--theta", repr(2 * PI - 1e-4), "--angles", "4000", "--radii", "0.5"],
+    ["--theta", repr(PI), "--angles", "1"],  # the only angle lies in the cone
+    ["--k", "0.7,1.9,3.1", "--angles", "16", "--radii", "0.5,1.3,2.0", "--k-imag", "0.4"],
+])
+@pytest.mark.parametrize("task", sorted(PER_VALUE_TASKS))
+def test_render_matches_per_value_construction(task, case, fmt, monkeypatch):
+    argv = POINTS["coupled"] + case + ["--format", fmt, task]
+    rc, out, err = run_cli(argv)
+    assert (rc, err) == (0, "")
+    monkeypatch.setitem(cli._TASK_FNS, task, PER_VALUE_TASKS[task])
+    assert run_cli(argv) == (rc, out, err)
+
+
+def test_only_the_cli_freezes_the_import_heap():
+    # the CLI exempts its import-time heap from the collector; the library
+    # leaves the collector as it found it
+    code = """
+import gc, io, sys
+from contextlib import redirect_stdout
+import abx
+print(gc.get_freeze_count())
+from abx import cli
+print(gc.get_freeze_count() > 0)
+for task in ("xsection", "amplitude", "eigenfunction", "resolvent"):
+    outs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            cli.main(sys.argv[1:] + [task])
+        outs.append(buf.getvalue())
+    print(task, outs[0] == outs[1] and outs[0].startswith('{"diagnostics"'))
+"""
+    out = run_python(code, *POINTS["coupled"], "--k", "0.5,2", "--angles", "32", "--radii", "0.5,3")
+    assert out.splitlines() == ["0", "True", "xsection True", "amplitude True",
+                                "eigenfunction True", "resolvent True"]
 
 
 @pytest.mark.parametrize("line", readme_cli_lines())
