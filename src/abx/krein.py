@@ -47,7 +47,7 @@ upper half-plane.  The pieces are:
   D(k) = common * (c1 E + c_alpha E^alpha + c_{1-alpha} E^{1-alpha} + c0),
   E = -k^2, whose roots on the ray k = i kappa are the bound states.  The
   four bracketed coefficients are real; the common factor e^{-i eta}/sin(pi
-  alpha) is kept separate, and ``CCoeffs.terms`` is the one place the
+  alpha) is kept separate, and ``CCoeffs.pairs`` is the one place the
   bracket is written.  ``d_of_k`` cross-checks the coefficient expansion
   against the determinant of the channel system on every call.
 """
@@ -279,11 +279,11 @@ class CCoeffs:
     common_factor: complex
     alpha: float
 
-    def terms(self, power: Callable) -> tuple:
-        """The bracket's four terms c_s power(s) for s = 1, alpha,
-        1 - alpha, 0; with power(s) = E^s, D = common_factor * sum(terms)."""
-        return (self.c1 * power(1.0), self.c_alpha * power(self.alpha),
-                self.c_1malpha * power(1.0 - self.alpha), self.c0 * power(0.0))
+    def pairs(self) -> tuple:
+        """The bracket as (s, c_s) pairs for s = 1, alpha, 1 - alpha, 0:
+        D = common_factor * sum of c_s E^s."""
+        return ((1.0, self.c1), (self.alpha, self.c_alpha),
+                (1.0 - self.alpha, self.c_1malpha), (0.0, self.c0))
 
 
 def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
@@ -312,7 +312,7 @@ def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
     D(k) comes from the coefficient expansion, cross-checked against
     det S."""
     cf = d_coeffs(params, alpha)
-    terms = cf.terms(lambda s: branch_power(k, s))
+    terms = [c * branch_power(k, s) for s, c in cf.pairs()]
     val = cf.common_factor * sum(terms)
     dscale = abs(cf.common_factor) * sum(abs(t) for t in terms)
     pref = p_at_i(params, alpha)

@@ -5,8 +5,10 @@ On the ray k = i kappa the channel determinant becomes the real function
 
     Phi(E) = c1 E + c_alpha E^alpha + c_{1-alpha} E^{1-alpha} + c0,   E = kappa^2,
 
-the bracket of ``krein.CCoeffs.terms`` with real powers E^s, whose
+the bracket of ``krein.CCoeffs.pairs`` with real powers E^s, whose
 positive roots are the bound-state energies -E (there are at most two).
+In t = log E, Phi is a sum of exponentials, and Rolle's theorem brackets
+each of its roots with no search grid (``_sign_changes``).
 ``bound_states`` returns them as a ``SpectralSummary`` of ``BoundState``
 tuples; the essential spectrum is always [0, inf) and is not computed.
 A vanishing constant coefficient c0 marks a threshold solution at E = 0:
@@ -26,11 +28,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from .errors import ConsistencyError
 from .extension import ExtensionParams, as_alpha
 from .krein import d_coeffs
 
@@ -42,9 +44,9 @@ __all__ = [
     "rot_invariant_equations",
 ]
 
-_GRID_DECADES = (-12.0, 8.0)
-_GRID_POINTS = 600
-_ROOT_RTOL = 1e-12
+# log E over the normal floats, up to where c1 E (|c1| <= 2) stays finite
+_LOG_E_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max / 4.0))
+_ROOT_TOL = 1e-12  # bisection width in log E: relative 1e-12 in E
 
 
 class BoundState(NamedTuple):
@@ -67,70 +69,78 @@ class RotInvariantRoots(NamedTuple):
 
 
 def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
-    """All bound states of the selected extension.
-
-    Roots of Phi are located by sign-change bracketing on a 600-point
-    logarithmic grid over E in [1e-12, 1e8] and refined by bisection to
-    relative 1e-12; each root's residual must satisfy
-    |Phi(E)| <= 1e-10 (1 + |c1| E).  More than two roots is a hard
-    internal failure.
+    """All bound states of the selected extension: every root of Phi over
+    the normal float range of E, to relative 1e-12.  More than two roots,
+    a residual above 1e-10 (1 + |c1| E) or all-zero coefficients raise
+    ConsistencyError.
     """
     alpha = as_alpha(alpha)
     cf = d_coeffs(params, alpha)
-    scale = max(abs(cf.c1), abs(cf.c_alpha), abs(cf.c_1malpha), 1.0)
-    if max(abs(cf.c1), abs(cf.c_alpha), abs(cf.c_1malpha), abs(cf.c0)) == 0.0:
+    if max(abs(c) for _, c in cf.pairs()) == 0.0:
         # A unitary channel map cannot zero every coefficient.
-        raise AssertionError("degenerate all-zero determinant coefficients")
-    zero_resonance = abs(cf.c0) <= 1e-12 * scale
-
-    def phi(e):
-        # numpy's power for the grid and the root finder alike: its
-        # vectorized pow and Python's ** can differ in the last bit
-        e = np.asarray(e, dtype=float)
-        return sum(cf.terms(lambda s: e ** s))
-
-    grid = np.logspace(_GRID_DECADES[0], _GRID_DECADES[1], _GRID_POINTS)
-    vals = phi(grid)
-
-    roots: list[float] = []
-    exact = np.flatnonzero(vals == 0.0)
-    roots.extend(float(grid[i]) for i in exact)
-    sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    roots.extend(_bisect(phi, grid[i], grid[i + 1]) for i in sign_change)
-
+        raise ConsistencyError("degenerate all-zero determinant coefficients")
+    zero_resonance = abs(cf.c0) <= 1e-12 * max(abs(cf.c1), abs(cf.c_alpha),
+                                               abs(cf.c_1malpha), 1.0)
+    # A resonance's root sits at E = 0: c0 counts as 0, or the search
+    # reports that root as a bound state at a tiny energy.
+    pairs = [(s, c) for s, c in cf.pairs() if not (s == 0.0 and zero_resonance)]
+    roots = [math.exp(t) for t in _sign_changes(pairs, *_LOG_E_RANGE)]
     if len(roots) > 2:
-        raise AssertionError(
-            f"found {len(roots)} determinant roots; at most two bound states exist"
-        )
+        raise ConsistencyError(f"found {len(roots)} determinant roots; "
+                               "at most two bound states exist")
 
     states = []
-    for e in sorted(roots):
-        resid = abs(float(phi(e)))
+    for e in reversed(roots):
+        resid = abs(sum(c * e ** s for s, c in cf.pairs()))
         tol = 1e-10 * (1.0 + abs(cf.c1) * e)
         if resid > tol:
-            raise AssertionError(
-                f"root residual {resid:.3g} exceeds tolerance {tol:.3g} at E={e}"
-            )
+            raise ConsistencyError(f"root residual {resid:.3g} exceeds tolerance "
+                                   f"{tol:.3g} at E={e}")
         states.append(BoundState(energy=-e, residual=resid))
-    states.sort(key=lambda st: st.energy)
     return SpectralSummary(tuple(states), zero_resonance)
 
 
-def _bisect(phi, lo: float, hi: float) -> float:
-    """The root of phi in a sign-change bracket [lo, hi] with 0 < lo,
-    halved until hi - lo <= _ROOT_RTOL * hi: the last midpoint, or the
-    first midpoint where phi is exactly 0."""
-    lo_negative = phi(lo) < 0.0
-    while hi - lo > _ROOT_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        val = phi(mid)
-        if val == 0.0:
-            return float(mid)
-        if (val < 0.0) == lo_negative:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+def _sign_changes(pairs, lo: float, hi: float) -> list[float]:
+    """Where f(t) = sum of c e^(s t) over the (s, c) pairs changes sign in
+    [lo, hi], ascending, bisected on f's own sign to width _ROOT_TOL.  A
+    turning point where f vanishes to rounding, within n eps sum |c e^(s t)|,
+    is a double root, listed twice.
+
+    With s0 the least exponent, e^(s0 t) d/dt [e^(-s0 t) f(t)] is the sum
+    of c (s - s0) e^(s t), one term fewer.  e^(-s0 t) f is monotone between
+    its sign changes, so each piece they cut holds at most one sign change
+    of f (Rolle; G. J. O. Jameson, Math. Gazette 90 (2006) 223).
+    """
+    pairs = [(s, c) for s, c in pairs if c != 0.0]
+    if len(pairs) < 2:
+        return []
+    s0 = min(s for s, _ in pairs)
+    turns = _sign_changes([(s, c * (s - s0)) for s, c in pairs], lo, hi)
+
+    def f(t):
+        e = math.exp(t)
+        return sum(c * e ** s for s, c in pairs)
+
+    def sign(t) -> int:
+        e = math.exp(t)
+        terms = [c * e ** s for s, c in pairs]
+        val = sum(terms)
+        if abs(val) <= len(terms) * sys.float_info.epsilon * sum(map(abs, terms)):
+            return 0
+        return 1 if val > 0 else -1
+
+    cuts = [lo, *turns, hi]
+    signs = [sign(t) for t in cuts]
+    roots = []
+    for a, b, sa, sb in zip(cuts, cuts[1:], signs, signs[1:]):
+        if sa == 0 and a != lo:
+            roots += [a, a]
+        elif sa * sb < 0:
+            while b - a > _ROOT_TOL:
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if (f(mid) < 0.0) == (sa < 0) else (a, mid)
+            roots.append(0.5 * (a + b))
+    return roots
 
 
 def rot_invariant_equations(params: ExtensionParams, alpha) -> RotInvariantRoots:
@@ -148,25 +158,15 @@ def rot_invariant_equations(params: ExtensionParams, alpha) -> RotInvariantRoots
     beta, omega = (params.eta + tau) / 2.0, (params.eta - tau) / 2.0
     half = math.pi * alpha / 2.0
 
-    s_num = math.cos(beta + half)
-    s_den = math.cos(beta)
-    p_num = math.sin(half - omega)
-    p_den = math.cos(omega)
+    def root(num: float, den: float, power: float) -> float | None:
+        if abs(num) <= 1e-12 or abs(den) <= 1e-300 or num / den <= 0.0:
+            return None
+        try:
+            return (num / den) ** power
+        except OverflowError:
+            return math.inf
 
-    resonance = abs(s_num) <= 1e-12 or abs(p_num) <= 1e-12
-
-    s_root = None
-    if abs(s_num) > 1e-12 and abs(s_den) > 1e-300 and s_num / s_den > 0.0:
-        s_root = _power_or_inf(s_num / s_den, 1.0 / alpha)
-    p_root = None
-    if abs(p_num) > 1e-12 and abs(p_den) > 1e-300 and p_num / p_den > 0.0:
-        p_root = _power_or_inf(p_num / p_den, 1.0 / (1.0 - alpha))
-    return RotInvariantRoots(s_root, p_root, resonance)
-
-
-def _power_or_inf(base: float, exponent: float) -> float:
-    """base ** exponent, or math.inf where it overflows double precision."""
-    try:
-        return base ** exponent
-    except OverflowError:
-        return math.inf
+    s_num, p_num = math.cos(beta + half), math.sin(half - omega)
+    return RotInvariantRoots(root(s_num, math.cos(beta), 1.0 / alpha),
+                             root(p_num, math.cos(omega), 1.0 / (1.0 - alpha)),
+                             abs(s_num) <= 1e-12 or abs(p_num) <= 1e-12)

@@ -7,7 +7,7 @@ import cmath
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abx.errors import NearEigenvalueError
@@ -126,6 +126,32 @@ def test_at_most_two_bound_states(params, alpha):
     states = bound_states(params, alpha).bound_states
     assert len(states) <= 2
     assert all(s.energy < 0 for s in states)
+
+
+@SETTINGS
+@given(params=family_points(), alpha=alphas)
+# roots at E = 8.6e-21, 6.3e11 and 3.4e34, outside [1e-12, 1e8]
+@example(params=ExtensionParams(-2.7981030934177733, complex(0.2854052740018998, -0.39949391530294553),
+                                complex(0.7492759125522531, 0.4444480262942021)),
+         alpha=0.0526882677891561)
+@example(params=ExtensionParams(-1.5556811339879093, complex(-0.012364599671708647, 0.5491565350868273),
+                                complex(-0.767223700688362, -0.3311223486091562)),
+         alpha=0.13002502669870544)
+@example(params=ExtensionParams(-2.0830681831145768, complex(0.4924376443554225, 0.7147190147160194),
+                                complex(0.49417772798350634, 0.04970180670865497)),
+         alpha=0.9492844304269469)
+def test_coupled_bound_states_zero_the_channel_system(params, alpha):
+    # a second route besides the coefficient expansion: at k = i sqrt(E) the
+    # channel system S = 1 + (k^2 - i) p(k0) A(k, k0) of krein._channel_system,
+    # built here from the same factors without that function's own
+    # cross-check (which refuses near a root once |k| is large), is singular
+    assume(params.b != 0)
+    pref = p_at_i(params, alpha)
+    for state in bound_states(params, alpha).bound_states:
+        k = as_wavenumber(1j * math.sqrt(-state.energy))
+        system = np.eye(2) + (k.k ** 2 - 1j) * (pref @ a_matrix(alpha, k, REFERENCE_K))
+        det = system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0]
+        assert abs(det) <= 1e-9 * (1.0 + np.abs(system).max() ** 2)
 
 
 def test_near_regular_point_answers():

@@ -2,16 +2,18 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from abx.errors import ConsistencyError
 from abx.extension import ExtensionParams
 from abx.cli import main
 from abx.krein import d_coeffs
-from abx.spectrum import _GRID_DECADES, _GRID_POINTS, bound_states, rot_invariant_equations
+from abx.spectrum import _LOG_E_RANGE, bound_states, rot_invariant_equations
 
 from _oracles import random_params
 
@@ -49,12 +51,16 @@ class TestBoundStates:
         assert s.bound_states[0].energy == pytest.approx(want, rel=1e-12)
 
     def test_boundary_root_reported_as_resonance_not_state(self):
-        # omega = pi alpha/2 puts the p-wave root exactly at E = 0
-        alpha = 0.4
-        omega, beta = PI * alpha / 2, 0.9
-        s = bound_states(_rot_params(beta + omega, beta - omega), alpha)
-        assert s.zero_resonance
-        assert all(st.energy < 0 for st in s.bound_states)
+        # omega = pi alpha/2 puts the p-wave root exactly at E = 0: a
+        # resonance, not a bound state at a tiny energy
+        for alpha, beta in ((0.4, 0.9), (0.2, 0.9), (0.4, 2.0), (0.77, 0.3), (0.77, -0.5)):
+            params = _rot_params(beta + PI * alpha / 2, beta - PI * alpha / 2)
+            s = bound_states(params, alpha)
+            assert s.zero_resonance
+            roots = rot_invariant_equations(params, alpha)
+            closed = sorted(r for r in (roots.s_wave_root, roots.p_wave_root) if r is not None)
+            got = sorted(-st.energy for st in s.bound_states)
+            assert got == pytest.approx(closed, rel=1e-10), (alpha, beta)
 
     def test_residuals_within_tolerance(self):
         rng = np.random.default_rng(21)
@@ -66,32 +72,49 @@ class TestBoundStates:
             for st in s.bound_states:
                 assert st.residual <= 1e-10 * (1.0 + abs(st.energy))
 
-    def test_no_missed_roots_on_refined_grid(self):
-        # doubling the scan grid finds the same root set
-        from abx.krein import d_coeffs
-
-        rng = np.random.default_rng(22)
-        for _ in range(25):
-            eta, a, b = random_params(rng)
-            params = ExtensionParams(eta, a, b)
-            alpha = float(rng.uniform(0.05, 0.95))
-            cf = d_coeffs(params, alpha)
-            got = sorted(-st.energy for st in bound_states(params, alpha).bound_states)
-            grid = np.logspace(-12, 8, 1200)
-            vals = (cf.c1 * grid + cf.c_alpha * grid**alpha
-                    + cf.c_1malpha * grid ** (1 - alpha) + cf.c0)
-            brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-            assert len(brackets) == len(got)
-            for i, e in zip(brackets, got):
-                assert grid[i] <= e <= grid[i + 1]
-
     def test_continuity_under_small_perturbation(self):
-        base = bound_states(ExtensionParams.mixing(0.3), 0.5)
-        e0 = base.bound_states[0].energy
-        for d_eta in (1e-6, -1e-6):
-            s = bound_states(ExtensionParams.mixing(0.3, eta=d_eta), 0.5)
-            assert len(s.bound_states) == 1
-            assert abs(s.bound_states[0].energy - e0) <= 1e-5
+        # the E = -2 state barely moves; eta = -1e-6 lifts the zero-energy
+        # resonance into a shallow state at E = -(c0 / (c_alpha + c_{1-alpha}))^2
+        # (Phi is linear in sqrt(E) there), eta = +1e-6 into none
+        e0 = bound_states(ExtensionParams.mixing(0.3), 0.5).bound_states[0].energy
+        for d_eta, shallow in ((1e-6, False), (-1e-6, True)):
+            params = ExtensionParams.mixing(0.3, eta=d_eta)
+            states = bound_states(params, 0.5).bound_states
+            assert len(states) == 1 + shallow
+            assert abs(states[0].energy - e0) <= 1e-5
+            if shallow:
+                cf = d_coeffs(params, 0.5)
+                want = -((cf.c0 / (cf.c_alpha + cf.c_1malpha)) ** 2)
+                assert states[1].energy == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("eta", [-0.7, 0.0, 0.3, 1.0])
+    def test_degenerate_pair_at_half_flux(self, eta):
+        # alpha = 1/2, a = 1, b = 0: the s- and p-wave equations coincide, so
+        # Phi touches zero without changing sign; the double root is Phi's
+        # turning point, reported as two states
+        params = _rot_params(eta, 0.0)
+        roots = rot_invariant_equations(params, 0.5)
+        assert roots.s_wave_root == pytest.approx(roots.p_wave_root, rel=1e-14)
+        states = bound_states(params, 0.5).bound_states
+        assert [-st.energy for st in states] == pytest.approx([roots.s_wave_root] * 2, rel=1e-10)
+
+    @pytest.mark.parametrize("eta, tau, alpha", [
+        (-0.39680979775436565, -2.7447828558354272, 0.7473830379376531),
+        (-0.2553771657851682, -2.886215487804625, 0.8374218468499681),
+        (-0.4462252574567822, -2.695367396133011, 0.7159241781731979),
+    ])
+    def test_unresolvable_huge_root_exits_cleanly(self, eta, tau, alpha, capsys):
+        # c1 rounds to 0 here, and the float coefficients cannot place the
+        # closed-form root of order 1e20: the residual check refuses with a
+        # ConsistencyError (exit 3), never an AssertionError (a traceback)
+        params = _rot_params(eta, tau)
+        try:
+            bound_states(params, alpha)
+        except ConsistencyError:
+            pass
+        a = f"--a={params.a.real!r},{params.a.imag!r}"
+        assert main([f"--eta={eta!r}", a, "--b=0,0", f"--alpha={alpha!r}", "spectrum"]) in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestRotInvariantFactorization:
@@ -146,24 +169,47 @@ class TestRotInvariantFactorization:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(eta=st.floats(-PI, PI), tau=st.floats(-PI, PI), alpha=st.floats(0.02, 0.98))
     def test_refined_roots_match_closed_form(self, eta, tau, alpha):
-        # the grid brackets and bisection refines: every closed-form root
-        # inside the grid range comes back to 1e-10 relative
+        # every closed-form root in the searched range of normal floats comes
+        # back to 1e-10 relative, plus eps times the root's condition number
+        # sum E^s / |E Phi'(E)|: |a| = 1 holds only to rounding, and at eta = 0,
+        # tau = pi - 2.5e-4, alpha = 1/2 that alone moves Phi's exact root 1.2e-9
+        # off the closed form.  An exact double root (alpha = 1/2, tau = 0) is a
+        # simple root of Phi', found to 1e-10 as well.
         params = _rot_params(eta, tau)
         roots = rot_invariant_equations(params, alpha)
         assume(not roots.zero_resonance)
-        grid = np.logspace(*_GRID_DECADES, _GRID_POINTS)
+        lo, hi = map(math.exp, _LOG_E_RANGE)
         closed = sorted(r for r in (roots.s_wave_root, roots.p_wave_root)
-                        if r is not None and grid[0] <= r <= grid[-1])
-        # two roots in one grid cell show no sign change: the grid's known blind spot
-        assume(len(set(np.searchsorted(grid, closed))) == len(closed))
+                        if r is not None and lo <= r <= hi)
         states = bound_states(params, alpha).bound_states
         general = sorted(-s.energy for s in states)
         assert len(general) == len(closed)
+        cf = d_coeffs(params, alpha)
         for c, g in zip(closed, general):
-            assert abs(g - c) <= 1e-10 * c
-        c1 = d_coeffs(params, alpha).c1
+            slope = abs(sum(s * cs * c ** s for s, cs in cf.pairs()))
+            kappa = sum(c ** s for s, _ in cf.pairs()) / slope if slope else 0.0
+            assert abs(g - c) <= (1e-10 + sys.float_info.epsilon * kappa) * c
         for state in states:
-            assert state.residual <= 1e-10 * (1.0 + abs(c1) * -state.energy)
+            assert state.residual <= 1e-10 * (1.0 + abs(cf.c1) * -state.energy)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.02, 0.98), log_e=st.floats(-1.0, 1.0),
+           log_delta=st.floats(-3.0, -1.0))
+    def test_close_pair_both_found(self, alpha, log_e, log_delta):
+        # b = 0 built from target roots E_s and E_p = E_s (1 + delta):
+        # tan beta = (cos h - E_s^alpha)/sin h, tan omega = (sin h - E_p^(1-alpha))/cos h
+        # with h = pi alpha/2; both roots come back, relative gap down to 1e-3
+        e_s = 10.0 ** log_e
+        e_p = e_s * (1.0 + 10.0 ** log_delta)
+        h = PI * alpha / 2
+        beta = math.atan((math.cos(h) - e_s ** alpha) / math.sin(h))
+        omega = math.atan((math.sin(h) - e_p ** (1.0 - alpha)) / math.cos(h))
+        params = _rot_params(beta + omega, beta - omega)
+        roots = rot_invariant_equations(params, alpha)
+        closed = sorted((roots.s_wave_root, roots.p_wave_root))
+        assert closed == pytest.approx(sorted((e_s, e_p)), rel=1e-12)
+        general = sorted(-s.energy for s in bound_states(params, alpha).bound_states)
+        assert general == pytest.approx(closed, rel=1e-10)
 
 
 class TestSpectralReport:
