@@ -238,7 +238,7 @@ def _param_header(cfg: RunConfig) -> dict:
         "eta": p.eta,
         "a": _c2l(p.a),
         "b": _c2l(p.b),
-        "class": classify(p).kind.value,
+        "class": classify(p).value,
     }
 
 

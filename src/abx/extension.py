@@ -14,8 +14,8 @@ Hamiltonian; b = 0 gives the rotationally invariant extensions; b != 0
 couples the two channels, so angular momentum is no longer conserved.
 
 This module holds the parameter types with their validation, the unitary
-matrix and its inverse parametrization, and the order and normalization
-constant of each channel's radial deficiency elements
+matrix, and the order and normalization constant of each channel's radial
+deficiency elements
 
     xi0_pm(r)  = N r^{1/2} K_alpha(e^{-+i pi/4} r)        (s-wave)
     xim1_pm(r) = M r^{1/2} K_{1-alpha}(e^{-+i pi/4} r)    (p-wave)
@@ -47,11 +47,8 @@ __all__ = [
     "ALPHA_MAX",
     "ExtensionParams",
     "ExtensionKind",
-    "ExtensionClass",
     "as_alpha",
     "build_u_matrix",
-    "u_matrix_params",
-    "canonical_params",
     "classify",
 ]
 
@@ -131,48 +128,6 @@ def build_u_matrix(params: ExtensionParams) -> np.ndarray:
     return phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
-def _is_canonical(a: complex, b: complex) -> bool:
-    ref = a if abs(a) > _CLASS_TOL else b
-    if abs(ref.real) > _CLASS_TOL:
-        return ref.real > 0.0
-    return ref.imag > 0.0
-
-
-def canonical_params(params: ExtensionParams) -> ExtensionParams:
-    """Fix the (eta, a, b) <-> (eta + pi, -a, -b) redundancy.
-
-    Canonical representatives have Re(a) > 0, falling back to Im(a) > 0,
-    then to the same test on b when a = 0.
-    """
-    if _is_canonical(params.a, params.b):
-        return params
-    return ExtensionParams(params.eta + math.pi, -params.a, -params.b)
-
-
-def u_matrix_params(u) -> ExtensionParams:
-    """Recover canonical (eta, a, b) from a 2x2 array-like of the stated
-    form."""
-    m = np.asarray(u, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(abs(det) - 1.0) > 1e-9:
-        raise ValueError(f"matrix is not unitary: |det| = {abs(det):.6g}")
-    eta = cmath.phase(det) / 2.0
-    phase = cmath.exp(-1j * eta)
-    a = m[0, 0] * phase
-    b = m[1, 0] * phase
-    resid = max(
-        abs(m[0, 1] * phase + b.conjugate()),
-        abs(m[1, 1] * phase - a.conjugate()),
-    )
-    if resid > 1e-9:
-        raise ValueError(
-            f"matrix does not have the channel-map form (residual {resid:.3g})"
-        )
-    return canonical_params(ExtensionParams(eta, a, b))
-
-
 def _channel_order_norm(channel: int, alpha: float) -> tuple[float, float]:
     """The channel's order nu and normalization constant, N (s-wave) or M
     (p-wave), at an alpha already checked by as_alpha."""
@@ -181,7 +136,7 @@ def _channel_order_norm(channel: int, alpha: float) -> tuple[float, float]:
     return 1.0 - alpha, math.sqrt(2.0 * math.sin(math.pi * alpha / 2.0)) / math.pi
 
 
-def classify(params: ExtensionParams) -> "ExtensionClass":
+def classify(params: ExtensionParams) -> ExtensionKind:
     """Partition parameter space by the structure of the channel map.
 
     Classification happens on the matrix itself, so the redundant
@@ -190,19 +145,13 @@ def classify(params: ExtensionParams) -> "ExtensionClass":
     u = build_u_matrix(params)
     off = max(abs(u[0, 1]), abs(u[1, 0]))
     if off > _CLASS_TOL:
-        return ExtensionClass(ExtensionKind.MIXING, None)
+        return ExtensionKind.MIXING
     if abs(u[0, 0] + 1.0) <= _CLASS_TOL and abs(u[1, 1] + 1.0) <= _CLASS_TOL:
-        return ExtensionClass(ExtensionKind.AB, None)
-    return ExtensionClass(ExtensionKind.ROTATIONALLY_INVARIANT, cmath.phase(params.a))
+        return ExtensionKind.AB
+    return ExtensionKind.ROTATIONALLY_INVARIANT
 
 
 class ExtensionKind(enum.Enum):
     AB = "AB"
     ROTATIONALLY_INVARIANT = "rotationally_invariant"
     MIXING = "mixing"
-
-
-@dataclass(frozen=True)
-class ExtensionClass:
-    kind: ExtensionKind
-    tau: float | None = None

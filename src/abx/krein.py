@@ -84,6 +84,8 @@ REFERENCE_K = UpperHalfK(cmath.exp(1j * math.pi / 4))
 
 _CHANNELS = (0, -1)
 _DUAL_PATH_TOL = 1e-10
+# A 2x2 solve errs by up to a small multiple of cond(S) eps; this is the multiple.
+_SOLVE_ERROR_FACTOR = 16.0
 _COINCIDENCE_TOL = 1e-12
 # Largest orders x (radii or angles) array a partial-wave sum may build:
 # 1.6e7 complex elements, 256 MB.
@@ -310,7 +312,8 @@ def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
     |common factor| * (sum of the moduli of D's four terms), p(k0) and the
     channel system S = 1 + (k^2 - i) p(k0) A(k, k0), with S p(k) = p(k0).
     D(k) comes from the coefficient expansion, cross-checked against
-    det S."""
+    det S to 1e-10 of the larger route's terms, dscale or
+    |S00 S11| + |S01 S10|."""
     cf = d_coeffs(params, alpha)
     terms = [c * branch_power(k, s) for s, c in cf.pairs()]
     val = cf.common_factor * sum(terms)
@@ -318,9 +321,10 @@ def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
     pref = p_at_i(params, alpha)
     amat = a_matrix(alpha, k, REFERENCE_K)
     system = np.eye(2) + (k.k * k.k - 1j) * (pref @ amat)
-    det = complex(system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0])
-    scale = max(abs(val), abs(det), 1e-300)
-    if abs(val - det) > _DUAL_PATH_TOL * max(scale, 1.0):
+    diag, cross = system[0, 0] * system[1, 1], system[0, 1] * system[1, 0]
+    det = complex(diag - cross)
+    # Each route rounds at the size of its own terms: D's four and det S's two.
+    if abs(val - det) > _DUAL_PATH_TOL * max(dscale, abs(diag) + abs(cross)):
         raise ConsistencyError(
             f"determinant paths disagree at k={k.k}: {val} vs {det}"
         )
@@ -343,8 +347,9 @@ def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
     Raises NearEigenvalueError when |D(k)| is below 1e-12 times the sum
     of the moduli of D's four terms, |(-k^2)^s| = |k|^{2s}, and when the
     paths disagree because the channel system is too ill-conditioned for
-    the inversion to reach 1e-10 (condition number times machine epsilon
-    above 1e-10, as next to a zero-energy resonance).
+    the inversion to reach 1e-10 (16 times the condition number times
+    machine epsilon above 1e-10, as next to a zero-energy resonance or a
+    deep bound state).
     """
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
@@ -377,7 +382,7 @@ def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
     scale = abs(half) * math.hypot(*sizes, abs(b), abs(b))
     if math.hypot(*np.abs(closed - inverted).flat) > _DUAL_PATH_TOL * scale:
         cond = float(np.linalg.cond(system))
-        if cond * np.finfo(float).eps > _DUAL_PATH_TOL:
+        if _SOLVE_ERROR_FACTOR * cond * np.finfo(float).eps > _DUAL_PATH_TOL:
             raise NearEigenvalueError(k.k, dval, condition=cond)
         raise ConsistencyError(
             f"coupling-matrix paths disagree at k={k.k}: "

@@ -1,5 +1,4 @@
-"""Bound states, zero-energy resonances, and the rotationally invariant
-factorization.
+"""Bound states and zero-energy resonances.
 
 On the ray k = i kappa the channel determinant becomes the real function
 
@@ -13,20 +12,10 @@ each of its roots with no search grid (``_sign_changes``).
 tuples; the essential spectrum is always [0, inf) and is not computed.
 A vanishing constant coefficient c0 marks a threshold solution at E = 0:
 a zero-energy resonance, never reported as a bound state.
-
-For rotationally invariant parameters (b = 0, a = e^{i tau}) the same
-determinant factorizes into s-wave and p-wave pieces controlled by
-beta = (eta + tau)/2 and omega = (eta - tau)/2:
-
-    s-wave:  E^alpha cos(beta) = cos(beta + pi alpha/2)
-    p-wave:  E^{1-alpha} cos(omega) = sin(pi alpha/2 - omega)
-
-and the closed-form roots must coincide with the general root finder.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -39,9 +28,7 @@ from .krein import d_coeffs
 __all__ = [
     "BoundState",
     "SpectralSummary",
-    "RotInvariantRoots",
     "bound_states",
-    "rot_invariant_equations",
 ]
 
 # log E over the normal floats, up to where c1 E (|c1| <= 2) stays finite
@@ -59,12 +46,6 @@ class SpectralSummary:
     """Point spectrum summary; the essential spectrum is always [0, inf)."""
 
     bound_states: tuple[BoundState, ...]
-    zero_resonance: bool
-
-
-class RotInvariantRoots(NamedTuple):
-    s_wave_root: float | None
-    p_wave_root: float | None
     zero_resonance: bool
 
 
@@ -141,32 +122,3 @@ def _sign_changes(pairs, lo: float, hi: float) -> list[float]:
                 a, b = (mid, b) if (f(mid) < 0.0) == (sa < 0) else (a, mid)
             roots.append(0.5 * (a + b))
     return roots
-
-
-def rot_invariant_equations(params: ExtensionParams, alpha) -> RotInvariantRoots:
-    """Closed-form s- and p-wave roots for b = 0.
-
-    A bracket ratio <= 0 yields no root in that wave; a vanishing
-    numerator puts the root exactly at E = 0, reported as a resonance
-    rather than a root.  A root beyond the double range is math.inf.
-    b != 0 is rejected.
-    """
-    alpha = as_alpha(alpha)
-    if abs(params.b) > 1e-12:
-        raise ValueError("rot_invariant_equations requires b = 0")
-    tau = cmath.phase(params.a)
-    beta, omega = (params.eta + tau) / 2.0, (params.eta - tau) / 2.0
-    half = math.pi * alpha / 2.0
-
-    def root(num: float, den: float, power: float) -> float | None:
-        if abs(num) <= 1e-12 or abs(den) <= 1e-300 or num / den <= 0.0:
-            return None
-        try:
-            return (num / den) ** power
-        except OverflowError:
-            return math.inf
-
-    s_num, p_num = math.cos(beta + half), math.sin(half - omega)
-    return RotInvariantRoots(root(s_num, math.cos(beta), 1.0 / alpha),
-                             root(p_num, math.cos(omega), 1.0 / (1.0 - alpha)),
-                             abs(s_num) <= 1e-12 or abs(p_num) <= 1e-12)

@@ -4,9 +4,11 @@ Extended-precision series evaluation of the Bessel family (hand-rolled
 ascending series in mpmath arithmetic at 40 digits, cross-checked against
 mpmath's own implementations), the radial deficiency elements with their
 normalization constants and norms, a finite-difference application of
-the flux Hamiltonian, quadrature helpers, and the paper's hand-written
-table of eigenfunction corrections.  Nothing here is imported by the
-package; oracles must stay independent of the paths they check.
+the flux Hamiltonian, quadrature helpers, the paper's hand-written table
+of eigenfunction corrections, the closed-form bound states of the
+rotationally invariant extensions, and the inverse of the unitary channel
+map.  Nothing here is imported by the package; oracles must stay
+independent of the paths they check.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 from scipy import integrate as _integrate
+
+from abx.extension import ExtensionParams
 
 mp.mp.dps = 40
 
@@ -202,3 +206,90 @@ def random_params(rng) -> tuple[float, complex, complex]:
         complex(g[0], g[1]) / n,
         complex(g[2], g[3]) / n,
     )
+
+
+class RotInvariantRoots(NamedTuple):
+    s_wave_root: float | None
+    p_wave_root: float | None
+    zero_resonance: bool
+
+
+def rot_invariant_equations(params, alpha) -> RotInvariantRoots:
+    """Closed-form s- and p-wave bound-state energies |E| for b = 0.
+
+    For rotationally invariant parameters (b = 0, a = e^{i tau}) the
+    channel determinant factorizes into s-wave and p-wave pieces
+    controlled by beta = (eta + tau)/2 and omega = (eta - tau)/2:
+
+        s-wave:  E^alpha cos(beta) = cos(beta + pi alpha/2)
+        p-wave:  E^{1-alpha} cos(omega) = sin(pi alpha/2 - omega)
+
+    A bracket ratio <= 0 yields no root in that wave; a vanishing
+    numerator puts the root exactly at E = 0, reported as a resonance
+    rather than a root.  A root beyond the double range is math.inf.
+    b != 0 is rejected.  Reads only params.eta, .a and .b.
+    """
+    alpha = float(alpha)
+    if abs(params.b) > 1e-12:
+        raise ValueError("rot_invariant_equations requires b = 0")
+    tau = cmath.phase(params.a)
+    beta, omega = (params.eta + tau) / 2.0, (params.eta - tau) / 2.0
+    half = math.pi * alpha / 2.0
+
+    def root(num: float, den: float, power: float) -> float | None:
+        if abs(num) <= 1e-12 or abs(den) <= 1e-300 or num / den <= 0.0:
+            return None
+        try:
+            return (num / den) ** power
+        except OverflowError:
+            return math.inf
+
+    s_num, p_num = math.cos(beta + half), math.sin(half - omega)
+    return RotInvariantRoots(root(s_num, math.cos(beta), 1.0 / alpha),
+                             root(p_num, math.cos(omega), 1.0 / (1.0 - alpha)),
+                             abs(s_num) <= 1e-12 or abs(p_num) <= 1e-12)
+
+
+_CANONICAL_TOL = 1e-12
+
+
+def _is_canonical(a: complex, b: complex) -> bool:
+    ref = a if abs(a) > _CANONICAL_TOL else b
+    if abs(ref.real) > _CANONICAL_TOL:
+        return ref.real > 0.0
+    return ref.imag > 0.0
+
+
+def canonical_params(params: ExtensionParams) -> ExtensionParams:
+    """Fix the (eta, a, b) <-> (eta + pi, -a, -b) redundancy.
+
+    Canonical representatives have Re(a) > 0, falling back to Im(a) > 0,
+    then to the same test on b when a = 0.
+    """
+    if _is_canonical(params.a, params.b):
+        return params
+    return ExtensionParams(params.eta + math.pi, -params.a, -params.b)
+
+
+def u_matrix_params(u) -> ExtensionParams:
+    """Recover canonical (eta, a, b) from a 2x2 array-like of the form
+    e^{i eta} [[a, -conj b], [b, conj a]]."""
+    m = np.asarray(u, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if abs(abs(det) - 1.0) > 1e-9:
+        raise ValueError(f"matrix is not unitary: |det| = {abs(det):.6g}")
+    eta = cmath.phase(det) / 2.0
+    phase = cmath.exp(-1j * eta)
+    a = m[0, 0] * phase
+    b = m[1, 0] * phase
+    resid = max(
+        abs(m[0, 1] * phase + b.conjugate()),
+        abs(m[1, 1] * phase - a.conjugate()),
+    )
+    if resid > 1e-9:
+        raise ValueError(
+            f"matrix does not have the channel-map form (residual {resid:.3g})"
+        )
+    return canonical_params(ExtensionParams(eta, a, b))

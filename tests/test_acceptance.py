@@ -30,9 +30,10 @@ from abx.scattering import (
     psi_u,
 )
 from abx.specfun import UpperHalfK, hankel1_orders
-from abx.spectrum import bound_states, rot_invariant_equations
+from abx.spectrum import bound_states
 
-from _oracles import apply_flux_operator, inner_product_2d, observed_orders, random_params
+from _oracles import (apply_flux_operator, inner_product_2d, observed_orders, random_params,
+                      rot_invariant_equations)
 
 PI = math.pi
 

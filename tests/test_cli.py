@@ -53,7 +53,7 @@ class TestParse:
         assert cfg.params.b == 1.0 + 0j
         from abx.extension import ExtensionKind, classify
 
-        assert classify(cfg.params).kind is ExtensionKind.MIXING
+        assert classify(cfg.params) is ExtensionKind.MIXING
 
     def test_norm_violation_rejected(self):
         with pytest.raises(ValueError, match="0.82"):
@@ -121,6 +121,19 @@ class TestRun:
             "--angles", "2", "--radii", "1.0", "resolvent"])
         assert rc == 3
         assert "eigenvalue" in capsys.readouterr().err
+
+    def test_deep_bound_state_resolvent_refused_as_near_eigenvalue(self):
+        # Im k next to a bound state at E = -1.5e7: the two determinant routes
+        # differ by 1.4e-9, within 1e-10 of their terms, and the p(k)
+        # inversion is what cannot be trusted
+        rc, out, err = run_cli([
+            "--alpha=0.8748531859059256", "--eta=-2.3042044473273635",
+            "--a=0.6982450357113406,0.2769484608386118",
+            "--b=-0.39714222951110406,-0.5272868950415345", "--k=1e-3",
+            "--k-imag=3833.47883856233", "--radii=0.001", "--angles=4", "resolvent"])
+        assert rc == 3 and out == ""
+        assert "near an eigenvalue" in err and "condition number" in err
+        assert "disagree" not in err
 
     def test_xsection_csv_matches_classical(self, capsys):
         # note the --a=-1,0 form: a leading dash needs the = syntax

@@ -2,6 +2,7 @@
 coupling/determinant checks, resolvent identity, adjoint symmetry."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.special import jv as sp_jv
 from scipy.special import jve as sp_jve
 
 from abx import krein
-from abx.errors import NearEigenvalueError
+from abx.errors import ConsistencyError, NearEigenvalueError
 from abx.extension import ExtensionParams
 from abx.krein import (
     REFERENCE_K,
@@ -29,6 +30,7 @@ from abx.krein import (
     p_of_k,
 )
 from abx.specfun import UpperHalfK, branch_power
+from abx.spectrum import bound_states
 
 from _oracles import (
     DeficiencyElement,
@@ -294,6 +296,70 @@ class TestCouplingMatrix:
                 dy = (fn(k0 + 1j * h) - fn(k0 - 1j * h)) / (2 * h)
                 resid.append(abs(dx + 1j * dy))
             assert min(observed_orders(resid)) >= 1.8, resid
+
+
+# (alpha, eta, a, b, kappa) with k = i kappa next to a bound state, where the
+# dual-path checks once took the solve's own rounding for an inconsistency:
+# two deep states (the determinant check) and two ill-conditioned p(k)
+# inversions with cond(S) eps just below 1e-10 (the coupling-matrix check)
+NEAR_STATE_POINTS = [
+    (0.7626200716810304, -2.290089074072119, 0.6590495893007804 - 0.06959740740343406j,
+     -0.4268941835854936 - 0.6152813955793462j, 3416036.0032670563),
+    (0.8895298196813043, -2.097745317702741, 0.508810271837091 - 0.33259353651419965j,
+     -0.7326708508054283 - 0.3060834381702043j, 325297.7194417381),
+    (0.30573854133862644, 1.594292780994933, -0.1706892052874662 - 0.49229169198055983j,
+     -0.6402226042838172 + 0.5644724104589146j, 0.8130762541081215),
+    (0.14696448252419742, 1.8211286492046739, 0.2563086312950688 - 0.7126982741571113j,
+     0.5994476423731662 - 0.25890071376953777j, 0.6842365888163722),
+]
+
+
+class TestRefusals:
+    """Next to a bound state p(k) either returns or refuses as near an
+    eigenvalue; a ConsistencyError there would be a false internal fault."""
+
+    @pytest.mark.parametrize("alpha, eta, a, b, kappa", NEAR_STATE_POINTS)
+    def test_pinned_point_refused_as_near_eigenvalue(self, alpha, eta, a, b, kappa):
+        with pytest.raises(NearEigenvalueError, match="condition number"):
+            p_of_k(ExtensionParams(eta, a, b), alpha, UpperHalfK(1j * kappa))
+
+    def test_sweep_next_to_bound_states(self):
+        # k = i sqrt(|E|) (1 + delta), delta = +-10^u with u uniform in [-8, -1]
+        rng = np.random.default_rng(1)
+        calls = refused = 0
+        for _ in range(300):
+            eta, a, b = random_params(rng)
+            params = ExtensionParams(eta, a, b)
+            alpha = float(rng.uniform(0.05, 0.95))
+            for state in bound_states(params, alpha).bound_states:
+                delta = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-8.0, -1.0)
+                k = UpperHalfK(1j * math.sqrt(-state.energy) * (1.0 + delta))
+                calls += 1
+                try:
+                    p_of_k(params, alpha, k)
+                except NearEigenvalueError:
+                    refused += 1
+        assert calls >= 300 and 0 < refused < calls
+
+    def test_corrupted_route_at_well_conditioned_point(self, monkeypatch):
+        # a 1e-8 error in either route of a well-conditioned solve is still
+        # an internal fault, not a refusal
+        k = UpperHalfK(1.2 + 1.5j)
+        _, _, _, system = krein._channel_system(MIXING, 0.45, k)
+        assert np.linalg.cond(system) < 1e3
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, v: solve(m, v) * (1.0 + 1e-8))
+        with pytest.raises(ConsistencyError, match="coupling-matrix paths disagree"):
+            p_of_k(MIXING, 0.45, k)
+        monkeypatch.undo()
+
+        def shifted(params, alpha):
+            cf = d_coeffs(params, alpha)
+            return dataclasses.replace(cf, c0=cf.c0 + 1e-8)
+
+        monkeypatch.setattr(krein, "d_coeffs", shifted)
+        with pytest.raises(ConsistencyError, match="determinant paths disagree"):
+            p_of_k(MIXING, 0.45, k)
 
 
 class TestDeterminant:

@@ -58,7 +58,7 @@ def _mirror(params: ExtensionParams) -> ExtensionParams:
 def test_both_representations_agree(params, alpha, log_k, arg_k):
     # (eta, a, b) and (eta + pi, -a, -b) are the same channel map U
     mirror = _mirror(params)
-    assert classify(mirror).kind is classify(params).kind
+    assert classify(mirror) is classify(params)
     k = as_wavenumber(10.0 ** log_k * cmath.exp(1j * arg_k))
     try:
         p, q = p_of_k(params, alpha, k), p_of_k(mirror, alpha, k)

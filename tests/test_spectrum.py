@@ -13,9 +13,9 @@ from abx.errors import ConsistencyError
 from abx.extension import ExtensionParams
 from abx.cli import main
 from abx.krein import d_coeffs
-from abx.spectrum import _LOG_E_RANGE, bound_states, rot_invariant_equations
+from abx.spectrum import _LOG_E_RANGE, bound_states
 
-from _oracles import random_params
+from _oracles import random_params, rot_invariant_equations
 
 PI = math.pi
 
