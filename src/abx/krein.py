@@ -15,7 +15,8 @@ channel element as the column:
 
 by H2_nu(z e^{-i pi}) = -e^{i nu pi} H1_nu(z) (DLMF 10.11.4); the second
 form is continuous onto the real axis, so it serves the whole closed
-upper half-plane.  The pieces are:
+upper half-plane.  ``_rank_two`` forms the sum, here and, in its far
+limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
 
 * ``ab_resolvent_kernel`` -- the reference kernel, a partial-wave sum
   (i/4) sum_m e^{i m (phi - zeta)} J_{|m+alpha|}(k r_min) H1_{|m+alpha|}(k r_max).
@@ -202,9 +203,7 @@ class AnalyticBasisElement:
 
     def __call__(self, r, phi):
         rad = self.prefactor * hankel1_orders(self.nu, self.k.k * np.asarray(r))
-        if self.channel == 0:
-            return _unwrap(rad)
-        return _unwrap(rad * np.exp(-1j * np.asarray(phi)))
+        return _unwrap(rad * np.exp(1j * self.channel * np.asarray(phi)))
 
 
 def _channel_grid(basis, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -233,6 +232,32 @@ def _row(elem: AnalyticBasisElement, rho, zeta):
     """Row element of the rank-two correction for the channel of elem:
     conj(psi_{-conj k}(rho, zeta)) = e^{-i pi nu/2} psi_k(rho, -zeta)."""
     return cmath.exp(-0.5j * math.pi * elem.nu) * elem(rho, np.negative(zeta))
+
+
+def _far_column(elem: AnalyticBasisElement, phi):
+    """The far field of elem, lim psi_k(r, phi) sqrt(r) e^{-i k r} as r -> infinity,
+    by H1_nu(z) ~ sqrt(2/(pi z)) e^{i(z - nu pi/2 - pi/4)} (DLMF 10.17.5): the one
+    rule behind both far limits of the rank-two correction."""
+    radial = cmath.sqrt(2.0 / (math.pi * elem.k.k)) * cmath.exp(-1j * math.pi * (elem.nu / 2.0 + 0.25))
+    return elem.prefactor * radial * np.exp(1j * elem.channel * np.asarray(phi))
+
+
+def _far_row(elem: AnalyticBasisElement, zeta):
+    """_row(elem, rho, zeta) over the free outgoing wave (i/4) H1_0(k rho), itself
+    an order-0 element, as rho -> infinity: the ratio of their far fields."""
+    return (cmath.exp(-0.5j * math.pi * elem.nu) * _far_column(elem, np.negative(zeta))
+            / _far_column(AnalyticBasisElement(0, elem.k, 0.0, 0.25j), 0.0))
+
+
+def _rank_two(pk: np.ndarray, rows: Callable, cols: Callable):
+    """The rank-two correction sum_jl rows[j] p_jl cols[l] over the nonzero
+    entries of p(k): the one place p(k) meets channel factors.  rows() and
+    cols() give the factors of channels (0, -1) and are called only when
+    p(k) has a nonzero entry, so the regular point evaluates neither."""
+    if not pk.any():
+        return 0.0
+    rows, cols = rows(), cols()
+    return sum(pk[j, l] * rows[j] * cols[l] for j, l in zip(*np.nonzero(pk)))
 
 
 def a_matrix(alpha, k1, k2) -> np.ndarray:
@@ -399,16 +424,10 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     x = (r, phi) takes the same scalar or 1-D array forms as
     ``ab_resolvent_kernel``, with p(k) solved once for the whole grid.
     """
-    alpha = as_alpha(alpha)
-    k = as_wavenumber(k)
     r_vals, phi, shape = _polar_grid(x[0], x[1])
     out = ab_resolvent_kernel(alpha, k, (r_vals, phi), y)
-    pk = p_of_k(params, alpha, k)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
-    entries = list(zip(*np.nonzero(pk)))
-    if entries:
-        rows = [complex(_row(elem, float(y[0]), float(y[1]))) for elem in basis]
-        cols = _channel_grid(basis, r_vals, phi)
-    for j, l in entries:
-        out += complex(pk[j, l]) * rows[j] * cols[l]
+    out += _rank_two(p_of_k(params, alpha, k),
+                     lambda: [_row(elem, float(y[0]), float(y[1])) for elem in basis],
+                     lambda: _channel_grid(basis, r_vals, phi))
     return _unwrap(out.reshape(shape))

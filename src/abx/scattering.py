@@ -7,20 +7,12 @@ The reference eigenfunction is the partial-wave sum
         e^{i (pi/2)(|m| - |m + alpha|)} J_{|m + alpha|}(k r),
 
 a distorted plane wave incident from direction theta.  For a general
-extension the eigenfunction acquires outgoing corrections carrying the
-coupling-matrix entries p_{jl}(k) (boundary values from above).  They
-are the far-source limit of the resolvent's rank-two term
-sum_{jl} p_jl row^{(j)}(y) psi_k^{(l)}(x): with the source at
-y = (rho, theta + pi), rho -> infinity, and the kernel divided by the
-free outgoing wave (i/4) H1_0(k rho),
-
-    Psi_U = Psi_AB + sum_{jl} c_j(theta) p_jl psi_k^{(l)}(r, phi),
-    c_j(theta) = -4 i e^{-i pi nu_j} prefactor_j e^{-i j (theta + pi)},
-
-by H1_nu(k rho) / H1_0(k rho) -> e^{-i nu pi/2}; nu_j and prefactor_j
-are the order and prefactor of the channel element psi_k^{(j)}.  The
-amplitude formulas below are in turn the large-r asymptotics of this
-expression, validated independently by numerical amplitude extraction.
+extension the eigenfunction and the amplitude add the resolvent's
+rank-two term (``krein._rank_two``) in the source's far limit: the row
+at y = (rho, theta + pi) over the free outgoing wave (i/4) H1_0(k rho),
+rho -> infinity, against the channel elements (the eigenfunction) or
+their far fields (the amplitude).  Extraction checks the amplitude
+against the eigenfunction's far field independently.
 
 The forward direction is distributional: the amplitude object keeps the
 off-forward smooth part separate from the symbolic delta coefficient and
@@ -43,8 +35,11 @@ from .krein import (
     _angular_distance,
     _channel_grid,
     _cutoff,
+    _far_column,
+    _far_row,
     _partial_wave_sum,
     _polar_grid,
+    _rank_two,
     _unwrap,
     analytic_basis,
     p_of_k,
@@ -123,19 +118,6 @@ def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
     return _unwrap(_psi_ab_grid(alpha, chan, r_vals, phi).reshape(shape))
 
 
-def _psi_u_corrections(params: ExtensionParams, alpha: float, k: float):
-    """The outgoing corrections: the channel elements, and one
-    (coefficient, n_theta, l) per nonzero entry of p(k); each term is
-    coefficient * e^{i n_theta theta} * basis[l](r, phi)."""
-    kk = UpperHalfK(k, on_real_axis=True)
-    pk = p_of_k(params, alpha, kk)
-    basis = [analytic_basis(ch, alpha, kk) for ch in _CHANNELS]
-    # c_j(theta) e^{i j theta}: -4i e^{-i pi nu_j} prefactor_j e^{-i j pi}
-    far = [-4j * cmath.exp(-1j * math.pi * row.nu) * row.prefactor * (-1) ** row.channel
-           for row in basis]
-    return basis, [(far[j] * pk[j, l], -basis[j].channel, l) for j, l in zip(*np.nonzero(pk))]
-
-
 def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     """Generalized eigenfunction of the selected extension.
 
@@ -147,11 +129,11 @@ def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     alpha = as_alpha(alpha)
     r_vals, phi, shape = _polar_grid(r, phi)
     out = _psi_ab_grid(alpha, chan, r_vals, phi)
-    basis, terms = _psi_u_corrections(params, alpha, chan.k)
-    if terms:
-        cols = _channel_grid(basis, r_vals, phi)
-    for coef, n_theta, l in terms:
-        out += coef * cmath.exp(1j * n_theta * chan.theta) * cols[l]
+    k = UpperHalfK(chan.k, on_real_axis=True)
+    basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
+    out += _rank_two(p_of_k(params, alpha, k),
+                     lambda: [_far_row(elem, chan.theta + math.pi) for elem in basis],
+                     lambda: _channel_grid(basis, r_vals, phi))
     return _unwrap(out.reshape(shape))
 
 
@@ -222,26 +204,19 @@ def amplitude_ab(alpha, k: float) -> Amplitude:
 
 def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
     """Amplitude of the selected extension: the regular amplitude plus
-    the four coupling-matrix terms.  The theta-only and phi-only terms
-    (channel mixing) vanish exactly when b = 0.
-
-    Each term is the large-r limit of an eigenfunction correction, by
-    H1_nu(k r) ~ sqrt(2/(pi k r)) e^{i(k r - nu pi/2 - pi/4)}.
+    the far field of psi_u's rank-two term, four coupling-matrix terms
+    whose theta-only and phi-only ones (channel mixing) vanish exactly
+    when b = 0.
     """
-    alpha = as_alpha(alpha)
-    k = float(k)
     base = amplitude_ab(alpha, k)
-    root = math.sqrt(2.0 / (math.pi * k))
-    basis, terms = _psi_u_corrections(params, alpha, k)
-    corr = [(coef * basis[l].prefactor * root
-             * cmath.exp(-1j * (basis[l].nu * math.pi / 2.0 + math.pi / 4.0)), n_theta, basis[l].channel)
-            for coef, n_theta, l in terms]
+    kk = UpperHalfK(float(k), on_real_axis=True)
+    pk = p_of_k(params, alpha, kk)
+    basis = [analytic_basis(ch, alpha, kk) for ch in _CHANNELS]
 
     def smooth(theta, phi):
-        out = base.smooth(theta, phi)
-        for coef, n_theta, n_phi in corr:
-            out = out + coef * np.exp(1j * (n_theta * np.asarray(theta) + n_phi * np.asarray(phi)))
-        return _unwrap(out)
+        return _unwrap(base.smooth(theta, phi) + _rank_two(
+            pk, lambda: [_far_row(elem, np.add(theta, math.pi)) for elem in basis],
+            lambda: [_far_column(elem, phi) for elem in basis]))
 
     return Amplitude(
         smooth=smooth,
@@ -265,12 +240,11 @@ def cross_section(params: ExtensionParams, alpha, k: float, theta: float, phi):
 
 
 class ChannelMixing(NamedTuple):
-    """Angle-integrated cross-channel transition strengths.
-
-    Both probabilities equal constant * |p_(cross)|^2 with the shared
-    constant recorded.  Both cross entries of p have modulus
-    |e^{-i eta}/(2 D)| |b|, so the two agree to rounding and vanish exactly
-    when b = 0.
+    """Angle-integrated cross-channel cross sections, constant * |p_(cross)|^2
+    with the shared constant recorded: despite the field names, lengths,
+    not probabilities, and they can exceed 1.  Both cross entries of p have
+    modulus |e^{-i eta}/(2 D)| |b|, so the two agree to rounding and vanish
+    exactly when b = 0.
     """
 
     prob_0_to_m1: float
@@ -279,19 +253,18 @@ class ChannelMixing(NamedTuple):
 
 
 def channel_mixing(params: ExtensionParams, alpha, k: float) -> ChannelMixing:
-    """Transition strengths between the s- and p-wave channels.
-
-    The proportionality constant 8 k sin(pi alpha) is the angle-integrated
-    cross-channel cross section implied by the amplitude corrections; it
-    is reported, not asserted.
+    """Angle-integrated cross sections between the s- and p-wave channels,
+    8 k sin(pi alpha) |p_(cross)|^2, from the amplitude's cross-channel
+    terms; not probabilities (38.56 at alpha = 0.37, eta = 0, a = 0, b = 1,
+    k = 0.01).  The constant is reported, not asserted.
     """
     alpha = as_alpha(alpha)
     k = float(k)
     if k <= 0.0:
         raise ValueError(f"momentum must be positive, got {k}")
-    pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
+    p = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
     const = 8.0 * k * math.sin(math.pi * alpha)
-    return ChannelMixing(const * abs(pk[0, 1]) ** 2, const * abs(pk[1, 0]) ** 2, const)
+    return ChannelMixing(const * abs(p[0, 1]) ** 2, const * abs(p[1, 0]) ** 2, const)
 
 
 def extraction_remainder_bound(k: float, r_max: float, delta: float) -> float:

@@ -70,13 +70,19 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
         raise ConsistencyError(f"found {len(roots)} determinant roots; "
                                "at most two bound states exist")
 
+    # c1 = -(Re a + cos eta) carries the rounding of its two terms; where it
+    # cancels to that, Phi cannot resolve its c1 E term at a large root.
+    c1_blur = sys.float_info.epsilon * (abs(params.a.real) + abs(math.cos(params.eta)))
     states = []
     for e in reversed(roots):
         resid = abs(sum(c * e ** s for s, c in cf.pairs()))
         tol = 1e-10 * (1.0 + abs(cf.c1) * e)
         if resid > tol:
+            cause = (f": c1 = -(Re a + cos eta) = {cf.c1:.3g} cancels to rounding, so Phi "
+                     f"cannot resolve its c1 E term, up to {c1_blur * e:.3g} there"
+                     if abs(cf.c1) <= c1_blur else "")
             raise ConsistencyError(f"root residual {resid:.3g} exceeds tolerance "
-                                   f"{tol:.3g} at E={e}")
+                                   f"{tol:.3g} at E={e}{cause}")
         states.append(BoundState(energy=-e, residual=resid))
     return SpectralSummary(tuple(states), zero_resonance)
 

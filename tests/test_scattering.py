@@ -117,10 +117,12 @@ class TestPsiU:
            alpha=st.floats(0.02, 0.98), k=st.floats(0.05, 10.0), theta=st.floats(0.0, 2 * PI),
            r=st.floats(0.05, 10.0), phi=st.floats(0.0, 2 * PI))
     def test_corrections_match_four_term_table(self, g, eta, alpha, k, theta, r, phi):
-        # psi_u derives its corrections from the channel basis; the paper's
-        # hand-written table, given the same p(k), must reproduce them
+        # psi_u and amplitude_u derive their corrections from the channel
+        # basis; the paper's hand-written table, given the same p(k), must
+        # reproduce them
         norm = math.hypot(*g)
         assume(norm > 1e-3)
+        assume(FORWARD_EPSILON < (phi - theta) % (2 * PI) < 2 * PI - FORWARD_EPSILON)
         params = ExtensionParams(eta, complex(g[0], g[1]) / norm, complex(g[2], g[3]) / norm)
         try:
             pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
@@ -132,6 +134,14 @@ class TestPsiU:
                  for coef, order, n_t, n_p in psi_u_correction_table(alpha, k, pk)]
         got = psi_u(params, alpha, chan, r, phi) - base
         assert abs(got - sum(terms)) <= 1e-12 * (abs(base) + sum(abs(t) for t in terms))
+        # the amplitude's correction is the table's far field: each H1_nu(k r)
+        # becomes sqrt(2/(pi k)) e^{-i(nu pi/2 + pi/4)}
+        far = [coef * math.sqrt(2.0 / (PI * k)) * cmath.exp(-1j * (order * PI / 2 + PI / 4))
+               * cmath.exp(1j * (n_t * theta + n_p * phi))
+               for coef, order, n_t, n_p in psi_u_correction_table(alpha, k, pk)]
+        flux = amplitude_ab(alpha, k).smooth(theta, phi)
+        got = amplitude_u(params, alpha, k).smooth(theta, phi) - flux
+        assert abs(got - sum(far)) <= 1e-12 * (abs(flux) + sum(abs(t) for t in far))
 
     def test_pde_residual(self):
         alpha = 0.45

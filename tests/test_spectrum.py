@@ -106,15 +106,17 @@ class TestBoundStates:
     def test_unresolvable_huge_root_exits_cleanly(self, eta, tau, alpha, capsys):
         # c1 rounds to 0 here, and the float coefficients cannot place the
         # closed-form root of order 1e20: the residual check refuses with a
-        # ConsistencyError (exit 3), never an AssertionError (a traceback)
+        # ConsistencyError (exit 3) that names the cancellation, never an
+        # AssertionError (a traceback)
         params = _rot_params(eta, tau)
-        try:
+        with pytest.raises(ConsistencyError, match="cancels to rounding"):
             bound_states(params, alpha)
-        except ConsistencyError:
-            pass
         a = f"--a={params.a.real!r},{params.a.imag!r}"
-        assert main([f"--eta={eta!r}", a, "--b=0,0", f"--alpha={alpha!r}", "spectrum"]) in (0, 3)
-        assert "Traceback" not in capsys.readouterr().err
+        assert main([f"--eta={eta!r}", a, "--b=0,0", f"--alpha={alpha!r}", "spectrum"]) == 3
+        err = capsys.readouterr().err
+        assert "c1 = -(Re a + cos eta) = -0 cancels to rounding" in err
+        assert "cannot resolve its c1 E term, up to " in err
+        assert "Traceback" not in err
 
 
 class TestRotInvariantFactorization:
