@@ -243,10 +243,11 @@ def _far_column(elem: AnalyticBasisElement, phi):
 
 
 def _far_row(elem: AnalyticBasisElement, zeta):
-    """_row(elem, rho, zeta) over the free outgoing wave (i/4) H1_0(k rho), itself
-    an order-0 element, as rho -> infinity: the ratio of their far fields."""
-    return (cmath.exp(-0.5j * math.pi * elem.nu) * _far_column(elem, np.negative(zeta))
-            / _far_column(AnalyticBasisElement(0, elem.k, 0.0, 0.25j), 0.0))
+    """_row(elem, rho, zeta) over the free outgoing wave (i/4) H1_0(k rho) as
+    rho -> infinity: by the same rule H1_nu / H1_0 -> e^{-i nu pi/2}, leaving
+    -4i e^{-i pi nu} prefactor e^{-i channel zeta}."""
+    return (-4j * cmath.exp(-1j * math.pi * elem.nu) * elem.prefactor
+            * np.exp(-1j * elem.channel * np.asarray(zeta)))
 
 
 def _rank_two(pk: np.ndarray, rows: Callable, cols: Callable):

@@ -262,9 +262,9 @@ def channel_mixing(params: ExtensionParams, alpha, k: float) -> ChannelMixing:
     k = float(k)
     if k <= 0.0:
         raise ValueError(f"momentum must be positive, got {k}")
-    p = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
+    pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
     const = 8.0 * k * math.sin(math.pi * alpha)
-    return ChannelMixing(const * abs(p[0, 1]) ** 2, const * abs(p[1, 0]) ** 2, const)
+    return ChannelMixing(const * abs(pk[0, 1]) ** 2, const * abs(pk[1, 0]) ** 2, const)
 
 
 def extraction_remainder_bound(k: float, r_max: float, delta: float) -> float:
