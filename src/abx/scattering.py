@@ -33,7 +33,6 @@ from .extension import ExtensionParams, as_alpha
 from .krein import (
     _CHANNELS,
     _angular_distance,
-    _channel_grid,
     _cutoff,
     _far_column,
     _far_row,
@@ -81,11 +80,14 @@ class PlaneWaveChannel:
     theta: float
 
     def __post_init__(self):
-        k = float(self.k)
-        if not math.isfinite(k) or k <= 0.0:
-            raise ValueError(f"momentum must be positive, got {k}")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _momentum(self.k))
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
+
+
+def _momentum(k) -> float:
+    """k as a float, or ValueError unless it is finite and positive: the
+    real-axis check of UpperHalfK."""
+    return UpperHalfK(float(k), on_real_axis=True).k.real
 
 
 def _in_forward_cone(theta, phi):
@@ -132,8 +134,8 @@ def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     k = UpperHalfK(chan.k, on_real_axis=True)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
     out += _rank_two(p_of_k(params, alpha, k),
-                     lambda: [_far_row(elem, chan.theta + math.pi) for elem in basis],
-                     lambda: _channel_grid(basis, r_vals, phi))
+                     [_far_row(elem, chan.theta + math.pi) for elem in basis],
+                     [elem(r_vals[:, None], phi) for elem in basis])
     return _unwrap(out.reshape(shape))
 
 
@@ -151,17 +153,6 @@ class Amplitude:
     smooth: Callable[[float, float], complex]
     forward_delta_coeff: complex
     forward_pv_weight: complex
-    convention_notes: tuple[str, ...] = ()
-
-
-_AB_NOTE = (
-    "smooth amplitude uses exp(+i(phi-theta)) in the resonant denominator; "
-    "the sign is fixed by the numerical asymptotic-extraction check"
-)
-_U_NOTE = (
-    "outgoing correction phases validated against the resolvent-kernel "
-    "limit; quarter-angle form of the cross-channel phase factors"
-)
 
 
 def _finite(values, what: str, k: float):
@@ -179,9 +170,7 @@ def amplitude_ab(alpha, k: float) -> Amplitude:
     ``smooth`` takes phi (and theta) as scalars or arrays.
     """
     alpha = as_alpha(alpha)
-    k = float(k)
-    if k <= 0.0:
-        raise ValueError(f"momentum must be positive, got {k}")
+    k = _momentum(k)
     pref = _finite(math.sqrt(2.0 * math.pi / k), "amplitude prefactor sqrt(2 pi/k)", k)
     pref *= cmath.exp(-0.25j * math.pi)
     weight = pref * 1j * math.sin(math.pi * alpha) / math.pi
@@ -198,7 +187,6 @@ def amplitude_ab(alpha, k: float) -> Amplitude:
         smooth=smooth,
         forward_delta_coeff=pref * (math.cos(math.pi * alpha) - 1.0),
         forward_pv_weight=weight,
-        convention_notes=(_AB_NOTE,),
     )
 
 
@@ -215,14 +203,13 @@ def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
 
     def smooth(theta, phi):
         return _unwrap(base.smooth(theta, phi) + _rank_two(
-            pk, lambda: [_far_row(elem, np.add(theta, math.pi)) for elem in basis],
-            lambda: [_far_column(elem, phi) for elem in basis]))
+            pk, [_far_row(elem, np.add(theta, math.pi)) for elem in basis],
+            [_far_column(elem, phi) for elem in basis]))
 
     return Amplitude(
         smooth=smooth,
         forward_delta_coeff=base.forward_delta_coeff,
         forward_pv_weight=base.forward_pv_weight,
-        convention_notes=(_AB_NOTE, _U_NOTE),
     )
 
 
@@ -259,10 +246,8 @@ def channel_mixing(params: ExtensionParams, alpha, k: float) -> ChannelMixing:
     k = 0.01).  The constant is reported, not asserted.
     """
     alpha = as_alpha(alpha)
-    k = float(k)
-    if k <= 0.0:
-        raise ValueError(f"momentum must be positive, got {k}")
-    pk = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
+    k = _momentum(k)
+    pk = p_of_k(params, alpha, k)
     const = 8.0 * k * math.sin(math.pi * alpha)
     return ChannelMixing(const * abs(pk[0, 1]) ** 2, const * abs(pk[1, 0]) ** 2, const)
 

@@ -51,15 +51,11 @@ class SpectralSummary:
 
 def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
     """All bound states of the selected extension: every root of Phi over
-    the normal float range of E, to relative 1e-12.  More than two roots,
-    a residual above 1e-10 (1 + |c1| E) or all-zero coefficients raise
-    ConsistencyError.
+    the normal float range of E, to relative 1e-12.  More than two roots
+    or a residual above 1e-10 (1 + |c1| E) raise ConsistencyError.
     """
     alpha = as_alpha(alpha)
     cf = d_coeffs(params, alpha)
-    if max(abs(c) for _, c in cf.pairs()) == 0.0:
-        # A unitary channel map cannot zero every coefficient.
-        raise ConsistencyError("degenerate all-zero determinant coefficients")
     zero_resonance = abs(cf.c0) <= 1e-12 * max(abs(cf.c1), abs(cf.c_alpha),
                                                abs(cf.c_1malpha), 1.0)
     # A resonance's root sits at E = 0: c0 counts as 0, or the search

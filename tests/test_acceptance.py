@@ -68,7 +68,7 @@ def test_criterion_2_ab_reduction():
     ab = ExtensionParams.ab_point()
     ok = True
     for alpha in (0.1, 0.5, 0.9):
-        assert np.max(np.abs(p_at_i(ab, alpha))) <= 1e-14
+        assert np.max(np.abs(p_at_i(ab))) <= 1e-14
         for k in (UpperHalfK(1j), UpperHalfK(1.3 + 0.4j), UpperHalfK(2.0, on_real_axis=True)):
             assert np.max(np.abs(p_of_k(ab, alpha, k))) <= 1e-14
         assert bound_states(ab, alpha).bound_states == ()
@@ -101,8 +101,8 @@ def test_criterion_3_dual_path_consistency():
         k = UpperHalfK(complex(rng.uniform(-10, 10), rng.uniform(0.1, 10)))
         closed = p_of_k(params, alpha, k)  # raises on internal mismatch
         system = np.eye(2) + (k.k**2 - 1j) * (
-            p_at_i(params, alpha) @ a_matrix(alpha, k, REFERENCE_K))
-        inverted = np.linalg.solve(system, p_at_i(params, alpha))
+            p_at_i(params) @ a_matrix(alpha, k, REFERENCE_K))
+        inverted = np.linalg.solve(system, p_at_i(params))
         worst_p = max(worst_p, float(
             np.linalg.norm(closed - inverted) / max(np.linalg.norm(closed), 1e-300)))
         dval = d_of_k(params, alpha, k)

@@ -376,7 +376,7 @@ def _amplitude_per_value(cfg):
         results.append({"k": k, "theta": cfg.theta, "phi": angles.tolist(), "smooth": vals,
                         "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
                         "forward_pv_weight": _c2l(amp.forward_pv_weight),
-                        "notes": list(amp.convention_notes)})
+                        "notes": list(cli._AMPLITUDE_NOTES)})
     cols = ["k", "theta", "phi", "f_re", "f_im", "in_forward_cone"]
     rows = ([r["k"], r["theta"], phi, *(["", ""] if v is None else v), v is None]
             for r in results for phi, v in zip(r["phi"], r["smooth"]))

@@ -209,17 +209,17 @@ class TestAMatrix:
 
 class TestCouplingMatrix:
     def test_reference_point_ab_is_zero(self):
-        assert np.all(p_at_i(AB, 0.5) == 0)
+        assert np.all(p_at_i(AB) == 0)
 
     def test_reference_point_pure_mixing(self):
         gamma = 0.8
-        m = p_at_i(ExtensionParams.mixing(gamma), 0.3)
+        m = p_at_i(ExtensionParams.mixing(gamma))
         want = -0.5j * np.array([[1.0, -cmath.exp(1j * gamma)],
                                  [cmath.exp(-1j * gamma), 1.0]])
         assert np.allclose(m, want, atol=1e-15)
 
     def test_reference_point_diagonal_for_b_zero(self):
-        m = p_at_i(ROTINV, 0.3)
+        m = p_at_i(ROTINV)
         assert m[0, 1] == 0 and m[1, 0] == 0
 
     def test_reference_point_matches_inverse_overlap_path(self):
@@ -235,7 +235,7 @@ class TestCouplingMatrix:
             amat = a_matrix(alpha, REFERENCE_K, k2)
             u = build_u_matrix(params)
             want = 0.5j * np.linalg.solve(amat, -np.eye(2) - np.conj(u))
-            assert np.allclose(p_at_i(params, alpha), want, atol=1e-13)
+            assert np.allclose(p_at_i(params), want, atol=1e-13)
 
     def test_ab_coupling_vanishes_for_all_k(self):
         for k in (UpperHalfK(1j), UpperHalfK(2.0 + 0.1j),
@@ -423,7 +423,7 @@ class TestDeterminant:
             k = UpperHalfK(complex(rng.uniform(-10, 10), rng.uniform(0.1, 10)))
             val = d_of_k(params, alpha, k)
             m = np.eye(2) + (k.k**2 - 1j) * (
-                p_at_i(params, alpha) @ a_matrix(alpha, k, REFERENCE_K)
+                p_at_i(params) @ a_matrix(alpha, k, REFERENCE_K)
             )
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(val - det) <= 1e-10 * max(abs(val), 1.0)

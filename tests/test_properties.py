@@ -89,7 +89,7 @@ def test_dual_paths_agree(params, alpha, log_k, arg_k):
         p = p_of_k(params, alpha, k)
     except REFUSED:
         assume(False)
-    pref = p_at_i(params, alpha)
+    pref = p_at_i(params)
     inverted = np.linalg.solve(np.eye(2) + (k.k ** 2 - 1j) * (pref @ a_matrix(alpha, k, REFERENCE_K)),
                                pref)
     power = max(abs(k.k) ** (2.0 * alpha), abs(k.k) ** (2.0 - 2.0 * alpha))
@@ -180,7 +180,7 @@ def test_coupled_bound_states_zero_the_channel_system(params, alpha):
     # built here from the same factors without that function's own
     # cross-check (which refuses near a root once |k| is large), is singular
     assume(params.b != 0)
-    pref = p_at_i(params, alpha)
+    pref = p_at_i(params)
     for state in bound_states(params, alpha).bound_states:
         k = as_wavenumber(1j * math.sqrt(-state.energy))
         system = np.eye(2) + (k.k ** 2 - 1j) * (pref @ a_matrix(alpha, k, REFERENCE_K))

@@ -269,6 +269,20 @@ class TestCrossSection:
             assert got == pytest.approx(classical_ab_xsection(0.3, 3e6, delta), rel=1e-10)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", [
+    lambda k: PlaneWaveChannel(k, 0.0),
+    lambda k: amplitude_ab(0.3, k),
+    lambda k: amplitude_u(MIXING, 0.3, k),
+    lambda k: cross_section(MIXING, 0.3, k, 0.0, 1.0),
+    lambda k: channel_mixing(MIXING, 0.3, k),
+], ids=["PlaneWaveChannel", "amplitude_ab", "amplitude_u", "cross_section", "channel_mixing"])
+def test_momentum_off_the_positive_axis_is_invalid(entry, k):
+    # Not a numerical failure (OverflowError), and no amplitude of zeros at k = inf.
+    with pytest.raises(ValueError):
+        entry(k)
+
+
 class TestChannelMixing:
     def test_zero_iff_channel_preserving(self):
         assert channel_mixing(ROTINV, 0.4, 1.0).prob_0_to_m1 == 0.0
