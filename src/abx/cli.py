@@ -10,8 +10,8 @@ A flat key=value config file may supply any flag's value, keyed by the
 flag's name (k-imag or k_imag); an unknown key is an error.  Command-line
 flags override the file.  Exit codes: 0 success, 2 validation error
 (including an unreadable config file or an unwritable output path),
-3 numerical failure (near-eigenvalue momentum, non-converged extraction,
-overflow at extreme momenta).  Each task evaluates its whole grid with
+3 numerical failure (near-eigenvalue momentum, a failed internal
+cross-check, overflow at extreme momenta).  Each task evaluates its whole grid with
 one call per momentum, so the coupling matrix p(k) is solved once per
 momentum.  Importing this module freezes its import-time heap (gc.freeze)
 for the one task a CLI process runs; `import abx` leaves the GC alone.

@@ -63,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, NearEigenvalueError
-from .extension import ExtensionParams, _channel_order_norm, as_alpha
+from .extension import ExtensionParams, _channel_order_norm, as_alpha, build_u_matrix
 from .specfun import UpperHalfK, _ladder_values, as_wavenumber, branch_power, hankel1_orders
 
 __all__ = [
@@ -272,20 +272,16 @@ def a_matrix(alpha, k1, k2) -> np.ndarray:
 
 def p_at_i(params: ExtensionParams) -> np.ndarray:
     """Coupling matrix at the reference point k0 = e^{i pi/4}:
-    -(i/2) (I + conj(U)) written out in (eta, a, b), the same for every
-    alpha."""
-    e = cmath.exp(-1j * params.eta)
-    a, b = params.a, params.b
-    return -0.5j * np.array(
-        [[1.0 + e * a.conjugate(), -e * b], [e * b.conjugate(), 1.0 + e * a]]
-    )
+    -(i/2) (I + conj(U)), the same for every alpha."""
+    return -0.5j * (np.eye(2) + build_u_matrix(params).conj())
 
 
 @dataclass(frozen=True)
 class CCoeffs:
     """Real bracketed coefficients of the channel determinant, with the
-    common factor e^{-i eta}/sin(pi alpha) kept separate, and the flux
-    parameter that sets the powers."""
+    common factor e^{-i eta}/sin(pi alpha) kept separate, the flux
+    parameter that sets the powers, and the sizes of c1, c_alpha, c_1malpha
+    and c0: the moduli summed into each, which set its rounding."""
 
     c1: float
     c_alpha: float
@@ -293,6 +289,7 @@ class CCoeffs:
     c0: float
     common_factor: complex
     alpha: float
+    sizes: tuple
 
     def pairs(self) -> tuple:
         """The bracket as (s, c_s) pairs for s = 1, alpha, 1 - alpha, 0:
@@ -312,12 +309,15 @@ def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
     ap, app = params.a.real, params.a.imag
     s = math.sin(math.pi * alpha / 2.0)
     c = math.cos(math.pi * alpha / 2.0)
-    c1 = -(ap + math.cos(eta))
-    c_alpha = ap * s + math.sin(math.pi * alpha / 2.0 - eta) + app * c
-    c_1malpha = ap * c + math.cos(math.pi * alpha / 2.0 + eta) - app * s
-    c0 = math.sin(eta) - app * math.cos(math.pi * alpha) - ap * math.sin(math.pi * alpha)
+    # Each coefficient's terms, summed left to right; c1 is minus its sum.
+    brackets = ((ap, math.cos(eta)),
+                (ap * s, math.sin(math.pi * alpha / 2.0 - eta), app * c),
+                (ap * c, math.cos(math.pi * alpha / 2.0 + eta), -app * s),
+                (math.sin(eta), -app * math.cos(math.pi * alpha), -ap * math.sin(math.pi * alpha)))
+    c1, c_alpha, c_1malpha, c0 = (sum(t[1:], t[0]) for t in brackets)
     common = cmath.exp(-1j * eta) / math.sin(math.pi * alpha)
-    return CCoeffs(c1, c_alpha, c_1malpha, c0, common, alpha)
+    return CCoeffs(-c1, c_alpha, c_1malpha, c0, common, alpha,
+                   tuple(sum(map(abs, t)) for t in brackets))
 
 
 def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):

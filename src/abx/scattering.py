@@ -95,19 +95,6 @@ def _in_forward_cone(theta, phi):
     return _angular_distance(np.subtract(phi, theta)) < FORWARD_EPSILON
 
 
-def _psi_ab_grid(alpha: float, chan: PlaneWaveChannel, r_vals: np.ndarray,
-                 phi: np.ndarray) -> np.ndarray:
-    """Psi_AB on the polar grid r_vals x phi, one truncation for all radii."""
-    mmax = _cutoff(chan.k, float(r_vals.max()), max(r_vals.size, phi.size))
-
-    def ladder(m, nu):
-        # i^{|m|} e^{i pi (|m| - nu)/2} = (-1)^m e^{-i pi nu / 2}
-        coef = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * math.pi * nu)
-        return coef * bessel_j_orders(nu, chan.k * r_vals[:, None])
-
-    return _partial_wave_sum(alpha, mmax, phi - chan.theta, ladder)
-
-
 def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
     """Generalized eigenfunction of the regular (pure flux) extension.
 
@@ -117,7 +104,14 @@ def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
     """
     alpha = as_alpha(alpha)
     r_vals, phi, shape = _polar_grid(r, phi)
-    return _unwrap(_psi_ab_grid(alpha, chan, r_vals, phi).reshape(shape))
+    mmax = _cutoff(chan.k, float(r_vals.max()), max(r_vals.size, phi.size))
+
+    def ladder(m, nu):
+        # i^{|m|} e^{i pi (|m| - nu)/2} = (-1)^m e^{-i pi nu / 2}
+        coef = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * math.pi * nu)
+        return coef * bessel_j_orders(nu, chan.k * r_vals[:, None])
+
+    return _unwrap(_partial_wave_sum(alpha, mmax, phi - chan.theta, ladder).reshape(shape))
 
 
 def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
@@ -130,7 +124,7 @@ def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     """
     alpha = as_alpha(alpha)
     r_vals, phi, shape = _polar_grid(r, phi)
-    out = _psi_ab_grid(alpha, chan, r_vals, phi)
+    out = psi_ab(alpha, chan, r_vals, phi)
     k = UpperHalfK(chan.k, on_real_axis=True)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
     out += _rank_two(p_of_k(params, alpha, k),

@@ -218,8 +218,6 @@ def _ladder_values(nus, z, want_j: bool, scaled: bool = False) -> np.ndarray:
 
 def _distinct(values):
     """The sorted distinct values and, per entry, its index among them."""
-    if values.size == 1:
-        return values.ravel(), np.zeros(values.shape, dtype=int)
     found, idx = np.unique(values, return_inverse=True)
     return found, idx.reshape(values.shape)
 

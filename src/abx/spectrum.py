@@ -61,14 +61,16 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
     # A resonance's root sits at E = 0: c0 counts as 0, or the search
     # reports that root as a bound state at a tiny energy.
     pairs = [(s, c) for s, c in cf.pairs() if not (s == 0.0 and zero_resonance)]
-    roots = [math.exp(t) for t in _sign_changes(pairs, *_LOG_E_RANGE)]
+    # Each c_s is off by up to 4 eps times the moduli summed into it.
+    blur = [(s, 4.0 * sys.float_info.epsilon * size) for (s, _), size in zip(cf.pairs(), cf.sizes)]
+    roots = [math.exp(t) for t in _sign_changes(pairs, *_LOG_E_RANGE, blur)]
     if len(roots) > 2:
         raise ConsistencyError(f"found {len(roots)} determinant roots; "
                                "at most two bound states exist")
 
     # c1 = -(Re a + cos eta) carries the rounding of its two terms; where it
     # cancels to that, Phi cannot resolve its c1 E term at a large root.
-    c1_blur = sys.float_info.epsilon * (abs(params.a.real) + abs(math.cos(params.eta)))
+    c1_blur = sys.float_info.epsilon * cf.sizes[0]
     states = []
     for e in reversed(roots):
         resid = abs(sum(c * e ** s for s, c in cf.pairs()))
@@ -83,11 +85,13 @@ def bound_states(params: ExtensionParams, alpha) -> SpectralSummary:
     return SpectralSummary(tuple(states), zero_resonance)
 
 
-def _sign_changes(pairs, lo: float, hi: float) -> list[float]:
+def _sign_changes(pairs, lo: float, hi: float, blur=()) -> list[float]:
     """Where f(t) = sum of c e^(s t) over the (s, c) pairs changes sign in
     [lo, hi], ascending, bisected on f's own sign to width _ROOT_TOL.  A
-    turning point where f vanishes to rounding, within n eps sum |c e^(s t)|,
-    is a double root, listed twice.
+    turning point inside (lo, hi) where f vanishes to rounding is a double
+    root, listed twice: to within n eps sum |c e^(s t)|, the rounding of the
+    sum, plus sum d e^(s t) over the (s, d) pairs of blur, that of the c,
+    where f's terms stand above it (below it, f's value says nothing).
 
     With s0 the least exponent, e^(s0 t) d/dt [e^(-s0 t) f(t)] is the sum
     of c (s - s0) e^(s t), one term fewer.  e^(-s0 t) f is monotone between
@@ -104,16 +108,17 @@ def _sign_changes(pairs, lo: float, hi: float) -> list[float]:
         e = math.exp(t)
         return sum(c * e ** s for s, c in pairs)
 
-    def sign(t) -> int:
+    def sign(t, blur=()) -> int:
         e = math.exp(t)
         terms = [c * e ** s for s, c in pairs]
-        val = sum(terms)
-        if abs(val) <= len(terms) * sys.float_info.epsilon * sum(map(abs, terms)):
+        val, size = sum(terms), sum(map(abs, terms))
+        slack = sum(d * e ** s for s, d in blur)
+        if abs(val) <= len(terms) * sys.float_info.epsilon * size + (slack if slack < size else 0.0):
             return 0
         return 1 if val > 0 else -1
 
     cuts = [lo, *turns, hi]
-    signs = [sign(t) for t in cuts]
+    signs = [sign(lo), *(sign(t, blur) for t in turns), sign(hi)]
     roots = []
     for a, b, sa, sb in zip(cuts, cuts[1:], signs, signs[1:]):
         if sa == 0 and a != lo:

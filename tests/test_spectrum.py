@@ -98,6 +98,37 @@ class TestBoundStates:
         states = bound_states(params, 0.5).bound_states
         assert [-st.energy for st in states] == pytest.approx([roots.s_wave_root] * 2, rel=1e-10)
 
+    def test_degenerate_pair_from_the_cli(self, capsys):
+        # a = 1: the float inputs taken as exact have a double root at E = 114.03
+        # (discriminant 1.3e-51), but c1 = -(1 + cos eta) cancels, and its
+        # rounding lifts Phi's float turning value above zero; both states
+        # must come back
+        assert main(["--alpha", "0.5", "--eta=-3", "--a", "1,0", "--b", "0,0", "spectrum"]) == 0
+        energies = json.loads(capsys.readouterr().out)["results"]["bound_states"]
+        assert energies == pytest.approx([-114.02644221041797] * 2, rel=1e-8)
+
+    def test_degenerate_pairs_on_an_eta_sweep(self):
+        # alpha = 1/2, a = 1, b = 0 at 2000 equally spaced eta in (-pi, pi]:
+        # every double root in range comes back as a pair within 1e-8, or
+        # bound_states refuses; none is dropped or split by the coefficients'
+        # rounding (c1 cancels near eta = -pi, c0 = sin eta - 1 near pi/2)
+        lo, hi = map(math.exp, _LOG_E_RANGE)
+        pairs, wrong = 0, []
+        for eta in np.linspace(-PI, PI, 2001)[1:]:
+            params = _rot_params(float(eta), 0.0)
+            root = rot_invariant_equations(params, 0.5).s_wave_root
+            if root is None or not lo <= root <= hi:
+                continue
+            pairs += 1
+            try:
+                got = [-st.energy for st in bound_states(params, 0.5).bound_states]
+            except ConsistencyError:
+                continue
+            if got != pytest.approx([root] * 2, rel=1e-8):
+                wrong.append((float(eta), root, got))
+        assert pairs == 1499
+        assert not wrong, wrong
+
     @pytest.mark.parametrize("eta, tau, alpha", [
         (-0.39680979775436565, -2.7447828558354272, 0.7473830379376531),
         (-0.2553771657851682, -2.886215487804625, 0.8374218468499681),
