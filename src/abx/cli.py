@@ -9,12 +9,13 @@ Usage:
 A flat key=value config file may supply any flag's value, keyed by the
 flag's name (k-imag or k_imag); an unknown key is an error.  Command-line
 flags override the file.  Exit codes: 0 success, 2 validation error
-(including an unreadable config file or an unwritable output path),
-3 numerical failure (near-eigenvalue momentum, a failed internal
-cross-check, overflow at extreme momenta).  Each task evaluates its whole grid with
-one call per momentum, so the coupling matrix p(k) is solved once per
-momentum.  Importing this module freezes its import-time heap (gc.freeze)
-for the one task a CLI process runs; `import abx` leaves the GC alone.
+(including an unreadable config file, an unwritable output path or a
+request for more than 4e6 output values), 3 numerical failure
+(near-eigenvalue momentum, a failed internal cross-check, overflow at
+extreme momenta).  Each task evaluates its whole grid with one call per
+momentum, so the coupling matrix p(k) is solved once per momentum.
+Importing this module freezes its import-time heap (gc.freeze) for the
+one task a CLI process runs; `import abx` leaves the GC alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import __version__
 from .errors import ConsistencyError, ConvergenceError, NearEigenvalueError
 from .extension import ExtensionParams, as_alpha, classify
-from .krein import _MAX_GRID_ELEMENTS, full_resolvent_kernel, p_of_k
+from .krein import full_resolvent_kernel, p_of_k
 from .scattering import (
     FORWARD_EPSILON,
     PlaneWaveChannel,
@@ -72,6 +73,9 @@ _AMPLITUDE_NOTES = (
     "outgoing correction phases validated against the resolvent-kernel "
     "limit; quarter-angle form of the cross-channel phase factors",
 )
+
+# Most values one request may print: about 2 GB of output held in memory.
+_MAX_OUTPUT_VALUES = 4_000_000
 
 # Stands for the angle grid, which _render_json encodes once for all momenta.
 _ANGLE_GRID = "\0angle grid"
@@ -213,8 +217,12 @@ def parse_config(argv) -> RunConfig:
     if k_imag < 0:
         raise ValueError(f"k-imag must be >= 0 (k lies in the upper half-plane), got {k_imag}")
     angle_count = _convert(merged, "angles", int)
-    if not 1 <= angle_count <= _MAX_GRID_ELEMENTS:
-        raise ValueError(f"angle grid needs 1 to {_MAX_GRID_ELEMENTS} points, got {angle_count}")
+    if angle_count < 1:
+        raise ValueError(f"angle grid needs at least 1 point, got {angle_count}")
+    grid = {"xsection": angle_count, "amplitude": angle_count, "mixing": 1,
+            "eigenfunction": len(radii) * angle_count, "resolvent": len(radii) * angle_count}
+    if (count := len(k_values) * grid.get(task, 0)) > _MAX_OUTPUT_VALUES:
+        raise ValueError(f"{task} would print {count} values, above the limit of {_MAX_OUTPUT_VALUES}")
     return RunConfig(
         task=task,
         alpha=alpha,

@@ -14,24 +14,8 @@ Hamiltonian; b = 0 gives the rotationally invariant extensions; b != 0
 couples the two channels, so angular momentum is no longer conserved.
 
 This module holds the parameter types with their validation, the unitary
-matrix, and the order and normalization constant of each channel's radial
-deficiency elements
-
-    xi0_pm(r)  = N r^{1/2} K_alpha(e^{-+i pi/4} r)        (s-wave)
-    xim1_pm(r) = M r^{1/2} K_{1-alpha}(e^{-+i pi/4} r)    (p-wave)
-
-(the minus elements carry the extra phases e^{i pi alpha/2} resp.
-e^{i pi (1-alpha)/2} that make the analytic basis of the resolvent module
-reduce to them).  Their norms are closed forms: Gradshteyn-Ryzhik 6.521.3,
-the integral of x K_nu(a x) K_nu(b x) at a = e^{i pi/4}, b = e^{-i pi/4},
-gives
-
-    int_0^inf r |K_nu(e^{+-i pi/4} r)|^2 dr = pi / (4 cos(pi nu/2)),
-
-so N = sqrt(2 cos(pi alpha/2))/pi and M = sqrt(2 sin(pi alpha/2))/pi make
-every radial norm exactly 1/sqrt(2 pi), and the two-dimensional elements
-r^{-1/2} xi(r) e^{i m phi} have unit L2 norm.  The elements themselves are
-never evaluated: the analytic basis needs only the orders and N and M.
+matrix and the classification of the family.  The orders and norms of the
+two channels live in ``krein._channel_table``.
 """
 from __future__ import annotations
 
@@ -126,14 +110,6 @@ def build_u_matrix(params: ExtensionParams) -> np.ndarray:
     phase = cmath.exp(1j * params.eta)
     a, b = params.a, params.b
     return phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
-
-
-def _channel_order_norm(channel: int, alpha: float) -> tuple[float, float]:
-    """The channel's order nu and normalization constant, N (s-wave) or M
-    (p-wave), at an alpha already checked by as_alpha."""
-    if channel == 0:
-        return alpha, math.sqrt(2.0 * math.cos(math.pi * alpha / 2.0)) / math.pi
-    return 1.0 - alpha, math.sqrt(2.0 * math.sin(math.pi * alpha / 2.0)) / math.pi
 
 
 def classify(params: ExtensionParams) -> ExtensionKind:

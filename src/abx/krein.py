@@ -31,7 +31,7 @@ limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
   coincide with the (unit-L2-norm) deficiency elements r^{-1/2} xi(r)
   e^{i m phi}.  The closed form is fixed by the requirement that the
   r^{-nu} singular coefficient be independent of k; it is gated by the
-  quadrature check of the overlap matrix below.
+  quadrature check of the overlap matrix below.  N, M: ``_channel_table``.
 
 * ``a_matrix`` -- overlaps A(k1,k2)_{jl} = (psi-row_{k1}^{(j)}, psi_{k2}^{(l)})
   as a 2x2 array, diagonal with difference quotients of (-k^2)^alpha and
@@ -63,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, NearEigenvalueError
-from .extension import ExtensionParams, _channel_order_norm, as_alpha, build_u_matrix
+from .extension import ExtensionParams, as_alpha, build_u_matrix
 from .specfun import UpperHalfK, _ladder_values, as_wavenumber, branch_power, hankel1_orders
 
 __all__ = [
@@ -93,6 +93,16 @@ _COINCIDENCE_TOL = 1e-12
 _MAX_GRID_ELEMENTS = 16_000_000
 
 
+def _channel_table(alpha: float) -> tuple:
+    """Rows (nu, sin(pi nu/2), sqrt(2 cos(pi nu/2))/pi) of channels 0 and -1,
+    orders alpha and 1 - alpha: order, overlap weight and norm N or M.  The
+    norm makes r^{-1/2} xi(r) e^{i m phi}, xi(r) = norm r^{1/2} K_nu(e^{-+i pi/4} r),
+    a unit vector, as Gradshteyn-Ryzhik 6.521.3 at a = e^{i pi/4}, b = e^{-i pi/4}
+    gives int_0^inf r |K_nu(e^{+-i pi/4} r)|^2 dr = pi / (4 cos(pi nu/2))."""
+    s, c = math.sin(math.pi * alpha / 2.0), math.cos(math.pi * alpha / 2.0)
+    return (alpha, s, math.sqrt(2.0 * c) / math.pi), (1.0 - alpha, c, math.sqrt(2.0 * s) / math.pi)
+
+
 def truncation_order(k_abs: float, r_outer: float) -> int:
     """Partial-wave cutoff: covers the classically allowed orders plus a
     turning-point margin scaling like (k r)^{1/3}."""
@@ -120,13 +130,18 @@ def _angular_distance(delta):
     return np.minimum(d, 2.0 * math.pi - d)
 
 
-def _polar_grid(r, phi):
+def _polar_grid(r, phi, point: str = ""):
     """Radii and angles as 1-D float arrays, plus the shape of the result:
-    shape(r) + shape(phi), () for a single point."""
+    shape(r) + shape(phi), () for a single point.  The one gate of the
+    coordinates: a radius not finite and positive, or an angle not finite,
+    is a ValueError naming it after the label point, such as "source "."""
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError(f"radii must be positive, got {r.min()}")
+    bad_r, bad_phi = r[~(np.isfinite(r) & (r > 0.0))], phi[~np.isfinite(phi)]
+    if bad_r.size:
+        raise ValueError(f"{point}radius {bad_r[0]} is not finite and positive")
+    if bad_phi.size:
+        raise ValueError(f"{point}angle {bad_phi[0]} is not finite")
     return r.ravel(), phi.ravel(), r.shape + phi.shape
 
 
@@ -176,9 +191,7 @@ def ab_resolvent_kernel(alpha, k, x, y):
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
     r_vals, phi, shape = _polar_grid(x[0], x[1])
-    rho, zeta = float(y[0]), float(y[1])
-    if rho <= 0.0:
-        raise ValueError("kernel arguments need positive radii")
+    (rho,), (zeta,), _ = _polar_grid(y[0], y[1], "source ")
     if (np.any(_angular_distance(phi - zeta) <= _COINCIDENCE_TOL)
             and np.any(np.abs(r_vals - rho) <= _COINCIDENCE_TOL * np.maximum(r_vals, rho))):
         raise ValueError("kernel is singular at coincident points x = y")
@@ -212,7 +225,7 @@ def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
         raise ValueError(f"channel must be 0 or -1, got {channel}")
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
-    nu, norm = _channel_order_norm(channel, alpha)
+    nu, _, norm = _channel_table(alpha)[_CHANNELS.index(channel)]
     coef = norm * (0.5j * math.pi) * cmath.exp(1j * math.pi * nu / 4.0)
     # k**nu on the principal branch, continuous down to the positive real axis
     return AnalyticBasisElement(channel, k, nu, coef * cmath.exp(nu * cmath.log(k.k)))
@@ -256,18 +269,17 @@ def a_matrix(alpha, k1, k2) -> np.ndarray:
     alpha = as_alpha(alpha)
     k1 = as_wavenumber(k1)
     k2 = as_wavenumber(k2)
-    s = math.sin(math.pi * alpha / 2.0)
-    c = math.cos(math.pi * alpha / 2.0)
+    table = _channel_table(alpha)
     k1sq = k1.k * k1.k
     k2sq = k2.k * k2.k
     denom = k2sq - k1sq
     if abs(denom) <= 1e-12 * (abs(k1sq) + abs(k2sq)):
-        a00 = alpha * branch_power(k1, alpha - 1.0) / s
-        a11 = (1.0 - alpha) * branch_power(k1, -alpha) / c
+        # d/dE of (-k^2)^nu is nu (-k^2)^{nu - 1}, and nu - 1 is minus the
+        # other channel's order (exactly, since fl(x - 1) = -fl(1 - x)).
+        diag = [nu * branch_power(k1, -other[0]) / w for (nu, w, _), other in zip(table, table[::-1])]
     else:
-        a00 = (branch_power(k1, alpha) - branch_power(k2, alpha)) / (s * denom)
-        a11 = (branch_power(k1, 1.0 - alpha) - branch_power(k2, 1.0 - alpha)) / (c * denom)
-    return np.array([[a00, 0j], [0j, a11]])
+        diag = [(branch_power(k1, nu) - branch_power(k2, nu)) / (w * denom) for nu, w, _ in table]
+    return np.diag(diag)
 
 
 def p_at_i(params: ExtensionParams) -> np.ndarray:
@@ -307,8 +319,7 @@ def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
     alpha = as_alpha(alpha)
     eta = params.eta
     ap, app = params.a.real, params.a.imag
-    s = math.sin(math.pi * alpha / 2.0)
-    c = math.cos(math.pi * alpha / 2.0)
+    (_, s, _), (_, c, _) = _channel_table(alpha)
     # Each coefficient's terms, summed left to right; c1 is minus its sum.
     brackets = ((ap, math.cos(eta)),
                 (ap * s, math.sin(math.pi * alpha / 2.0 - eta), app * c),
@@ -376,10 +387,10 @@ def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
     drive = a.real + math.cos(eta)
     half = e / (2.0 * dval)
     # The diagonal, channel 0 then -1: e/(2D) (drive/w ((-k^2)^s - (-i)^s)
-    # - i (e^{i eta} + a_j)), and the moduli of each bracket's terms.
+    # - i (e^{i eta} + a_j)), where s and w are the order and weight of the
+    # other channel's row; and the moduli of each bracket's terms.
     diag, sizes = [], []
-    for weight, power, a_j in ((math.cos(math.pi * alpha / 2.0), 1.0 - alpha, a.conjugate()),
-                               (math.sin(math.pi * alpha / 2.0), alpha, a)):
+    for (power, weight, _), a_j in zip(_channel_table(alpha)[::-1], (a.conjugate(), a)):
         pow_k = branch_power(k, power)
         pow_ref = cmath.exp(-1j * math.pi * power / 2.0)   # (-i)^s
         diag.append(half * (drive / weight * (pow_k - pow_ref) - 1j * (cmath.exp(1j * eta) + a_j)))

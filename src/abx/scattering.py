@@ -81,7 +81,10 @@ class PlaneWaveChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _momentum(self.k))
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"incidence angle theta {theta} is not finite")
+        object.__setattr__(self, "theta", theta % (2.0 * math.pi))
 
 
 def _momentum(k) -> float:
@@ -125,9 +128,8 @@ def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     alpha = as_alpha(alpha)
     r_vals, phi, shape = _polar_grid(r, phi)
     out = psi_ab(alpha, chan, r_vals, phi)
-    k = UpperHalfK(chan.k, on_real_axis=True)
-    basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
-    out += _rank_two(p_of_k(params, alpha, k),
+    basis = [analytic_basis(ch, alpha, chan.k) for ch in _CHANNELS]
+    out += _rank_two(p_of_k(params, alpha, chan.k),
                      [_far_row(elem, chan.theta + math.pi) for elem in basis],
                      [elem(r_vals[:, None], phi) for elem in basis])
     return _unwrap(out.reshape(shape))
@@ -170,6 +172,9 @@ def amplitude_ab(alpha, k: float) -> Amplitude:
     weight = pref * 1j * math.sin(math.pi * alpha) / math.pi
 
     def smooth(theta, phi):
+        for name, angles in (("theta", theta), ("phi", phi)):
+            if not np.all(np.isfinite(angles)):
+                raise ValueError(f"amplitude angle {name} is not finite")
         if np.any(_in_forward_cone(theta, phi)):
             raise ValueError(
                 f"smooth amplitude is undefined inside the forward cone "
@@ -191,9 +196,8 @@ def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
     when b = 0.
     """
     base = amplitude_ab(alpha, k)
-    kk = UpperHalfK(float(k), on_real_axis=True)
-    pk = p_of_k(params, alpha, kk)
-    basis = [analytic_basis(ch, alpha, kk) for ch in _CHANNELS]
+    pk = p_of_k(params, alpha, k)
+    basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
 
     def smooth(theta, phi):
         return _unwrap(base.smooth(theta, phi) + _rank_two(

@@ -66,8 +66,27 @@ class TestParse:
 
     def test_angle_count_bounded_by_grid_limit(self):
         # refused before the angle grid is allocated (8 GB here)
-        with pytest.raises(ValueError, match=str(krein._MAX_GRID_ELEMENTS)):
+        with pytest.raises(ValueError, match=str(cli._MAX_OUTPUT_VALUES)):
             cli.parse_config(["--angles", "1000000000", "xsection"])
+
+    @pytest.mark.parametrize("argv, count", [
+        (["--k", "1,2,3,4", "--angles", "1000001", "amplitude"], 4_000_004),
+        (["--k", "1,2", "--angles", "2000001", "xsection"], 4_000_002),
+        (["--k", "1,2", "--radii", "1,2", "--angles", "1000001", "eigenfunction"], 4_000_004),
+        (["--k", "1,2", "--radii", "1,2,3,4", "--angles", "500001", "resolvent"], 4_000_008),
+    ], ids=["amplitude", "xsection", "eigenfunction", "resolvent"])
+    def test_output_values_bounded_at_parse_time(self, argv, count):
+        # the bound is on momenta x radii x angles, not on the angle count alone
+        with pytest.raises(ValueError, match=f"{count} values, above the limit of 4000000"):
+            cli.parse_config(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "1,2,3,4", "--angles", "1000000", "amplitude"],
+        ["--k", "1,2", "--radii", "1,2", "--angles", "1000000", "resolvent"],
+        ["--angles", "1000000000", "spectrum"],
+    ])
+    def test_output_at_the_bound_accepted(self, argv):
+        assert cli.parse_config(argv).task == argv[-1]
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -283,6 +283,32 @@ def test_momentum_off_the_positive_axis_is_invalid(entry, k):
         entry(k)
 
 
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("entry, named", [
+    (lambda: psi_u(MIXING, 0.3, PlaneWaveChannel(1.0, 0.0), 1.0, INF), "angle inf"),
+    (lambda: psi_u(MIXING, 0.3, PlaneWaveChannel(1.0, 0.0), [1.0, NAN], 0.5), "radius nan"),
+    (lambda: psi_ab(0.3, PlaneWaveChannel(1.0, 0.0), INF, 0.5), "radius inf"),
+    (lambda: full_resolvent_kernel(MIXING, 0.3, 1j, (1.0, 0.5), (2.0, INF)), "source angle inf"),
+    (lambda: full_resolvent_kernel(MIXING, 0.3, 1j, (1.0, 0.5), (NAN, 0.0)), "source radius nan"),
+    (lambda: full_resolvent_kernel(MIXING, 0.3, 1j, (1.0, 0.5), (INF, 0.0)), "source radius inf"),
+    (lambda: full_resolvent_kernel(MIXING, 0.3, 1j, (1.0, NAN), (2.0, 0.0)), "angle nan"),
+    (lambda: PlaneWaveChannel(1.0, NAN), "theta nan"),
+    (lambda: amplitude_u(MIXING, 0.3, 1.0).smooth(INF, 1.0), "theta"),
+    (lambda: amplitude_u(MIXING, 0.3, 1.0).smooth(0.3, NAN), "phi"),
+    (lambda: amplitude_ab(0.3, 1.0).smooth(0.3, [1.0, -INF]), "phi"),
+    (lambda: cross_section(MIXING, 0.3, 1.0, INF, 1.0), "theta"),
+    (lambda: cross_section(MIXING, 0.3, 1.0, 0.0, NAN), "phi"),
+], ids=["psi_u-phi", "psi_u-r", "psi_ab-r", "kernel-zeta", "kernel-rho-nan", "kernel-rho-inf",
+        "kernel-phi", "PlaneWaveChannel-theta", "amplitude_u-theta", "amplitude_u-phi",
+        "amplitude_ab-phi", "cross_section-theta", "cross_section-phi"])
+def test_non_finite_coordinates_are_invalid(entry, named):
+    # Not nan+nanj, an OverflowError or a grid too large at k*r = nan.
+    with pytest.raises(ValueError, match=named):
+        entry()
+
+
 class TestChannelMixing:
     def test_zero_iff_channel_preserving(self):
         assert channel_mixing(ROTINV, 0.4, 1.0).prob_0_to_m1 == 0.0
