@@ -31,18 +31,19 @@ limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
   coincide with the (unit-L2-norm) deficiency elements r^{-1/2} xi(r)
   e^{i m phi}.  The closed form is fixed by the requirement that the
   r^{-nu} singular coefficient be independent of k; it is gated by the
-  quadrature check of the overlap matrix below.  N, M: ``_channel_table``.
-
-* ``a_matrix`` -- overlaps A(k1,k2)_{jl} = (psi-row_{k1}^{(j)}, psi_{k2}^{(l)})
-  as a 2x2 array, diagonal with difference quotients of (-k^2)^alpha and
-  (-k^2)^{1-alpha}.
+  quadrature check of the overlaps of the family.  N, M: ``_channel_table``.
 
 * ``p_at_i`` / ``p_of_k`` -- the 2x2 coupling matrix (an array, ordered
-  channels (0, -1)) at the reference point and its k-dependent
-  continuation; ``p_of_k`` evaluates both the defining inversion of the
-  channel system 1 + (k^2 - i) p(k0) A(k, k0) and the closed entry
-  formulas and insists they agree to 1e-10 of the size of p's terms
-  before returning the closed form.
+  channels (0, -1)) at the reference point and its continuation in k,
+  which solves Krein's channel system S p(k) = p(k0).  The overlaps
+  A(k, k0)_{jl} = (psi-row_k^{(j)}, psi_{k0}^{(l)}) are diagonal difference
+  quotients in -k^2 whose denominator i - k^2 cancels S's factor k^2 - i:
+
+      S = 1 + (k^2 - i) p(k0) A(k, k0) = 1 - p(k0) diag(((-k^2)^nu - (-i)^nu) / w)
+
+  over the orders nu and weights w of ``_channel_table``.  ``p_of_k``
+  returns the closed entry formulas once they agree with the solve of S
+  to 1e-10 of the size of p's terms.
 
 * ``d_coeffs`` / ``d_of_k`` -- the channel determinant
   D(k) = common * (c1 E + c_alpha E^alpha + c_{1-alpha} E^{1-alpha} + c0),
@@ -67,12 +68,10 @@ from .extension import ExtensionParams, as_alpha, build_u_matrix
 from .specfun import UpperHalfK, _ladder_values, as_wavenumber, branch_power, hankel1_orders
 
 __all__ = [
-    "REFERENCE_K",
     "CCoeffs",
     "AnalyticBasisElement",
     "ab_resolvent_kernel",
     "analytic_basis",
-    "a_matrix",
     "p_at_i",
     "p_of_k",
     "d_coeffs",
@@ -80,8 +79,6 @@ __all__ = [
     "full_resolvent_kernel",
     "truncation_order",
 ]
-
-REFERENCE_K = UpperHalfK(cmath.exp(1j * math.pi / 4))
 
 _CHANNELS = (0, -1)
 _DUAL_PATH_TOL = 1e-10
@@ -130,10 +127,9 @@ def _angular_distance(delta):
     return np.minimum(d, 2.0 * math.pi - d)
 
 
-def _polar_grid(r, phi, point: str = ""):
-    """Radii and angles as 1-D float arrays, plus the shape of the result:
-    shape(r) + shape(phi), () for a single point.  The one gate of the
-    coordinates: a radius not finite and positive, or an angle not finite,
+def _gate(r, phi, point: str = ""):
+    """Radii and angles as float arrays of their own shapes.  The one gate of
+    the coordinates: a radius not finite and positive, or an angle not finite,
     is a ValueError naming it after the label point, such as "source "."""
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -142,6 +138,13 @@ def _polar_grid(r, phi, point: str = ""):
         raise ValueError(f"{point}radius {bad_r[0]} is not finite and positive")
     if bad_phi.size:
         raise ValueError(f"{point}angle {bad_phi[0]} is not finite")
+    return r, phi
+
+
+def _polar_grid(r, phi, point: str = ""):
+    """Gated radii and angles as 1-D arrays, plus the shape of the result:
+    shape(r) + shape(phi), () for a single point."""
+    r, phi = _gate(r, phi, point)
     return r.ravel(), phi.ravel(), r.shape + phi.shape
 
 
@@ -207,7 +210,8 @@ def ab_resolvent_kernel(alpha, k, x, y):
 @dataclass(frozen=True)
 class AnalyticBasisElement:
     """One channel element psi_k as an immutable (r, phi) -> complex
-    evaluator: prefactor * H1_nu(k r) e^{i channel phi}."""
+    evaluator: prefactor * H1_nu(k r) e^{i channel phi}, broadcast over
+    gated r and phi."""
 
     channel: int
     k: UpperHalfK
@@ -215,8 +219,9 @@ class AnalyticBasisElement:
     prefactor: complex
 
     def __call__(self, r, phi):
-        rad = self.prefactor * hankel1_orders(self.nu, self.k.k * np.asarray(r))
-        return _unwrap(rad * np.exp(1j * self.channel * np.asarray(phi)))
+        r, phi = _gate(r, phi)
+        rad = self.prefactor * hankel1_orders(self.nu, self.k.k * r)
+        return _unwrap(rad * np.exp(1j * self.channel * phi))
 
 
 def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
@@ -261,27 +266,6 @@ def _rank_two(pk: np.ndarray, rows: list, cols: list):
     return sum(pk[j, l] * rows[j] * cols[l] for j, l in zip(*np.nonzero(pk)))
 
 
-def a_matrix(alpha, k1, k2) -> np.ndarray:
-    """Overlaps A(k1, k2) of the analytic family, a diagonal 2x2 array by
-    channel orthogonality (the off-diagonal zeros are exact).  The
-    coincidence k1^2 = k2^2 is routed to the derivative (l'Hopital) limit
-    of the difference quotients."""
-    alpha = as_alpha(alpha)
-    k1 = as_wavenumber(k1)
-    k2 = as_wavenumber(k2)
-    table = _channel_table(alpha)
-    k1sq = k1.k * k1.k
-    k2sq = k2.k * k2.k
-    denom = k2sq - k1sq
-    if abs(denom) <= 1e-12 * (abs(k1sq) + abs(k2sq)):
-        # d/dE of (-k^2)^nu is nu (-k^2)^{nu - 1}, and nu - 1 is minus the
-        # other channel's order (exactly, since fl(x - 1) = -fl(1 - x)).
-        diag = [nu * branch_power(k1, -other[0]) / w for (nu, w, _), other in zip(table, table[::-1])]
-    else:
-        diag = [(branch_power(k1, nu) - branch_power(k2, nu)) / (w * denom) for nu, w, _ in table]
-    return np.diag(diag)
-
-
 def p_at_i(params: ExtensionParams) -> np.ndarray:
     """Coupling matrix at the reference point k0 = e^{i pi/4}:
     -(i/2) (I + conj(U)), the same for every alpha."""
@@ -306,8 +290,8 @@ class CCoeffs:
     def pairs(self) -> tuple:
         """The bracket as (s, c_s) pairs for s = 1, alpha, 1 - alpha, 0:
         D = common_factor * sum of c_s E^s."""
-        return ((1.0, self.c1), (self.alpha, self.c_alpha),
-                (1.0 - self.alpha, self.c_1malpha), (0.0, self.c0))
+        (nu0, _, _), (nu1, _, _) = _channel_table(self.alpha)
+        return (1.0, self.c1), (nu0, self.c_alpha), (nu1, self.c_1malpha), (0.0, self.c0)
 
 
 def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
@@ -319,11 +303,11 @@ def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
     alpha = as_alpha(alpha)
     eta = params.eta
     ap, app = params.a.real, params.a.imag
-    (_, s, _), (_, c, _) = _channel_table(alpha)
+    (nu, s, _), (_, c, _) = _channel_table(alpha)
     # Each coefficient's terms, summed left to right; c1 is minus its sum.
     brackets = ((ap, math.cos(eta)),
-                (ap * s, math.sin(math.pi * alpha / 2.0 - eta), app * c),
-                (ap * c, math.cos(math.pi * alpha / 2.0 + eta), -app * s),
+                (ap * s, math.sin(math.pi * nu / 2.0 - eta), app * c),
+                (ap * c, math.cos(math.pi * nu / 2.0 + eta), -app * s),
                 (math.sin(eta), -app * math.cos(math.pi * alpha), -ap * math.sin(math.pi * alpha)))
     c1, c_alpha, c_1malpha, c0 = (sum(t[1:], t[0]) for t in brackets)
     common = cmath.exp(-1j * eta) / math.sin(math.pi * alpha)
@@ -332,41 +316,42 @@ def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
 
 
 def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
-    """The channel solve shared by d_of_k and p_of_k: D(k), the scale
-    |common factor| * (sum of the moduli of D's four terms), p(k0) and the
-    channel system S = 1 + (k^2 - i) p(k0) A(k, k0), with S p(k) = p(k0).
-    D(k) comes from the coefficient expansion, cross-checked against
-    det S to 1e-10 of the larger route's terms, dscale or
-    |S00 S11| + |S01 S10|."""
+    """The channel solve shared by d_of_k and p_of_k: D's coefficients, D(k),
+    the scale |common factor| * (sum of the moduli of D's four terms), p(k0),
+    S = 1 - p(k0) diag(((-k^2)^nu - (-i)^nu) / w) and the rows (w, (-k^2)^nu,
+    (-i)^nu) of channels 0 and -1; each (-k^2)^s is evaluated once.  D(k) is
+    the coefficient expansion, cross-checked against det S to 1e-10 of the
+    larger route's terms, dscale or |S00 S11| + |S01 S10|."""
     cf = d_coeffs(params, alpha)
-    terms = [c * branch_power(k, s) for s, c in cf.pairs()]
+    powers = [branch_power(k, s) for s, _ in cf.pairs()]
+    terms = [c * power for (_, c), power in zip(cf.pairs(), powers)]
     val = cf.common_factor * sum(terms)
     dscale = abs(cf.common_factor) * sum(abs(t) for t in terms)
+    # pairs() lists the channel orders second and third
+    rows = [(w, power, cmath.exp(-1j * math.pi * nu / 2.0))
+            for (nu, w, _), power in zip(_channel_table(alpha), powers[1:3])]
     pref = p_at_i(params)
-    amat = a_matrix(alpha, k, REFERENCE_K)
-    system = np.eye(2) + (k.k * k.k - 1j) * (pref @ amat)
+    system = np.eye(2) - pref * [(pow_k - pow_ref) / w for w, pow_k, pow_ref in rows]
     diag, cross = system[0, 0] * system[1, 1], system[0, 1] * system[1, 0]
     det = complex(diag - cross)
     # Each route rounds at the size of its own terms: D's four and det S's two.
     if abs(val - det) > _DUAL_PATH_TOL * max(dscale, abs(diag) + abs(cross)):
-        raise ConsistencyError(
-            f"determinant paths disagree at k={k.k}: {val} vs {det}"
-        )
-    return complex(val), dscale, pref, system
+        raise ConsistencyError(f"determinant paths disagree at k={k.k}: {val} vs {det}")
+    return cf, complex(val), dscale, pref, system, rows
 
 
 def d_of_k(params: ExtensionParams, alpha, k) -> complex:
     """Channel determinant D(k), coefficient expansion cross-checked
     against the literal 2x2 determinant."""
-    return _channel_system(params, as_alpha(alpha), as_wavenumber(k))[0]
+    return _channel_system(params, as_alpha(alpha), as_wavenumber(k))[1]
 
 
 def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
-    """Coupling matrix p(k) as a 2x2 array, computed both by inverting
-    1 + (k^2 - i) p(k0) A(k, k0) and by the closed entry formulas; the
-    two must agree to 1e-10 of the size of p's terms (|e^{-i eta}/(2 D)|
-    times the moduli in each entry's bracket; p itself can be a
-    cancellation far below that) and the closed form is returned.
+    """Coupling matrix p(k) as a 2x2 array, computed both by solving
+    S p(k) = p(k0) and by the closed entry formulas; the two must agree to
+    1e-10 of the size of p's terms (|e^{-i eta}/(2 D)| times the moduli in
+    each entry's bracket; p itself can be a cancellation far below that)
+    and the closed form is returned.
 
     Raises NearEigenvalueError when |D(k)| is below 1e-12 times the sum
     of the moduli of D's four terms, |(-k^2)^s| = |k|^{2s}, and when the
@@ -377,22 +362,19 @@ def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
     """
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
-    dval, dscale, pref, system = _channel_system(params, alpha, k)
+    cf, dval, dscale, pref, system, rows = _channel_system(params, alpha, k)
     if abs(dval) < 1e-12 * dscale:
         raise NearEigenvalueError(k.k, dval)
 
-    eta = params.eta
-    a, b = params.a, params.b
+    eta, a, b = params.eta, params.a, params.b
     e = cmath.exp(-1j * eta)
-    drive = a.real + math.cos(eta)
+    drive = -cf.c1
     half = e / (2.0 * dval)
-    # The diagonal, channel 0 then -1: e/(2D) (drive/w ((-k^2)^s - (-i)^s)
-    # - i (e^{i eta} + a_j)), where s and w are the order and weight of the
+    # The diagonal, channel 0 then -1: e/(2D) (drive/w ((-k^2)^nu - (-i)^nu)
+    # - i (e^{i eta} + a_j)), where nu and w are the order and weight of the
     # other channel's row; and the moduli of each bracket's terms.
     diag, sizes = [], []
-    for (power, weight, _), a_j in zip(_channel_table(alpha)[::-1], (a.conjugate(), a)):
-        pow_k = branch_power(k, power)
-        pow_ref = cmath.exp(-1j * math.pi * power / 2.0)   # (-i)^s
+    for (weight, pow_k, pow_ref), a_j in zip(rows[::-1], (a.conjugate(), a)):
         diag.append(half * (drive / weight * (pow_k - pow_ref) - 1j * (cmath.exp(1j * eta) + a_j)))
         sizes.append(abs(drive / weight) * (abs(pow_k) + 1.0) + 1.0 + abs(a))
     closed = np.array([[diag[0], 1j * e / (2.0 * dval) * b],
@@ -408,10 +390,8 @@ def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
         cond = float(np.linalg.cond(system))
         if _SOLVE_ERROR_FACTOR * cond * np.finfo(float).eps > _DUAL_PATH_TOL:
             raise NearEigenvalueError(k.k, dval, condition=cond)
-        raise ConsistencyError(
-            f"coupling-matrix paths disagree at k={k.k}: "
-            f"closed={closed.tolist()} inverted={inverted.tolist()}"
-        )
+        raise ConsistencyError(f"coupling-matrix paths disagree at k={k.k}: "
+                               f"closed={closed.tolist()} inverted={inverted.tolist()}")
     return closed
 
 

@@ -5,10 +5,12 @@ ascending series in mpmath arithmetic at 40 digits, cross-checked against
 mpmath's own implementations), the radial deficiency elements with their
 normalization constants and norms, a finite-difference application of
 the flux Hamiltonian, quadrature helpers, the paper's hand-written table
-of eigenfunction corrections, the closed-form bound states of the
-rotationally invariant extensions, and the inverse of the unitary channel
-map.  Nothing here is imported by the package; oracles must stay
-independent of the paths they check.
+of eigenfunction corrections, the overlaps of the analytic channel
+elements (Krein's channel system), the boundary condition at the origin
+as a second route to S(k), p(k) and the zeros of D(k), the closed-form
+bound states of the rotationally invariant extensions, and the inverse
+of the unitary channel map.  Nothing here is imported by the package;
+oracles must stay independent of the paths they check.
 """
 
 from __future__ import annotations
@@ -196,6 +198,112 @@ def psi_u_correction_table(alpha: float, k: float, pk) -> tuple:
         (-2.0 * math.sin(half) * cmath.exp(1j * half) * k ** (2 - 2 * alpha) * pk[1, 1],
          1.0 - alpha, 1, -1),
     )
+
+
+K0 = cmath.exp(0.25j * math.pi)  # Krein's reference point, k0^2 = i
+
+
+def _orders_weights(alpha: float) -> tuple:
+    """(nu, w) of channels 0 and -1 at 40 digits: orders alpha and 1 - alpha,
+    overlap weights sin(pi alpha/2) and cos(pi alpha/2)."""
+    alpha = mp.mpf(alpha)
+    return (alpha, mp.sinpi(alpha / 2)), (1 - alpha, mp.cospi(alpha / 2))
+
+
+def _overlap_diag(alpha: float, k1, k2) -> list:
+    """The diagonal of overlap(alpha, k1, k2) as mpmath numbers."""
+    k1, k2 = mp.mpc(k1), mp.mpc(k2)
+    out = []
+    for nu, w in _orders_weights(alpha):
+        # (-k^2)^nu = exp(nu (2 Log k - i pi)), continuous onto Im k = 0 from above
+        p1, p2 = (mp.exp(nu * (2 * mp.log(k) - 1j * mp.pi)) for k in (k1, k2))
+        out.append((p1 - p2) / (w * (k2 * k2 - k1 * k1)))
+    return out
+
+
+def overlap(alpha: float, k1, k2) -> np.ndarray:
+    """Overlaps A(k1, k2)_{jl} = (psi-row_{k1}^{(j)}, psi_{k2}^{(l)}) of the
+    analytic channel elements, channels (0, -1): diagonal by channel
+    orthogonality, with the difference quotients ((-k1^2)^nu - (-k2^2)^nu) /
+    (w (k2^2 - k1^2)), evaluated at 40 digits.  k1^2 = k2^2 is not handled."""
+    return np.diag([mp_complex(v) for v in _overlap_diag(alpha, k1, k2)])
+
+
+def channel_system(pref, alpha: float, k) -> np.ndarray:
+    """Krein's channel system S = 1 + (k^2 - i) p(k0) A(k, k0) for the given
+    p(k0), so that S p(k) = p(k0); (k^2 - i) A(k, k0) is formed at 40 digits."""
+    kk = mp.mpc(k)
+    scaled = [mp_complex((kk * kk - 1j) * v) for v in _overlap_diag(alpha, k, K0)]
+    return np.eye(2) + pref @ np.diag(scaled)
+
+
+def p_by_inversion(params: ExtensionParams, alpha: float, k) -> np.ndarray:
+    """p(k) = S^-1 p(k0) solved at 40 digits, with p(k0) = -(i/2) (I + conj U)
+    and S = 1 + (k^2 - i) p(k0) A(k, k0), U = e^(i eta) [[a, -conj b], [b, conj a]]."""
+    e, a, b = mp.expj(-params.eta), mp.mpc(params.a), mp.mpc(params.b)
+    pref = -0.5j * (mp.eye(2) + e * mp.matrix([[mp.conj(a), -b], [mp.conj(b), a]]))
+    kk = mp.mpc(k)
+    s = mp.eye(2) + pref * mp.diag([(kk * kk - 1j) * v for v in _overlap_diag(alpha, k, K0)])
+    p = mp.inverse(s) * pref
+    return np.array([[mp_complex(p[i, j]) for j in range(2)] for i in range(2)])
+
+
+class BoundaryRoute(NamedTuple):
+    m_in: np.ndarray
+    m_out: np.ndarray
+    s: np.ndarray
+    p: np.ndarray
+    a_map: np.ndarray
+    b_map: np.ndarray
+
+
+def boundary_route(params: ExtensionParams, alpha: float, k: complex) -> BoundaryRoute:
+    """S(k), p(k) and the maps M_in, M_out of the boundary condition at the
+    origin, from the channel map U alone, channels (0, -1).
+
+    Channel j (order nu_j) behaves like A_j r^(-nu_j) + B_j r^(nu_j) near
+    r = 0.  The domain is every (A, B) = (a_map c, b_map c), c in C^2, with
+    a_map = D_a P(1/4) (I + U) and b_map = D_b P(-1/4) (I + e^(i pi N) U):
+    P(t) = diag(e^(i pi nu t)), N = diag(nu), D_a = diag(n Gamma(nu) 2^nu),
+    D_b = diag(n Gamma(-nu) 2^(-nu)), n = sqrt(2 cos(pi nu/2))/pi the norms
+    of the deficiency elements, whose small-r expansion (DLMF 10.27.4,
+    10.25.2), joined by U, this is.  Writing channel j as
+    x_j J_nu(kr) + y_j J_-nu(kr) (DLMF 10.2.2), x = diag(Gamma(1 + nu)
+    (k/2)^(-nu)) B and y = diag(Gamma(1 - nu) (k/2)^nu) A; the incoming and
+    outgoing amplitudes (DLMF 10.17.3) are M_in = P(1/2) x + P(-1/2) y and
+    M_out = P(-1/2) x + P(1/2) y as maps of c.  Then
+
+        S = diag(1, -1) (M_out M_in^-1)^T,
+
+    in the channel order and phases of the on-shell S-matrix of the
+    amplitude, and the coefficient p(k)_{jl} of row^(j)(y) psi^(l)(x) in the
+    resolvent kernel is the transpose of
+    (1/pi) (I + U) M_in^-1 diag(e^(3 i pi nu/4) k^(-nu) / n): the kernel's
+    x-coefficients (A, B) = (a p^T v, q v + b p^T v), v the row elements at y,
+    lie in the domain for every v, where a and b are the r^-nu and r^nu
+    coefficients of psi_k and q those of the regular kernel per row element.
+    k is in the closed upper half-plane, with principal powers."""
+    nu = np.array([alpha, 1.0 - alpha])
+    u = cmath.exp(1j * params.eta) * np.array([[params.a, -params.b.conjugate()],
+                                              [params.b, params.a.conjugate()]])
+    norm = np.sqrt(2.0 * np.cos(0.5 * math.pi * nu)) / math.pi
+    gamma = np.vectorize(math.gamma)
+
+    def phase(t):
+        return np.diag(np.exp(1j * math.pi * nu * t))
+
+    eye = np.eye(2)
+    a_map = np.diag(norm * gamma(nu) * 2.0 ** nu) @ phase(0.25) @ (eye + u)
+    b_map = np.diag(norm * gamma(-nu) * 2.0 ** -nu) @ phase(-0.25) @ (eye + phase(1.0) @ u)
+    half_k = complex(k) / 2.0
+    x = np.diag(gamma(1.0 + nu) * half_k ** -nu) @ b_map
+    y = np.diag(gamma(1.0 - nu) * half_k ** nu) @ a_map
+    m_in = phase(0.5) @ x + phase(-0.5) @ y
+    m_out = phase(-0.5) @ x + phase(0.5) @ y
+    s = np.diag([1.0, -1.0]) @ (m_out @ np.linalg.inv(m_in)).T
+    right = np.diag(np.exp(0.75j * math.pi * nu) * complex(k) ** -nu / norm)
+    p = ((eye + u) @ np.linalg.solve(m_in, right) / math.pi).T
+    return BoundaryRoute(m_in, m_out, s, p, a_map, b_map)
 
 
 def random_params(rng) -> tuple[float, complex, complex]:

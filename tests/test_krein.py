@@ -18,9 +18,7 @@ from abx import krein
 from abx.errors import ConsistencyError, NearEigenvalueError
 from abx.extension import ExtensionParams
 from abx.krein import (
-    REFERENCE_K,
     _row,
-    a_matrix,
     ab_resolvent_kernel,
     analytic_basis,
     d_coeffs,
@@ -29,16 +27,20 @@ from abx.krein import (
     p_at_i,
     p_of_k,
 )
-from abx.specfun import UpperHalfK, branch_power
+from abx.specfun import UpperHalfK
 from abx.spectrum import bound_states
 
 from _oracles import (
+    K0,
     DeficiencyElement,
     apply_flux_operator,
+    channel_system,
     complex_quad,
     deficiency_radial,
     inner_product_2d,
     observed_orders,
+    overlap,
+    p_by_inversion,
     random_params,
 )
 
@@ -126,7 +128,7 @@ class TestAnalyticBasis:
         # prefactors are checked against code they share nothing with
         for alpha in (0.1, 0.5, 0.9):
             for channel in (0, -1):
-                elem = analytic_basis(channel, alpha, REFERENCE_K)
+                elem = analytic_basis(channel, alpha, K0)
                 for r in (0.3, 1.0, 4.0):
                     phi = 1.1
                     xi = deficiency_radial(DeficiencyElement(channel, +1), alpha, r)
@@ -148,7 +150,7 @@ class TestAnalyticBasis:
         alpha = 0.3
         r0 = 1e-6
         vals = []
-        for k in (REFERENCE_K, UpperHalfK(0.4 + 1.1j), UpperHalfK(2.0 + 0.3j)):
+        for k in (UpperHalfK(K0), UpperHalfK(0.4 + 1.1j), UpperHalfK(2.0 + 0.3j)):
             vals.append(complex(analytic_basis(0, alpha, k)(r0, 0.0)) * r0**alpha)
         assert abs(vals[1] / vals[0] - 1.0) < 1e-3
         assert abs(vals[2] / vals[0] - 1.0) < 1e-3
@@ -178,33 +180,16 @@ class TestAnalyticBasis:
         bra = analytic_basis(0, alpha, UpperHalfK(-k1.k.conjugate()))
         col = analytic_basis(0, alpha, k2)
         got = inner_product_2d(bra, col)
-        want = a_matrix(alpha, k1, k2)[0, 0]
+        want = overlap(alpha, k1.k, k2.k)[0, 0]
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
-
-class TestAMatrix:
-    def test_off_diagonal_exactly_zero(self):
-        m = a_matrix(0.3, UpperHalfK(1j), UpperHalfK(0.5 + 0.5j))
-        assert m[0, 1] == 0 and m[1, 0] == 0
-
-    def test_reference_pair_is_identity(self):
-        # A(k0, mirrored k0) = I for every alpha
-        k2 = UpperHalfK(cmath.exp(3j * PI / 4))
-        for alpha in (0.1, 0.5, 0.9):
-            m = a_matrix(alpha, REFERENCE_K, k2)
-            assert np.allclose(m, np.eye(2), atol=1e-14)
-
-    def test_coincidence_limit_matches_derivative_form(self):
-        alpha = 0.37
-        k1 = UpperHalfK(0.9 + 1.3j)
-        delta = 1e-5
-        lim = a_matrix(alpha, k1, k1)
-        # central average kills the O(delta) term of the one-sided quotients
-        close = 0.5 * (a_matrix(alpha, k1, UpperHalfK(k1.k * (1 + delta)))
-                       + a_matrix(alpha, k1, UpperHalfK(k1.k * (1 - delta))))
-        assert np.max(np.abs(lim - close)) <= 1e-8 * np.max(np.abs(lim))
-        want00 = alpha * branch_power(k1, alpha - 1.0) / math.sin(PI * alpha / 2)
-        assert lim[0, 0] == pytest.approx(want00, rel=1e-14)
+    @pytest.mark.parametrize("r, phi", [(math.nan, 0.0), (1.0, math.inf), (0.0, 0.0), (-1.0, 0.0)])
+    def test_element_refuses_bad_coordinates(self, r, phi):
+        # the origin and negative radii are off H1's domain; the gate names the bad value
+        with pytest.raises(ValueError, match="radius|angle"):
+            analytic_basis(0, 0.3, 1.0)(r, phi)
+        with pytest.raises(ValueError, match="radius|angle"):
+            analytic_basis(-1, 0.3, 1.0)(np.array([[1.0], [r]]), np.array([0.5, phi]))
 
 
 class TestCouplingMatrix:
@@ -232,10 +217,39 @@ class TestCouplingMatrix:
             eta, a, b = random_params(rng)
             params = ExtensionParams(eta, a, b)
             alpha = float(rng.uniform(0.05, 0.95))
-            amat = a_matrix(alpha, REFERENCE_K, k2)
+            amat = overlap(alpha, K0, k2.k)
             u = build_u_matrix(params)
             want = 0.5j * np.linalg.solve(amat, -np.eye(2) - np.conj(u))
             assert np.allclose(p_at_i(params), want, atol=1e-13)
+
+    def test_reference_point_exactly(self):
+        # at k = k0 the channel system is the identity and p(k) = p(k0)
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            params = ExtensionParams(*random_params(rng))
+            alpha = float(rng.uniform(0.05, 0.95))
+            p, want = p_of_k(params, alpha, UpperHalfK(K0)), p_at_i(params)
+            assert np.abs(p - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_channel_system_is_krein_system_of_the_overlaps(self):
+        # the program's S = 1 - p(k0) diag(((-k^2)^nu - (-i)^nu) / w) against
+        # 1 + (k^2 - i) p(k0) A(k, k0) with the quadrature-gated overlaps, at
+        # interior, real, imaginary, tiny, huge and near-k0 momenta
+        rng = np.random.default_rng(16)
+        for i in range(300):
+            params = ExtensionParams(*random_params(rng))
+            alpha = float(rng.uniform(0.02, 0.98))
+            mag = 10.0 ** rng.uniform(-6.0, 6.0)
+            k = [UpperHalfK(mag * cmath.exp(1j * rng.uniform(0.0, PI))),
+                 UpperHalfK(mag, on_real_axis=True), UpperHalfK(1j * mag),
+                 UpperHalfK(K0 * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0)
+                                  * cmath.exp(1j * rng.uniform(-PI, PI))))][i % 4]
+            try:
+                system = krein._channel_system(params, alpha, k)[4]
+            except ConsistencyError:  # near a root, det S cancels beyond D's terms
+                continue
+            want = channel_system(p_at_i(params), alpha, k.k)
+            assert np.abs(system - want).max() <= 1e-13 * (1.0 + np.abs(want - np.eye(2)).max())
 
     def test_ab_coupling_vanishes_for_all_k(self):
         for k in (UpperHalfK(1j), UpperHalfK(2.0 + 0.1j),
@@ -301,7 +315,9 @@ class TestCouplingMatrix:
 # (alpha, eta, a, b, kappa) with k = i kappa next to a bound state, where the
 # dual-path checks once took the solve's own rounding for an inconsistency:
 # two deep states (the determinant check) and two ill-conditioned p(k)
-# inversions with cond(S) eps just below 1e-10 (the coupling-matrix check)
+# inversions with cond(S) eps just below 1e-10 (the coupling-matrix check).
+# Whether such a point answers or refuses turns on rounding; the third
+# answers since S is formed without the factor k^2 - i.
 NEAR_STATE_POINTS = [
     (0.7626200716810304, -2.290089074072119, 0.6590495893007804 - 0.06959740740343406j,
      -0.4268941835854936 - 0.6152813955793462j, 3416036.0032670563),
@@ -318,10 +334,19 @@ class TestRefusals:
     """Next to a bound state p(k) either returns or refuses as near an
     eigenvalue; a ConsistencyError there would be a false internal fault."""
 
-    @pytest.mark.parametrize("alpha, eta, a, b, kappa", NEAR_STATE_POINTS)
+    @pytest.mark.parametrize("alpha, eta, a, b, kappa", NEAR_STATE_POINTS[:2] + NEAR_STATE_POINTS[3:])
     def test_pinned_point_refused_as_near_eigenvalue(self, alpha, eta, a, b, kappa):
         with pytest.raises(NearEigenvalueError, match="condition number"):
             p_of_k(ExtensionParams(eta, a, b), alpha, UpperHalfK(1j * kappa))
+
+    def test_pinned_point_at_the_edge_answers_accurately(self):
+        # the third point's paths agree to 1e-10 of p's terms, so it answers;
+        # the answer holds against a 40-digit inversion of the channel system
+        alpha, eta, a, b, kappa = NEAR_STATE_POINTS[2]
+        params = ExtensionParams(eta, a, b)
+        p = p_of_k(params, alpha, UpperHalfK(1j * kappa))
+        want = p_by_inversion(params, alpha, 1j * kappa)
+        assert np.abs(p - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_sweep_next_to_bound_states(self):
         # k = i sqrt(|E|) (1 + delta), delta = +-10^u with u uniform in [-8, -1]
@@ -345,7 +370,7 @@ class TestRefusals:
         # a 1e-8 error in either route of a well-conditioned solve is still
         # an internal fault, not a refusal
         k = UpperHalfK(1.2 + 1.5j)
-        _, _, _, system = krein._channel_system(MIXING, 0.45, k)
+        system = krein._channel_system(MIXING, 0.45, k)[4]
         assert np.linalg.cond(system) < 1e3
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda m, v: solve(m, v) * (1.0 + 1e-8))
@@ -422,9 +447,7 @@ class TestDeterminant:
             alpha = float(rng.uniform(0.05, 0.95))
             k = UpperHalfK(complex(rng.uniform(-10, 10), rng.uniform(0.1, 10)))
             val = d_of_k(params, alpha, k)
-            m = np.eye(2) + (k.k**2 - 1j) * (
-                p_at_i(params) @ a_matrix(alpha, k, REFERENCE_K)
-            )
+            m = channel_system(p_at_i(params), alpha, k.k)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(val - det) <= 1e-10 * max(abs(val), 1.0)
 

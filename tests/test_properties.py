@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 
 from abx.errors import NearEigenvalueError
 from abx.extension import ExtensionParams, classify
-from abx.krein import (_CHANNELS, REFERENCE_K, _rank_two, _row, a_matrix, analytic_basis,
-                       d_of_k, full_resolvent_kernel, p_at_i, p_of_k)
+from abx.krein import (_CHANNELS, _rank_two, _row, analytic_basis, d_of_k, full_resolvent_kernel,
+                       p_at_i, p_of_k)
 from abx.scattering import (FORWARD_EPSILON, PlaneWaveChannel, amplitude_ab, amplitude_u,
                             channel_mixing, psi_u)
 from abx.specfun import as_wavenumber, bessel_j_orders
 from abx.spectrum import bound_states
 
-from _oracles import random_params
+from _oracles import boundary_route, channel_system, random_params
 
 PI = math.pi
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -98,8 +98,7 @@ def test_dual_paths_agree(params, alpha, log_k, arg_k):
     except REFUSED:
         assume(False)
     pref = p_at_i(params)
-    inverted = np.linalg.solve(np.eye(2) + (k.k ** 2 - 1j) * (pref @ a_matrix(alpha, k, REFERENCE_K)),
-                               pref)
+    inverted = np.linalg.solve(channel_system(pref, alpha, k.k), pref)
     power = max(abs(k.k) ** (2.0 * alpha), abs(k.k) ** (2.0 - 2.0 * alpha))
     trig = min(math.sin(PI * alpha / 2.0), math.cos(PI * alpha / 2.0))
     size = (2.0 + 2.0 * (1.0 + power) / trig + abs(params.b)) / (2.0 * abs(d_of_k(params, alpha, k)))
@@ -134,50 +133,130 @@ ITEM_12 = pytest.mark.xfail(strict=True, raises=AssertionError,
                             "eigenfunction and amplitude has the wrong sign")
 
 
+def _on_shell_s(params, alpha, k):
+    """S = diag(e^{-i pi alpha}, e^{i pi alpha}) + sqrt(2 pi k) e^{i pi/4} C on
+    channels (0, -1), C_jl the coefficient of e^{i(-j theta + l phi)} in the
+    amplitude's correction (a 4 x 4 DFT off the forward cone)."""
+    amp = amplitude_u(params, alpha, k)
+    theta = 2 * PI * np.arange(4)[:, None] / 4
+    phi = 2 * PI * np.arange(4) / 4 + 0.3
+    corr = amp.smooth(theta, phi) - amplitude_ab(alpha, k).smooth(theta, phi)
+    chans = np.array([0, -1])
+    coef = np.exp(1j * chans[:, None] * theta.T) @ corr @ np.exp(-1j * phi[:, None] * chans) / 16
+    return (np.diag([cmath.exp(-1j * PI * alpha), cmath.exp(1j * PI * alpha)])
+            + math.sqrt(2 * PI * k) * cmath.exp(0.25j * PI) * coef)
+
+
+def _random_points(seed, count, alpha_range=(0.05, 0.95)):
+    """count draws (params, alpha), every third with b = 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        eta, a, b = random_params(rng)
+        if i % 3 == 0:
+            a, b = a / abs(a), 0.0
+        yield ExtensionParams(eta, a, b), float(rng.uniform(*alpha_range)), rng
+
+
 @ITEM_12
 def test_on_shell_s_matrix_is_unitary():
-    # S = diag(e^{-i pi alpha}, e^{i pi alpha}) + sqrt(2 pi k) e^{i pi/4} C on
-    # channels (0, -1), C_jl the coefficient of e^{i(-j theta + l phi)} in the
-    # amplitude's correction (a 4 x 4 DFT off the forward cone); flux
-    # conservation makes S unitary whatever the sign convention of p(k).  The
-    # worst defect over all draws is asserted, so the expected failure reports
-    # it and leaves no falsifying example to shrink.
+    # flux conservation makes S unitary whatever the sign convention of p(k).
+    # The worst defect over all draws is asserted, so the expected failure
+    # reports it and leaves no falsifying example to shrink.
     defects = []
 
     @SETTINGS
     @given(params=family_points(), alpha=st.floats(0.05, 0.95), log_k=st.floats(-3.0, 3.0))
     def draw(params, alpha, log_k):
-        k = 10.0 ** log_k
         try:
-            amp = amplitude_u(params, alpha, k)
+            s = _on_shell_s(params, alpha, 10.0 ** log_k)
         except REFUSED:
             assume(False)
-        theta = 2 * PI * np.arange(4)[:, None] / 4
-        phi = 2 * PI * np.arange(4) / 4 + 0.3
-        corr = amp.smooth(theta, phi) - amplitude_ab(alpha, k).smooth(theta, phi)
-        chans = np.array([0, -1])
-        coef = np.exp(1j * chans[:, None] * theta.T) @ corr @ np.exp(-1j * phi[:, None] * chans) / 16
-        s = (np.diag([cmath.exp(-1j * PI * alpha), cmath.exp(1j * PI * alpha)])
-             + math.sqrt(2 * PI * k) * cmath.exp(0.25j * PI) * coef)
         defects.append(np.abs(s.conj().T @ s - np.eye(2)).max())
 
     draw()
     assert max(defects) <= 1e-10
 
 
+def _det(m):
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def test_boundary_route_determinant_is_k_times_d():
+    # k det M_in(k) / D(k) is one constant per point: the boundary condition
+    # at the origin gives D up to that constant, sharing neither the
+    # overlaps nor branch_power with the program
+    ks = (0.01 + 0.02j, 0.3 + 0.1j, 1.0 + 1.0j, 3.0 + 0.5j, 10.0 + 2.0j, 50.0 + 3.0j)
+    for params, alpha, _ in _random_points(17, 30):
+        ratios = [k * _det(boundary_route(params, alpha, k).m_in) / d_of_k(params, alpha, k)
+                  for k in ks]
+        assert max(abs(r / ratios[0] - 1.0) for r in ratios) <= 1e-12
+
+
+def test_bound_states_are_zeros_of_the_boundary_route():
+    # each reported E = -kappa^2 is within 1e-12 (relative) of a zero of
+    # det M_in(i kappa): the Newton step det / (kappa d det/d kappa) in
+    # kappa is half that in E
+    states = 0
+    for params, alpha, _ in _random_points(18, 100):
+        for state in bound_states(params, alpha).bound_states:
+            kappa = math.sqrt(-state.energy)
+
+            def det(t):
+                return _det(boundary_route(params, alpha, 1j * kappa * t).m_in)
+
+            slope = (det(1.0 + 1e-6) - det(1.0 - 1e-6)) / 2e-6
+            assert abs(det(1.0) / slope) <= 5e-13
+            states += 1
+    assert states >= 100
+
+
+@ITEM_12
+def test_on_shell_s_matrix_matches_boundary_route():
+    errors = []
+    for params, alpha, rng in _random_points(19, 60):
+        k = 10.0 ** rng.uniform(-3.0, 3.0)
+        try:
+            s = _on_shell_s(params, alpha, k)
+        except REFUSED:
+            continue
+        errors.append(np.abs(s - boundary_route(params, alpha, k).s).max())
+    assert len(errors) >= 50 and max(errors) <= 1e-10
+
+
+@ITEM_12
+def test_coupling_matrix_matches_boundary_route():
+    # p(k) in the closed upper half-plane, real axis included
+    errors = []
+    for params, alpha, rng in _random_points(20, 100):
+        k = as_wavenumber(10.0 ** rng.uniform(-2.0, 2.0) * cmath.exp(1j * rng.uniform(0.0, PI)))
+        try:
+            p = p_of_k(params, alpha, k)
+        except REFUSED:
+            continue
+        want = boundary_route(params, alpha, k.k).p
+        errors.append(np.abs(p - want).max() / np.abs(want).max())
+    assert len(errors) >= 90 and max(errors) <= 1e-10
+
+
 ORIGIN_RADII = np.array([1e-6, 2e-6])
+ORIGIN_ANGLES = 2 * PI * (np.arange(8) + 0.5) / 8
+
+
+def _origin_fit(values, nu, m, k):
+    """(A, B) of channel m, A r^-nu + B r^nu, fitted to values on
+    ORIGIN_RADII x ORIGIN_ANGLES.  The mean of values e^{-i m phi} over the
+    angles keeps m (and m +- 8, below 1e-40 here); each power carries its
+    Frobenius correction 1 - (kr)^2 / (4 (1 -+ nu)), without which the fit
+    is off by up to 2e-5 on the draws below."""
+    q = (k * ORIGIN_RADII) ** 2 / 4
+    basis = np.column_stack([ORIGIN_RADII ** -nu * (1 - q / (1 - nu)),
+                             ORIGIN_RADII ** nu * (1 - q / (1 + nu))])
+    return np.linalg.solve(basis.astype(complex), (values * np.exp(-1j * m * ORIGIN_ANGLES)).mean(axis=1))
 
 
 def _origin_ratio(values, alpha, k):
-    """B/A of channel 0, A r^-alpha + B r^alpha, fitted to values on
-    ORIGIN_RADII x 8 cell-centred angles.  The mean over the angles keeps
-    m = 0 (and m = +-8, below 1e-40 here); each power carries its Frobenius
-    correction 1 - (kr)^2 / (4 (1 -+ alpha)), without which the fit is off
-    by up to 2e-5 on the draws below."""
-    q = (k * ORIGIN_RADII) ** 2 / 4
-    basis = np.column_stack([ORIGIN_RADII ** -alpha * (1 - q / (1 - alpha)),
-                             ORIGIN_RADII ** alpha * (1 - q / (1 + alpha))])
-    a, b = np.linalg.solve(basis.astype(complex), values.mean(axis=1))
+    """B/A of channel 0."""
+    a, b = _origin_fit(values, alpha, 0, k)
     return b / a
 
 
@@ -203,7 +282,7 @@ def test_boundary_condition_at_the_origin():
         eta, tau, alpha = rng.uniform(-PI, PI), rng.uniform(-PI, PI), rng.uniform(0.2, 0.6)
         if abs(math.cos((eta + tau) / 2)) >= 0.2:
             draws.append((eta, tau, alpha))
-    phi = 2 * PI * (np.arange(8) + 0.5) / 8
+    phi = ORIGIN_ANGLES
     errors = []
     for eta, tau, alpha in draws:
         params = ExtensionParams.rotationally_invariant(eta, tau)
@@ -216,6 +295,33 @@ def test_boundary_condition_at_the_origin():
                               alpha, k) for k in (1 + 0.5j, 2.5 + 0.5j)]
         errors += [abs(g - want) / max(1.0, abs(want)) for g in got]
     assert max(errors) <= 1e-5
+
+
+@ITEM_12
+def test_boundary_condition_at_the_origin_coupled():
+    # Any b: near r = 0, channel j of the eigenfunction, and of the resolvent
+    # kernel in x, is A_j r^-nu_j + B_j r^nu_j with (A, B) in the domain,
+    # B = b_map a_map^-1 A (tests/_oracles.boundary_route).  Two incidences,
+    # or two sources, give the 2 x 2 boundary matrix B A^-1 at each k.
+    # alpha in [0.3, 0.7] keeps both fits well conditioned.
+    errors = []
+    for params, alpha, _ in _random_points(8, 16, (0.3, 0.7)):
+        route = boundary_route(params, alpha, 1.0)
+        if np.linalg.cond(route.a_map) > 10.0:
+            continue
+        want = route.b_map @ np.linalg.inv(route.a_map)
+        for k in (1.0, 2.5, 1 + 0.5j, 2.5 + 0.5j):
+            if k.imag:
+                columns = [full_resolvent_kernel(params, alpha, k, (ORIGIN_RADII, ORIGIN_ANGLES), y)
+                           for y in ((1.3, 0.2), (1.1, 2.5))]
+            else:
+                columns = [psi_u(params, alpha, PlaneWaveChannel(k, theta), ORIGIN_RADII, ORIGIN_ANGLES)
+                           for theta in (0.0, 2.0)]
+            fits = np.array([[_origin_fit(v, nu, m, k) for v in columns]
+                             for nu, m in ((alpha, 0), (1.0 - alpha, -1))])
+            got = fits[:, :, 1] @ np.linalg.inv(fits[:, :, 0])
+            errors.append(np.abs(got - want).max() / np.abs(want).max())
+    assert len(errors) >= 32 and max(errors) <= 1e-5
 
 
 @ITEM_12
@@ -278,14 +384,14 @@ def test_at_most_two_bound_states(params, alpha):
          alpha=0.9492844304269469)
 def test_coupled_bound_states_zero_the_channel_system(params, alpha):
     # a second route besides the coefficient expansion: at k = i sqrt(E) the
-    # channel system S = 1 + (k^2 - i) p(k0) A(k, k0) of krein._channel_system,
-    # built here from the same factors without that function's own
-    # cross-check (which refuses near a root once |k| is large), is singular
+    # channel system S = 1 + (k^2 - i) p(k0) A(k, k0), built here from the
+    # oracle's overlaps without krein._channel_system's own cross-check
+    # (which refuses near a root once |k| is large), is singular
     assume(params.b != 0)
     pref = p_at_i(params)
     for state in bound_states(params, alpha).bound_states:
         k = as_wavenumber(1j * math.sqrt(-state.energy))
-        system = np.eye(2) + (k.k ** 2 - 1j) * (pref @ a_matrix(alpha, k, REFERENCE_K))
+        system = channel_system(pref, alpha, k.k)
         det = system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0]
         assert abs(det) <= 1e-9 * (1.0 + np.abs(system).max() ** 2)
 
