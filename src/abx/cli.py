@@ -441,7 +441,7 @@ def _render_csv(cfg: RunConfig, cols, rows, meta) -> str:
     return buf.getvalue()
 
 
-def run(config: RunConfig, stream=None) -> int:
+def run(config: RunConfig) -> int:
     """Dispatch the configured task and write its output."""
     results, cols, rows, meta = _TASK_FNS[config.task](config)
     text = (_render_json(config, results) if config.fmt == "json"
@@ -450,7 +450,7 @@ def run(config: RunConfig, stream=None) -> int:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        (stream or sys.stdout).write(text)
+        sys.stdout.write(text)
     return 0
 
 

@@ -77,7 +77,6 @@ __all__ = [
     "d_coeffs",
     "d_of_k",
     "full_resolvent_kernel",
-    "truncation_order",
 ]
 
 _CHANNELS = (0, -1)
@@ -100,19 +99,12 @@ def _channel_table(alpha: float) -> tuple:
     return (alpha, s, math.sqrt(2.0 * c) / math.pi), (1.0 - alpha, c, math.sqrt(2.0 * s) / math.pi)
 
 
-def truncation_order(k_abs: float, r_outer: float) -> int:
-    """Partial-wave cutoff: covers the classically allowed orders plus a
-    turning-point margin scaling like (k r)^{1/3}."""
-    z = k_abs * r_outer
-    return int(math.ceil(z) + math.ceil(8.0 * z ** (1.0 / 3.0)) + 20)
-
-
 def _cutoff(k_abs: float, r_outer: float, width: int) -> int:
-    """truncation_order(k_abs, r_outer), refused before anything is
-    allocated when the orders x width arrays of the partial-wave sum would
-    exceed _MAX_GRID_ELEMENTS."""
+    """Partial-wave cutoff: the classically allowed orders plus a turning-point
+    margin like (k r)^{1/3}; refused before anything is allocated when the
+    orders x width arrays of the sum would exceed _MAX_GRID_ELEMENTS."""
     z = k_abs * r_outer
-    mmax = truncation_order(k_abs, r_outer) if z < _MAX_GRID_ELEMENTS else math.inf
+    mmax = math.ceil(z) + math.ceil(8.0 * z ** (1 / 3)) + 20 if z < _MAX_GRID_ELEMENTS else math.inf
     if (2 * mmax + 2) * width > _MAX_GRID_ELEMENTS:
         raise ValueError(
             f"partial-wave grid too large at k*r = {z:.3g}: its orders x {width} radii "
@@ -188,7 +180,7 @@ def ab_resolvent_kernel(alpha, k, x, y):
     r and phi may each be a scalar or a 1-D array; the result is then the
     polar grid of shape shape(r) + shape(phi), or a complex for a single
     point.  The m-sum at each radius is truncated at
-    ``truncation_order(|k|, max(r, rho))``.  Coincident points are
+    ``_cutoff(|k|, max(r, rho), width)``.  Coincident points are
     rejected (logarithmic singularity).
     """
     alpha = as_alpha(alpha)

@@ -2,6 +2,7 @@
 formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -493,12 +494,62 @@ def test_readme_cli_examples_run(line):
         assert json.loads(out)["task"] == line.split()[-1]
 
 
-def run_python(code: str, *args: str) -> str:
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_python(code: str, *args: str, env=None) -> str:
     """stdout of `python -c code args` in a fresh interpreter that imports
-    this checkout's abx."""
+    this checkout's abx, with none of the BLAS thread variables set unless
+    env sets them."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+                          check=True, env={**base, **(env or {}), "PYTHONPATH": path}).stdout
+
+
+BLAS_THREADS = f"""
+import json, os, sys
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+import abx
+import numpy as np
+a = np.ones((300, 300))
+a @ a
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([tasks, {{v: os.environ[v] for v in {BLAS_THREAD_VARS!r} if v in os.environ}}]))
+"""
+COUNTS_THREADS = os.path.isdir("/proc/self/task") and (os.cpu_count() or 1) >= 2
+
+
+@pytest.mark.parametrize("preset, threads", [
+    ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)])
+def test_blas_runs_on_one_thread_unless_the_caller_chose(preset, threads):
+    # import abx starts numpy's BLAS on one thread and leaves os.environ as
+    # it found it; a count the caller set is kept
+    tasks, seen = json.loads(run_python(BLAS_THREADS, env=preset))
+    assert seen == preset
+    if COUNTS_THREADS:
+        assert tasks == threads
+
+
+@pytest.mark.skipif(not COUNTS_THREADS, reason="needs /proc/self/task and two cores")
+def test_numpy_imported_first_keeps_its_thread_count():
+    default, _ = json.loads(run_python(BLAS_THREADS.replace("import abx\n", "")))
+    assert json.loads(run_python(BLAS_THREADS, "numpy-first")) == [default, {}]
+
+
+@pytest.mark.parametrize("task", [["eigenfunction"], ["--k-imag", "0.25", "--source", "10,0",
+                                                      "resolvent"]])
+def test_field_grid_bytes_do_not_depend_on_blas_threads(task):
+    # the partial-wave sums are matrix products: with one BLAS path the
+    # printed bytes are those of an explicitly serial run
+    code = "import sys, abx.cli; sys.exit(abx.cli.main(sys.argv[1:]))"
+    argv = [*POINTS["coupled"], "--k", "1.0", "--radii", "1,3,7,15,30,50", "--angles", "256",
+            *task]
+    out = run_python(code, *argv)
+    serial = run_python(code, *argv, env={"OPENBLAS_NUM_THREADS": "1"})
+    assert out.startswith('{"diagnostics"')
+    assert hashlib.sha256(out.encode()).hexdigest() == hashlib.sha256(serial.encode()).hexdigest()
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"

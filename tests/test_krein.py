@@ -73,10 +73,10 @@ class TestAbKernel:
         k = UpperHalfK(2.0 + 1.0j)
         x, y = (4.0, 1.2), (9.0, 2.8)  # k r up to ~20, radii ratio < 0.5
         base = ab_resolvent_kernel(0.3, k, x, y)
-        order = krein.truncation_order
+        cutoff = krein._cutoff
         for extra in (10, 70):  # +10 and a cutoff-doubling pad
-            monkeypatch.setattr(krein, "truncation_order",
-                                lambda k_abs, r, extra=extra: order(k_abs, r) + extra)
+            monkeypatch.setattr(krein, "_cutoff",
+                                lambda k_abs, r, width, extra=extra: cutoff(k_abs, r, width) + extra)
             again = ab_resolvent_kernel(0.3, k, x, y)
             assert abs(base - again) < 1e-12
 
@@ -88,7 +88,7 @@ class TestAbKernel:
         phi = (np.arange(4) + 0.5) * (PI / 2.0)
         got = ab_resolvent_kernel(alpha, UpperHalfK(k), (30.0, phi), (40.0, 0.0))
         z_in, z_out = 30.0 * k, 40.0 * k
-        mmax = krein.truncation_order(abs(k), 40.0)
+        mmax = krein._cutoff(abs(k), 40.0, phi.size)
         m = np.arange(-mmax - 1, mmax + 1)
         nu = np.abs(m + alpha)
         jve = sp_jve(nu, z_in)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import hankel1 as amos_hankel1
 from scipy.special import jv as amos_jv
 
-from abx.krein import _MAX_GRID_ELEMENTS, _cutoff, truncation_order
+from abx.krein import _MAX_GRID_ELEMENTS, _cutoff
 from abx.specfun import (
     UpperHalfK,
     bessel_j_orders,
@@ -186,7 +186,7 @@ class TestLaddersAgainstAmos:
         # partial-wave cutoff at |z|; arg z = 0 goes in as a real float
         r = 10.0 ** log_r
         z = r if arg == 0.0 else r * cmath.exp(1j * arg)
-        nus = partial_wave_orders(alpha, truncation_order(r, 1.0))
+        nus = partial_wave_orders(alpha, _cutoff(r, 1.0, 1))
         j, h = bessel_j_orders(nus, z), hankel1_orders(nus, z)
         j_ref, h_ref = amos_jv(nus, z), amos_hankel1(nus, z)
         assert not np.isnan(j).any() and not np.isnan(h).any()
