@@ -116,10 +116,10 @@ def _parse_complex_pair(text: str) -> complex:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    vals = tuple(float(p) for p in str(text).split(",") if p.strip())
-    if not vals:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
-    return vals
+    parts = [p.strip() for p in str(text).split(",")]
+    if not all(parts):
+        raise ValueError(f"expected comma-separated numbers, got {text!r} with an empty entry")
+    return tuple(float(p) for p in parts)
 
 
 def _convert(merged, name: str, parse):

@@ -39,11 +39,14 @@ limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
   A(k, k0)_{jl} = (psi-row_k^{(j)}, psi_{k0}^{(l)}) are diagonal difference
   quotients in -k^2 whose denominator i - k^2 cancels S's factor k^2 - i:
 
-      S = 1 + (k^2 - i) p(k0) A(k, k0) = 1 - p(k0) diag(((-k^2)^nu - (-i)^nu) / w)
+      S = 1 + (k^2 - i) p(k0) A(k, k0) = 1 - p(k0) diag(g),  g = ((-k^2)^nu - (-i)^nu) / w
 
   over the orders nu and weights w of ``_channel_table``.  ``p_of_k``
-  returns the closed entry formulas once they agree with the solve of S
-  to 1e-10 of the size of p's terms.
+  returns Cramer's rule, once it agrees with the solve of S to 1e-10: with
+  X = p(k0) diag(g), adj(I - X) = (1 - tr X) I + X, and Cayley-Hamilton
+  gives X p(k0) = tr X p(k0) - det p(k0) diag(g_-1, g_0), so
+
+      p(k) = (p(k0) - det p(k0) diag(g_-1, g_0)) / D(k),  -det p(k0) = e^{-i eta} (Re a + cos eta) / 2.
 
 * ``d_coeffs`` / ``d_of_k`` -- the channel determinant
   D(k) = common * (c1 E + c_alpha E^alpha + c_{1-alpha} E^{1-alpha} + c0),
@@ -65,7 +68,8 @@ import numpy as np
 
 from .errors import ConsistencyError, NearEigenvalueError
 from .extension import ExtensionParams, as_alpha, build_u_matrix
-from .specfun import UpperHalfK, _ladder_values, as_wavenumber, branch_power, hankel1_orders
+from .specfun import (_MAX_GRID_ELEMENTS, UpperHalfK, _ladder_values, as_wavenumber,
+                      branch_power, hankel1_orders)
 
 __all__ = [
     "CCoeffs",
@@ -84,9 +88,6 @@ _DUAL_PATH_TOL = 1e-10
 # A 2x2 solve errs by up to a small multiple of cond(S) eps; this is the multiple.
 _SOLVE_ERROR_FACTOR = 16.0
 _COINCIDENCE_TOL = 1e-12
-# Largest orders x (radii or angles) array a partial-wave sum may build:
-# 1.6e7 complex elements, 256 MB.
-_MAX_GRID_ELEMENTS = 16_000_000
 
 
 def _channel_table(alpha: float) -> tuple:
@@ -310,26 +311,26 @@ def d_coeffs(params: ExtensionParams, alpha) -> CCoeffs:
 def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
     """The channel solve shared by d_of_k and p_of_k: D's coefficients, D(k),
     the scale |common factor| * (sum of the moduli of D's four terms), p(k0),
-    S = 1 - p(k0) diag(((-k^2)^nu - (-i)^nu) / w) and the rows (w, (-k^2)^nu,
-    (-i)^nu) of channels 0 and -1; each (-k^2)^s is evaluated once.  D(k) is
-    the coefficient expansion, cross-checked against det S to 1e-10 of the
-    larger route's terms, dscale or |S00 S11| + |S01 S10|."""
+    S = 1 - p(k0) diag(g), and g = ((-k^2)^nu - (-i)^nu) / w of channels 0 and
+    -1 with the moduli (|(-k^2)^nu| + 1) / w of its terms; each (-k^2)^s is
+    evaluated once.  D(k) is the coefficient expansion, cross-checked against
+    det S to 1e-10 of the larger route's terms, dscale or |S00 S11| + |S01 S10|."""
     cf = d_coeffs(params, alpha)
     powers = [branch_power(k, s) for s, _ in cf.pairs()]
     terms = [c * power for (_, c), power in zip(cf.pairs(), powers)]
     val = cf.common_factor * sum(terms)
     dscale = abs(cf.common_factor) * sum(abs(t) for t in terms)
-    # pairs() lists the channel orders second and third
-    rows = [(w, power, cmath.exp(-1j * math.pi * nu / 2.0))
-            for (nu, w, _), power in zip(_channel_table(alpha), powers[1:3])]
+    table = list(zip(_channel_table(alpha), powers[1:3]))  # pairs(): the orders 2nd and 3rd
+    g = np.array([(power - cmath.exp(-1j * math.pi * nu / 2.0)) / w for (nu, w, _), power in table])
+    g_size = np.array([(abs(power) + 1.0) / w for (_, w, _), power in table])
     pref = p_at_i(params)
-    system = np.eye(2) - pref * [(pow_k - pow_ref) / w for w, pow_k, pow_ref in rows]
+    system = np.eye(2) - pref * g
     diag, cross = system[0, 0] * system[1, 1], system[0, 1] * system[1, 0]
     det = complex(diag - cross)
     # Each route rounds at the size of its own terms: D's four and det S's two.
     if abs(val - det) > _DUAL_PATH_TOL * max(dscale, abs(diag) + abs(cross)):
         raise ConsistencyError(f"determinant paths disagree at k={k.k}: {val} vs {det}")
-    return cf, complex(val), dscale, pref, system, rows
+    return cf, complex(val), dscale, pref, system, g, g_size
 
 
 def d_of_k(params: ExtensionParams, alpha, k) -> complex:
@@ -339,45 +340,32 @@ def d_of_k(params: ExtensionParams, alpha, k) -> complex:
 
 
 def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
-    """Coupling matrix p(k) as a 2x2 array, computed both by solving
-    S p(k) = p(k0) and by the closed entry formulas; the two must agree to
-    1e-10 of the size of p's terms (|e^{-i eta}/(2 D)| times the moduli in
-    each entry's bracket; p itself can be a cancellation far below that)
-    and the closed form is returned.
+    """Coupling matrix p(k) as a 2x2 array, by Cramer's rule on Krein's
+    channel system S p(k) = p(k0), S = I - X, X = p(k0) diag(g):
+    adj(I - X) = (1 - tr X) I + X, and Cayley-Hamilton gives
+    X p(k0) = tr X p(k0) - det p(k0) diag(g_-1, g_0), so
 
-    Raises NearEigenvalueError when |D(k)| is below 1e-12 times the sum
-    of the moduli of D's four terms, |(-k^2)^s| = |k|^{2s}, and when the
-    paths disagree because the channel system is too ill-conditioned for
-    the inversion to reach 1e-10 (16 times the condition number times
-    machine epsilon above 1e-10, as next to a zero-energy resonance or a
-    deep bound state).
+        p(k) = (p(k0) - det p(k0) diag(g_-1, g_0)) / D(k),  -det p(k0) = e^{-i eta} (-c1) / 2.
+
+    It is returned once it agrees with the solve of S to 1e-10 of the size
+    of p's terms, |1/D| times (1 + |a|)/2 + |c1| (|(-k^2)^nu| + 1)/(2 w) on
+    the diagonal and |b|/2 off it.  Raises NearEigenvalueError when |D(k)|
+    is below 1e-12 times the sum of the moduli of D's four terms, and when
+    the paths disagree because S is too ill-conditioned for the solve to
+    reach 1e-10 (16 cond(S) eps above 1e-10, as next to a zero-energy
+    resonance or a deep bound state).
     """
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
-    cf, dval, dscale, pref, system, rows = _channel_system(params, alpha, k)
+    cf, dval, dscale, pref, system, g, g_size = _channel_system(params, alpha, k)
     if abs(dval) < 1e-12 * dscale:
         raise NearEigenvalueError(k.k, dval)
-
-    eta, a, b = params.eta, params.a, params.b
-    e = cmath.exp(-1j * eta)
-    drive = -cf.c1
-    half = e / (2.0 * dval)
-    # The diagonal, channel 0 then -1: e/(2D) (drive/w ((-k^2)^nu - (-i)^nu)
-    # - i (e^{i eta} + a_j)), where nu and w are the order and weight of the
-    # other channel's row; and the moduli of each bracket's terms.
-    diag, sizes = [], []
-    for (weight, pow_k, pow_ref), a_j in zip(rows[::-1], (a.conjugate(), a)):
-        diag.append(half * (drive / weight * (pow_k - pow_ref) - 1j * (cmath.exp(1j * eta) + a_j)))
-        sizes.append(abs(drive / weight) * (abs(pow_k) + 1.0) + 1.0 + abs(a))
-    closed = np.array([[diag[0], 1j * e / (2.0 * dval) * b],
-                       [-1j * e / (2.0 * dval) * b.conjugate(), diag[1]]])
+    sigma = cmath.exp(-1j * params.eta) * -cf.c1 / 2.0
+    closed = (pref + sigma * np.diag(g[::-1])) / dval
     inverted = np.linalg.solve(system, pref)
-
-    # The size of p's terms, |e/(2D)| times the moduli in each entry's
-    # bracket (their Frobenius norm, by hypot so that huge |k| or |p| does
-    # not overflow): next to the regular point p is a cancellation of O(1)
-    # terms far below their size, and rounding scales with the terms.
-    scale = abs(half) * math.hypot(*sizes, abs(b), abs(b))
+    # The size of p's terms, which sets the rounding; hypot: huge |k| or |p| does not overflow.
+    sizes = (1.0 + abs(params.a)) / 2.0 + abs(cf.c1) / 2.0 * g_size[::-1]
+    scale = math.hypot(*sizes, abs(params.b) / 2.0, abs(params.b) / 2.0) / abs(dval)
     if math.hypot(*np.abs(closed - inverted).flat) > _DUAL_PATH_TOL * scale:
         cond = float(np.linalg.cond(system))
         if _SOLVE_ERROR_FACTOR * cond * np.finfo(float).eps > _DUAL_PATH_TOL:

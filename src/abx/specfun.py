@@ -171,6 +171,9 @@ _MIN_ABS_Z = 1e-300                        # smallest nonzero |z| of the domain
 # The continued fraction for J_nu/J_{nu-1} takes about |z| - nu steps
 # below the turning point: a bound on its cost.
 _MAX_CF1_STEPS = 1e7
+# Largest orders x (radii or angles) array a partial-wave sum may build, and
+# largest orders x columns ladder table: 1.6e7 complex elements, 256 MB.
+_MAX_GRID_ELEMENTS = 16_000_000
 
 
 def _ladder_values(nus, z, want_j: bool, scaled: bool = False) -> np.ndarray:
@@ -182,6 +185,8 @@ def _ladder_values(nus, z, want_j: bool, scaled: bool = False) -> np.ndarray:
     nus = np.asarray(nus, dtype=float)
     z = np.asarray(z)
     real = not np.iscomplexobj(z)
+    if not np.isfinite(nus).all():
+        raise ValueError(f"Bessel order {nus[~np.isfinite(nus)].flat[0]} is not finite")
     if (nus < 0).any() or ((z < 0) if real else (z.imag < 0)).any():
         raise ValueError("Bessel ladders need orders >= 0 and z in the closed upper half-plane")
     orders, order_idx = _distinct(nus)
@@ -202,11 +207,17 @@ def _ladder_values(nus, z, want_j: bool, scaled: bool = False) -> np.ndarray:
         ladder[same] = len(bases)
         bases.append(frac[i])
         left &= ~same
+    top, columns = int(steps[-1]), len(bases) * args.size
+    # A partial-wave sum that krein._cutoff admits has top <= mmax + 1 and
+    # columns <= 2 x radii: top x columns <= (2 mmax + 2) x width <= the limit.
+    if top * columns > _MAX_GRID_ELEMENTS:
+        raise ValueError(f"Bessel order {orders[-1]:.6g}: a ladder table of {top} orders x "
+                         f"{columns} columns exceeds the limit of {_MAX_GRID_ELEMENTS:.3g} elements")
     mu = np.repeat(bases, args.size)
     zcol = np.tile(args, len(bases))
     at_zero = zcol == 0
     with np.errstate(all="ignore"):
-        table = _ladders(mu, zcol + at_zero, int(steps[-1]), want_j, scaled)
+        table = _ladders(mu, zcol + at_zero, top, want_j, scaled)
     if at_zero.any():
         # J_nu(0) = 0 except J_0(0) = 1; H1 is singular there
         table[:, at_zero] = 0.0 if want_j else complex(math.nan, math.nan)

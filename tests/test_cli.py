@@ -115,6 +115,42 @@ class TestParse:
         cfgfile.write_text("task=spectrum\nalpha=0.5\n")
         assert cli.parse_config(["--config", str(cfgfile)]).task == "spectrum"
 
+    @pytest.mark.parametrize("argv, config, cause", [
+        (["--a", "1,2,3", "spectrum"], None, "a: expected 're' or 're,im', got '1,2,3'"),
+        (["--k", ",", "xsection"], None, "k: expected comma-separated numbers, got ','"),
+        (["--k", "1,,2", "--angles", "4", "xsection"], None,
+         "k: expected comma-separated numbers, got '1,,2' with an empty entry"),
+        (["--radii", "0.5,", "eigenfunction"], None,
+         "radii: expected comma-separated numbers, got '0.5,' with an empty entry"),
+        (["xsection"], "k=1,,2\n", "k: expected comma-separated numbers, got '1,,2'"),
+        (["--source", "1", "resolvent"], None, "source must be r,phi"),
+        (["--source", "1,2,3", "resolvent"], None, "source must be r,phi"),
+        (["--angles", "0", "xsection"], None, "angle grid needs at least 1 point, got 0"),
+        (["--angles", "-3", "xsection"], None, "angle grid needs at least 1 point, got -3"),
+        (["foo"], None, "task must be one of"),
+        ([], None, "task must be one of"),
+        (["spectrum"], "# run\nalpha 0.5\n", "run.cfg:2: expected key=value, got 'alpha 0.5'"),
+    ], ids=["a-three-parts", "k-empty", "k-empty-entry", "radii-trailing-comma",
+            "config-k-empty-entry", "source-one", "source-three", "angles-zero",
+            "angles-negative", "unknown-task", "no-task", "config-line-without-equals"])
+    def test_invalid_input_exits_2_naming_its_cause(self, tmp_path, argv, config, cause):
+        if config is not None:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(config)
+            argv = ["--config", str(cfgfile), *argv]
+        rc, out, err = run_cli(argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("abx: invalid configuration: ") and cause in err
+
+    def test_accepted_forms(self, tmp_path):
+        assert cli.parse_config(["--a", "1", "spectrum"]).params.a == 1 + 0j
+        # spaces around list entries stay accepted
+        assert cli.parse_config(["--k", " 1 , 2 ", "xsection"]).k_values == (1.0, 2.0)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("# momenta\n\n  k = 1, 2  \n\n# grid\nangles=8\n")
+        cfg = cli.parse_config(["--config", str(cfgfile), "xsection"])
+        assert cfg.k_values == (1.0, 2.0) and cfg.angle_count == 8
+
 
 class TestRun:
     def test_spectrum_json_values(self, capsys):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from scipy.special import hankel1 as amos_hankel1
 from scipy.special import jv as amos_jv
 
-from abx.krein import _MAX_GRID_ELEMENTS, _cutoff
+from abx import krein, specfun
+from abx.krein import _MAX_GRID_ELEMENTS, _cutoff, ab_resolvent_kernel
 from abx.specfun import (
     UpperHalfK,
     bessel_j_orders,
@@ -216,6 +217,16 @@ class TestLaddersAgainstAmos:
             with pytest.raises(ValueError, match="1e-300"):
                 hankel1_orders(0.5, z)
 
+    @pytest.mark.parametrize("ladder", [bessel_j_orders, hankel1_orders])
+    def test_rejects_order_before_allocating(self, ladder):
+        # 1e9 orders would ask for a table of 8 GB and more; a non-finite
+        # order has no ladder at all
+        with pytest.raises(ValueError, match=r"Bessel order 1e\+09: a ladder table of 1000000000"):
+            ladder(1e9, 1.0)
+        for nu, name in ((math.nan, "nan"), (math.inf, "inf"), ([0.5, -math.inf], "-inf")):
+            with pytest.raises(ValueError, match=f"Bessel order {name} is not finite"):
+                ladder(nu, 1.0)
+
 
 class TestLadderEdges:
     @pytest.mark.parametrize("alpha", [0.05, 0.37, 0.5, 0.9])
@@ -284,3 +295,23 @@ class TestLadderEdges:
             wronskian = j[1:] * y[:-1] - j[:-1] * y[1:]
             live = j[1:] != 0
             assert np.all(np.abs(wronskian[live] * (PI * z / 2.0) - 1.0) <= 1e-10)
+
+    def test_table_bound_admits_the_cutoff_edge(self, monkeypatch):
+        # with the shared limit lowered to 4000 elements, 86 radii inside a
+        # source at k r = 1e-3 are the most that _cutoff admits (mmax = 22,
+        # (2 mmax + 2) x 86 = 3956), and their J ladder table, top x columns =
+        # 23 orders x (2 ladders x 86 radii) = 3956, passes the ladder bound
+        k, alpha, source = UpperHalfK(1.0, on_real_axis=True), 0.3, (1e-3, 0.0)
+        radii = np.linspace(1e-4, 9e-4, 86)
+        want = ab_resolvent_kernel(alpha, k, (radii, 1.0), source)
+        for module in (krein, specfun):
+            monkeypatch.setattr(module, "_MAX_GRID_ELEMENTS", 4000)
+        assert _cutoff(1.0, 1e-3, radii.size) == 22
+        got = ab_resolvent_kernel(alpha, k, (radii, 1.0), source)
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="partial-wave grid too large"):
+            ab_resolvent_kernel(alpha, k, (np.linspace(1e-4, 9e-4, 87), 1.0), source)
+        # one order more on the same 172 columns is over the limit: 24 x 172
+        nus = np.concatenate([np.arange(25) + alpha, np.arange(24) + 1.0 - alpha])
+        with pytest.raises(ValueError, match="24 orders x 172 columns"):
+            bessel_j_orders(nus[:, None], radii)
