@@ -107,12 +107,10 @@ class RunConfig:
 
 
 def _parse_complex_pair(text: str) -> complex:
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    parts = _parse_float_list(text)
+    if len(parts) > 2:
+        raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    return complex(*parts)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -232,7 +230,7 @@ def parse_config(argv) -> RunConfig:
         theta=theta,
         angle_count=angle_count,
         radii=radii,
-        source=(float(source[0]), float(source[1])),
+        source=source,
         fmt=merged["format"],
         out=merged["out"],
     )

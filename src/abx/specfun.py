@@ -189,6 +189,8 @@ def _ladder_values(nus, z, want_j: bool, scaled: bool = False) -> np.ndarray:
         raise ValueError(f"Bessel order {nus[~np.isfinite(nus)].flat[0]} is not finite")
     if (nus < 0).any() or ((z < 0) if real else (z.imag < 0)).any():
         raise ValueError("Bessel ladders need orders >= 0 and z in the closed upper half-plane")
+    if nus.size == 0 or z.size == 0:
+        return np.zeros(np.broadcast_shapes(nus.shape, z.shape), float if want_j and real else complex)
     orders, order_idx = _distinct(nus)
     args, arg_idx = _distinct(z.astype(complex))
     if ((args != 0) & (np.abs(args) < _MIN_ABS_Z)).any():

@@ -117,6 +117,10 @@ class TestParse:
 
     @pytest.mark.parametrize("argv, config, cause", [
         (["--a", "1,2,3", "spectrum"], None, "a: expected 're' or 're,im', got '1,2,3'"),
+        (["--a", "1,", "spectrum"], None,
+         "a: expected comma-separated numbers, got '1,' with an empty entry"),
+        (["--b=,1", "spectrum"], None,
+         "b: expected comma-separated numbers, got ',1' with an empty entry"),
         (["--k", ",", "xsection"], None, "k: expected comma-separated numbers, got ','"),
         (["--k", "1,,2", "--angles", "4", "xsection"], None,
          "k: expected comma-separated numbers, got '1,,2' with an empty entry"),
@@ -127,12 +131,16 @@ class TestParse:
         (["--source", "1,2,3", "resolvent"], None, "source must be r,phi"),
         (["--angles", "0", "xsection"], None, "angle grid needs at least 1 point, got 0"),
         (["--angles", "-3", "xsection"], None, "angle grid needs at least 1 point, got -3"),
+        # 64e6 values, about 23 GB of JSON
+        (["--k", "1,2,3,4", "--angles", "16000000", "amplitude"], None,
+         "amplitude would print 64000000 values, above the limit of 4000000"),
         (["foo"], None, "task must be one of"),
         ([], None, "task must be one of"),
         (["spectrum"], "# run\nalpha 0.5\n", "run.cfg:2: expected key=value, got 'alpha 0.5'"),
-    ], ids=["a-three-parts", "k-empty", "k-empty-entry", "radii-trailing-comma",
-            "config-k-empty-entry", "source-one", "source-three", "angles-zero",
-            "angles-negative", "unknown-task", "no-task", "config-line-without-equals"])
+    ], ids=["a-three-parts", "a-trailing-comma", "b-leading-comma", "k-empty", "k-empty-entry",
+            "radii-trailing-comma", "config-k-empty-entry", "source-one", "source-three",
+            "angles-zero", "angles-negative", "amplitude-64e6-values", "unknown-task", "no-task",
+            "config-line-without-equals"])
     def test_invalid_input_exits_2_naming_its_cause(self, tmp_path, argv, config, cause):
         if config is not None:
             cfgfile = tmp_path / "run.cfg"
@@ -332,9 +340,13 @@ class TestRun:
     @pytest.mark.parametrize("argv", [
         ["--k", "1e-271", "validate"],
         ["--k", "1e-200", "--k-imag", "1e-200", "--angles", "4", "--radii", "0.5", "resolvent"],
+        ["--alpha", "0.37", "--eta", "0.3", "--a", "0.6,0.2", "--b=-0.7745966692414834,0",
+         "--k", "0.7071067811865476", "--k-imag", "0.7071067811865475", "--radii", "0.5,2",
+         "--angles", "4", "resolvent"],
     ])
-    def test_tiny_momenta_answer(self, argv):
-        # (-k^2)^s is formed without k^2, which underflows below |k| ~ 1e-154
+    def test_edge_momenta_answer(self, argv):
+        # (-k^2)^s is formed without k^2, which underflows below |k| ~ 1e-154;
+        # at k = e^{i pi/4}, the channel system's reference point, S = 1
         rc, out, err = run_cli(argv)
         assert (rc, err) == (0, "")
         assert "NaN" not in out and "Infinity" not in out

@@ -183,6 +183,10 @@ class TestAnalyticBasis:
         want = overlap(alpha, k1.k, k2.k)[0, 0]
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
+    def test_refuses_other_channels(self):
+        with pytest.raises(ValueError, match="channel must be 0 or -1, got 1"):
+            analytic_basis(1, 0.3, 1.0)
+
     @pytest.mark.parametrize("r, phi", [(math.nan, 0.0), (1.0, math.inf), (0.0, 0.0), (-1.0, 0.0)])
     def test_element_refuses_bad_coordinates(self, r, phi):
         # the origin and negative radii are off H1's domain; the gate names the bad value

@@ -227,6 +227,18 @@ class TestLaddersAgainstAmos:
             with pytest.raises(ValueError, match=f"Bessel order {name} is not finite"):
                 ladder(nu, 1.0)
 
+    @pytest.mark.parametrize("ladder", [bessel_j_orders, hankel1_orders])
+    def test_empty_inputs_give_empty_broadcasts(self, ladder):
+        # as a numpy ufunc would: zeros of the broadcast shape, real for J at real z
+        for nus, z, shape in (([], 1.0, (0,)), (0.5, [], (0,)),
+                              (np.ones(3), np.ones((0, 1)), (0, 3))):
+            got = ladder(nus, z)
+            assert got.shape == shape
+            assert np.isrealobj(got) == (ladder is bessel_j_orders)
+        assert np.iscomplexobj(ladder([], 1j))
+        with pytest.raises(ValueError):
+            ladder(np.ones(3), np.ones((0, 2)))
+
 
 class TestLadderEdges:
     @pytest.mark.parametrize("alpha", [0.05, 0.37, 0.5, 0.9])

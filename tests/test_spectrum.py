@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from abx import spectrum
 from abx.errors import ConsistencyError
 from abx.extension import ExtensionParams
 from abx.cli import main
@@ -148,6 +149,16 @@ class TestBoundStates:
         assert "c1 = -(Re a + cos eta) = -0 cancels to rounding" in err
         assert "cannot resolve its c1 E term, up to " in err
         assert "Traceback" not in err
+
+    def test_more_than_two_roots_refused(self, monkeypatch, capsys):
+        # the count bound is a cross-check on the root search: a third root
+        # is an internal inconsistency (exit 3), not a third bound state
+        monkeypatch.setattr(spectrum, "_sign_changes", lambda *args: [0.0, 1.0, 2.0])
+        with pytest.raises(ConsistencyError, match="found 3 determinant roots"):
+            bound_states(ExtensionParams.mixing(0.0), 0.5)
+        assert main(["--alpha", "0.5", "--eta", "0", "--a", "0,0", "--b", "1,0", "spectrum"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "found 3 determinant roots" in err and "Traceback" not in err
 
 
 class TestRotInvariantFactorization:
