@@ -14,8 +14,10 @@ request for more than 4e6 output values), 3 numerical failure
 (near-eigenvalue momentum, a failed internal cross-check, overflow at
 extreme momenta).  Each task evaluates its whole grid with one call per
 momentum, so the coupling matrix p(k) is solved once per momentum.
+Only the grid tasks, eigenfunction, resolvent and validate, load numpy.
 Importing this module freezes its import-time heap (gc.freeze) for the
-one task a CLI process runs; `import abx` leaves the GC alone.
+one task a CLI process runs, as a grid task does again after its imports;
+`import abx` leaves the GC alone.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import __version__
+from . import __version__, _numpy
 from .errors import ConsistencyError, ConvergenceError, NearEigenvalueError
-from .extension import ExtensionParams, as_alpha, classify
+from .extension import ExtensionParams, UpperHalfK, as_alpha, as_wavenumber, classify
 from .krein import full_resolvent_kernel, p_of_k
 from .scattering import (
     FORWARD_EPSILON,
@@ -44,7 +44,6 @@ from .scattering import (
     cross_section,
     psi_u,
 )
-from .specfun import UpperHalfK, as_wavenumber, hankel1_orders
 from .spectrum import bound_states
 
 # A CLI process runs one task and exits, and the modules imported above live
@@ -236,15 +235,16 @@ def parse_config(argv) -> RunConfig:
     )
 
 
-def _angle_grid(n: int) -> np.ndarray:
+def _angle_grid(n: int) -> list:
     # half-open [0, 2 pi), cell-centered so the forward direction is not
     # sampled exactly
-    return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    step = 2.0 * math.pi / n
+    return [(i + 0.5) * step for i in range(n)]
 
 
-def _c2l(z) -> list:
-    """A complex value as [re, im]; a 1-d array of them as a list of those."""
-    return np.stack((np.real(z), np.imag(z)), -1).tolist()
+def _c2l(z: complex) -> list:
+    """A complex value as [re, im]."""
+    return [z.real, z.imag]
 
 
 def _param_header(cfg: RunConfig) -> dict:
@@ -285,14 +285,12 @@ def _task_mixing(cfg: RunConfig):
     return results, cols, rows, []
 
 
-def _off_cone(cfg: RunConfig, angles: np.ndarray, values_at) -> tuple[list, np.ndarray]:
+def _off_cone(cfg: RunConfig, angles: list, values_at) -> tuple[list, list]:
     """The list values_at(off-cone angles) spread over the angle grid, with
     None inside the forward cone; and the cone mask."""
-    cone = _in_forward_cone(cfg.theta, angles)
-    vals = values_at(angles[~cone])
-    for i in np.flatnonzero(cone).tolist():  # ascending: each lands in place
-        vals.insert(i, None)
-    return vals, cone
+    cone = [_in_forward_cone(cfg.theta, phi) for phi in angles]
+    vals = iter(values_at([phi for phi, inside in zip(angles, cone) if not inside]))
+    return [None if inside else next(vals) for inside in cone], cone
 
 
 def _task_xsection(cfg: RunConfig):
@@ -300,12 +298,12 @@ def _task_xsection(cfg: RunConfig):
     results = []
     for k in cfg.k_values:
         vals, cone = _off_cone(cfg, angles, lambda phi: cross_section(
-            cfg.params, cfg.alpha, k, cfg.theta, phi).tolist())
+            cfg.params, cfg.alpha, k, cfg.theta, phi))
         results.append({"k": k, "theta": cfg.theta, "phi": _ANGLE_GRID,
-                        "dsigma_dphi": vals, "forward_excluded": cone.tolist()})
+                        "dsigma_dphi": vals, "forward_excluded": cone})
     cols = ["k", "theta", "phi", "dsigma_dphi", "in_forward_cone"]
     rows = ([r["k"], r["theta"], phi, "" if v is None else v, v is None]
-            for r in results for phi, v in zip(angles.tolist(), r["dsigma_dphi"]))
+            for r in results for phi, v in zip(angles, r["dsigma_dphi"]))
     meta = [f"forward_cone_halfwidth={FORWARD_EPSILON}"]
     return results, cols, rows, meta
 
@@ -315,7 +313,7 @@ def _task_amplitude(cfg: RunConfig):
     results = []
     for k in cfg.k_values:
         amp = amplitude_u(cfg.params, cfg.alpha, k)
-        vals, _ = _off_cone(cfg, angles, lambda phi: _c2l(amp.smooth(cfg.theta, phi)))
+        vals, _ = _off_cone(cfg, angles, lambda phi: [_c2l(f) for f in amp.smooth(cfg.theta, phi)])
         results.append({"k": k, "theta": cfg.theta, "phi": _ANGLE_GRID,
                         "smooth": vals,
                         "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
@@ -323,17 +321,18 @@ def _task_amplitude(cfg: RunConfig):
                         "notes": list(_AMPLITUDE_NOTES)})
     cols = ["k", "theta", "phi", "f_re", "f_im", "in_forward_cone"]
     rows = ([r["k"], r["theta"], phi, *(["", ""] if v is None else v), v is None]
-            for r in results for phi, v in zip(angles.tolist(), r["smooth"]))
+            for r in results for phi, v in zip(angles, r["smooth"]))
     return results, cols, rows, []
 
 
 def _task_eigenfunction(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-    points = np.stack(np.meshgrid(cfg.radii, angles, indexing="ij"), -1).reshape(-1, 2).tolist()
+    points = [[r, phi] for r in cfg.radii for phi in angles]
     results = []
     for k in cfg.k_values:
         vals = psi_u(cfg.params, cfg.alpha, PlaneWaveChannel(k, cfg.theta), cfg.radii, angles)
-        results.append({"k": k, "theta": cfg.theta, "points": points, "psi": _c2l(vals.ravel())})
+        results.append({"k": k, "theta": cfg.theta, "points": points,
+                        "psi": [_c2l(v) for v in vals.ravel().tolist()]})
     cols = ["k", "theta", "r", "phi", "psi_re", "psi_im"]
     rows = ([r["k"], r["theta"], *p, *v] for r in results for p, v in zip(r["points"], r["psi"]))
     return results, cols, rows, []
@@ -341,13 +340,14 @@ def _task_eigenfunction(cfg: RunConfig):
 
 def _task_resolvent(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-    points = np.stack(np.meshgrid(cfg.radii, angles, indexing="ij"), -1).reshape(-1, 2).tolist()
+    points = [[r, phi] for r in cfg.radii for phi in angles]
     y = cfg.source
     results = []
     for k in cfg.k_values:
         kk = as_wavenumber(complex(k, cfg.k_imag))
-        vals = _c2l(full_resolvent_kernel(cfg.params, cfg.alpha, kk, (cfg.radii, angles), y).ravel())
-        results.append({"k": [k, cfg.k_imag], "source": list(y), "points": points, "kernel": vals})
+        vals = full_resolvent_kernel(cfg.params, cfg.alpha, kk, (cfg.radii, angles), y)
+        results.append({"k": [k, cfg.k_imag], "source": list(y), "points": points,
+                        "kernel": [_c2l(v) for v in vals.ravel().tolist()]})
     cols = ["k_re", "k_im", "src_r", "src_phi", "r", "phi", "kernel_re", "kernel_im"]
     rows = ([*r["k"], *r["source"], *p, *v] for r in results for p, v in zip(r["points"], r["kernel"]))
     return results, cols, rows, []
@@ -356,7 +356,8 @@ def _task_resolvent(cfg: RunConfig):
 def _task_validate(cfg: RunConfig):
     """Dual-path coupling/determinant cross-checks plus one
     resolvent-limit sample of the eigenfunction closed form."""
-    rng = np.random.default_rng(20240811)
+    from .specfun import hankel1_orders
+    rng = _numpy().random.default_rng(20240811)
     for _ in range(50):
         g = rng.normal(size=4)
         n = math.hypot(math.hypot(g[0], g[1]), math.hypot(g[2], g[3]))
@@ -420,7 +421,7 @@ def _render_json(cfg: RunConfig, results) -> str:
         "provenance": _PROVENANCE,
     }
     head, *tails = json.dumps(doc, sort_keys=True).split(json.dumps(_ANGLE_GRID))
-    grid = json.dumps(_angle_grid(cfg.angle_count).tolist()) if tails else ""
+    grid = json.dumps(_angle_grid(cfg.angle_count)) if tails else ""
     return grid.join([head, *tails]) + "\n"
 
 
@@ -441,6 +442,9 @@ def _render_csv(cfg: RunConfig, cols, rows, meta) -> str:
 
 def run(config: RunConfig) -> int:
     """Dispatch the configured task and write its output."""
+    if config.task in ("eigenfunction", "resolvent", "validate"):  # the grid tasks
+        from . import specfun  # noqa: F401  (and numpy), which live until exit too
+        gc.freeze()
     results, cols, rows, meta = _TASK_FNS[config.task](config)
     text = (_render_json(config, results) if config.fmt == "json"
             else _render_csv(config, cols, rows, meta))

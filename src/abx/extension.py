@@ -14,8 +14,20 @@ Hamiltonian; b = 0 gives the rotationally invariant extensions; b != 0
 couples the two channels, so angular momentum is no longer conserved.
 
 This module holds the parameter types with their validation, the unitary
-matrix and the classification of the family.  The orders and norms of the
-two channels live in ``krein._channel_table``.
+matrix and the classification of the family, and the wavenumber and branch
+conventions.  The orders and norms of the two channels live in
+``krein._channel_table``.
+
+Branch convention
+-----------------
+``branch_power(k, s)`` is (-k^2)^s = exp(s (2 Log k - i pi)), one formula
+on the whole closed upper half-plane.  For 0 < arg k < pi it equals
+exp(s Log(-k^2)) with the principal logarithm: -k^2 never touches the cut,
+so the power is analytic there and real positive on the ray k = i*kappa.
+On the positive real axis (arg k = 0) it is the continuous limit from
+Im k -> 0+, exp(-i*pi*s) * k**(2s); every module evaluates boundary
+quantities with this limit.  k^2 is never formed, so tiny |k| does not
+underflow.
 """
 from __future__ import annotations
 
@@ -24,14 +36,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ALPHA_MIN",
     "ALPHA_MAX",
     "ExtensionParams",
     "ExtensionKind",
+    "UpperHalfK",
     "as_alpha",
+    "as_wavenumber",
+    "branch_power",
     "build_u_matrix",
     "classify",
 ]
@@ -104,12 +117,12 @@ class ExtensionParams:
         return cls(eta, 0.0, cmath.exp(1j * gamma))
 
 
-def build_u_matrix(params: ExtensionParams) -> np.ndarray:
+def build_u_matrix(params: ExtensionParams) -> tuple:
     """The unitary channel map e^{i eta} [[a, -conj b], [b, conj a]] as a
-    2x2 array, ordered channels (0, -1)."""
+    2x2 tuple of rows, ordered channels (0, -1)."""
     phase = cmath.exp(1j * params.eta)
     a, b = params.a, params.b
-    return phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+    return (phase * a, phase * -b.conjugate()), (phase * b, phase * a.conjugate())
 
 
 def classify(params: ExtensionParams) -> ExtensionKind:
@@ -119,10 +132,10 @@ def classify(params: ExtensionParams) -> ExtensionKind:
     representation (eta + pi, -a, -b) of a point classifies identically.
     """
     u = build_u_matrix(params)
-    off = max(abs(u[0, 1]), abs(u[1, 0]))
+    off = max(abs(u[0][1]), abs(u[1][0]))
     if off > _CLASS_TOL:
         return ExtensionKind.MIXING
-    if abs(u[0, 0] + 1.0) <= _CLASS_TOL and abs(u[1, 1] + 1.0) <= _CLASS_TOL:
+    if abs(u[0][0] + 1.0) <= _CLASS_TOL and abs(u[1][1] + 1.0) <= _CLASS_TOL:
         return ExtensionKind.AB
     return ExtensionKind.ROTATIONALLY_INVARIANT
 
@@ -131,3 +144,55 @@ class ExtensionKind(enum.Enum):
     AB = "AB"
     ROTATIONALLY_INVARIANT = "rotationally_invariant"
     MIXING = "mixing"
+
+
+@dataclass(frozen=True)
+class UpperHalfK:
+    """Wavenumber in the closed upper half-plane, k != 0.
+
+    ``on_real_axis`` marks a boundary value understood as the limit from
+    Im k -> 0+; it requires Re k > 0 and Im k == 0.  Interior points
+    require Im k > 0 strictly.
+    """
+
+    k: complex
+    on_real_axis: bool = False
+
+    def __post_init__(self):
+        kc = complex(self.k)
+        object.__setattr__(self, "k", kc)
+        if kc == 0 or not (math.isfinite(kc.real) and math.isfinite(kc.imag)):
+            raise ValueError(f"wavenumber must be finite and nonzero, got {kc}")
+        if self.on_real_axis:
+            if kc.imag != 0.0 or kc.real <= 0.0:
+                raise ValueError(
+                    f"on_real_axis requires real k > 0, got {kc}"
+                )
+        elif kc.imag <= 0.0:
+            raise ValueError(f"interior wavenumber needs Im k > 0, got {kc}")
+
+
+def as_wavenumber(k) -> UpperHalfK:
+    """Coerce a complex number to UpperHalfK.
+
+    Positive reals become boundary values (limits from above); numbers
+    with Im > 0 become interior points; anything else is rejected.
+    """
+    if isinstance(k, UpperHalfK):
+        return k
+    kc = complex(k)
+    if kc.imag == 0.0:
+        return UpperHalfK(kc, on_real_axis=True)
+    return UpperHalfK(kc)
+
+
+def branch_power(k, s: float) -> complex:
+    """(-k^2)**s = exp(s (2 Log k - i pi)) on the closed upper half-plane:
+    the principal branch inside, its limit from Im k -> 0+ on the real
+    axis.  Beyond the float range: OverflowError naming s and k."""
+    k = as_wavenumber(k).k
+    # 2 Log k - i pi, with Log k = log|k| + i arg k
+    try:
+        return cmath.exp(float(s) * complex(2.0 * math.log(abs(k)), 2.0 * cmath.phase(k) - math.pi))
+    except OverflowError:
+        raise OverflowError(f"(-k^2)^s with s = {s} leaves the float range at k = {k}") from None

@@ -33,8 +33,8 @@ limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
   r^{-nu} singular coefficient be independent of k; it is gated by the
   quadrature check of the overlaps of the family.  N, M: ``_channel_table``.
 
-* ``p_at_i`` / ``p_of_k`` -- the 2x2 coupling matrix (an array, ordered
-  channels (0, -1)) at the reference point and its continuation in k,
+* ``p_at_i`` / ``p_of_k`` -- the 2x2 coupling matrix (a tuple of rows,
+  ordered channels (0, -1)) at the reference point and its continuation in k,
   which solves Krein's channel system S p(k) = p(k0).  The overlaps
   A(k, k0)_{jl} = (psi-row_k^{(j)}, psi_{k0}^{(l)}) are diagonal difference
   quotients in -k^2 whose denominator i - k^2 cancels S's factor k^2 - i:
@@ -42,7 +42,8 @@ limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
       S = 1 + (k^2 - i) p(k0) A(k, k0) = 1 - p(k0) diag(g),  g = ((-k^2)^nu - (-i)^nu) / w
 
   over the orders nu and weights w of ``_channel_table``.  ``p_of_k``
-  returns Cramer's rule, once it agrees with the solve of S to 1e-10: with
+  returns Cramer's rule, once it agrees to 1e-10 with the solve of S by
+  Gaussian elimination with partial pivoting: with
   X = p(k0) diag(g), adj(I - X) = (1 - tr X) I + X, and Cayley-Hamilton
   gives X p(k0) = tr X p(k0) - det p(k0) diag(g_-1, g_0), so
 
@@ -55,6 +56,9 @@ limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
   alpha) is kept separate, and ``CCoeffs.pairs`` is the one place the
   bracket is written.  ``d_of_k`` cross-checks the coefficient expansion
   against the determinant of the channel system on every call.
+
+U, p(k0), S, D(k), p(k) and the far fields are Python complex arithmetic; the
+grid code gets numpy and ``specfun`` inside its functions, via ``abx._numpy``.
 """
 
 from __future__ import annotations
@@ -64,12 +68,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from . import _numpy
 from .errors import ConsistencyError, NearEigenvalueError
-from .extension import ExtensionParams, as_alpha, build_u_matrix
-from .specfun import (_MAX_GRID_ELEMENTS, UpperHalfK, _ladder_values, as_wavenumber,
-                      branch_power, hankel1_orders)
+from .extension import (ExtensionParams, UpperHalfK, as_alpha, as_wavenumber, branch_power,
+                        build_u_matrix)
 
 __all__ = [
     "CCoeffs",
@@ -104,6 +106,7 @@ def _cutoff(k_abs: float, r_outer: float, width: int) -> int:
     """Partial-wave cutoff: the classically allowed orders plus a turning-point
     margin like (k r)^{1/3}; refused before anything is allocated when the
     orders x width arrays of the sum would exceed _MAX_GRID_ELEMENTS."""
+    from .specfun import _MAX_GRID_ELEMENTS
     z = k_abs * r_outer
     mmax = math.ceil(z) + math.ceil(8.0 * z ** (1 / 3)) + 20 if z < _MAX_GRID_ELEMENTS else math.inf
     if (2 * mmax + 2) * width > _MAX_GRID_ELEMENTS:
@@ -114,16 +117,17 @@ def _cutoff(k_abs: float, r_outer: float, width: int) -> int:
     return mmax
 
 
-def _angular_distance(delta):
-    """Distance of each angle in delta from 0 on the circle, in [0, pi]."""
-    d = np.remainder(delta, 2.0 * math.pi)
-    return np.minimum(d, 2.0 * math.pi - d)
+def _angular_distance(delta: float) -> float:
+    """Distance of the angle delta from 0 on the circle, in [0, pi]."""
+    d = delta % (2.0 * math.pi)
+    return d if d <= math.pi else 2.0 * math.pi - d
 
 
 def _gate(r, phi, point: str = ""):
     """Radii and angles as float arrays of their own shapes.  The one gate of
     the coordinates: a radius not finite and positive, or an angle not finite,
     is a ValueError naming it after the label point, such as "source "."""
+    np = _numpy()
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     bad_r, bad_phi = r[~(np.isfinite(r) & (r > 0.0))], phi[~np.isfinite(phi)]
@@ -142,26 +146,27 @@ def _polar_grid(r, phi, point: str = ""):
 
 
 def _unwrap(values):
-    """A Python scalar for a single value, the array otherwise."""
-    values = np.asarray(values)
+    """A Python scalar for a single (0-d) value, the array otherwise."""
     return values.item() if values.ndim == 0 else values
 
 
-def _partial_wave_sum(alpha: float, mmax: int, dphi: np.ndarray, ladder: Callable) -> np.ndarray:
+def _partial_wave_sum(alpha: float, mmax: int, dphi, ladder: Callable):
     """sum_m ladder(m, nu)_m e^{i m dphi} over m = -mmax-1 .. mmax with
     nu = |m + alpha|, at every angle in dphi: one product of the order
     ladder (shape (..., orders)) with the orders x angles phase matrix."""
+    np = _numpy()
     m = np.arange(-mmax - 1, mmax + 1)
     return ladder(m, np.abs(m + alpha)) @ np.exp(1j * np.outer(m, dphi))
 
 
-def _kernel_ladder(k: complex, m: np.ndarray, nu: np.ndarray, r_in: np.ndarray,
-                   r_out: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+def _kernel_ladder(k: complex, m, nu, r_in, r_out, cutoffs):
     """J_nu(k r_in) H1_nu(k r_out) over the orders nu, one row per radius
     pair, each row cut at its own partial-wave cutoff: one J and one H1
     ladder call for all radii.  J's growth e^{Im k r_in} and H1's decay
     e^{-Im k r_out} are cancelled before the product, so that neither
     factor leaves the float range when their product does not."""
+    from .specfun import _ladder_values
+    np = _numpy()
     j_in = _ladder_values(nu, k * r_in[:, None], want_j=True, scaled=True)
     # Orders far above |k| r_in underflow to exactly 0, and orders beyond a
     # row's cutoff are dropped; their H1 factors, which may be beyond the
@@ -184,11 +189,12 @@ def ab_resolvent_kernel(alpha, k, x, y):
     ``_cutoff(|k|, max(r, rho), width)``.  Coincident points are
     rejected (logarithmic singularity).
     """
+    np = _numpy()
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
     r_vals, phi, shape = _polar_grid(x[0], x[1])
     (rho,), (zeta,), _ = _polar_grid(y[0], y[1], "source ")
-    if (np.any(_angular_distance(phi - zeta) <= _COINCIDENCE_TOL)
+    if (any(_angular_distance(p - zeta) <= _COINCIDENCE_TOL for p in phi.tolist())
             and np.any(np.abs(r_vals - rho) <= _COINCIDENCE_TOL * np.maximum(r_vals, rho))):
         raise ValueError("kernel is singular at coincident points x = y")
     r_in, r_out = np.minimum(r_vals, rho), np.maximum(r_vals, rho)
@@ -212,6 +218,8 @@ class AnalyticBasisElement:
     prefactor: complex
 
     def __call__(self, r, phi):
+        from .specfun import hankel1_orders
+        np = _numpy()
         r, phi = _gate(r, phi)
         rad = self.prefactor * hankel1_orders(self.nu, self.k.k * r)
         return _unwrap(rad * np.exp(1j * self.channel * phi))
@@ -232,37 +240,44 @@ def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
 def _row(elem: AnalyticBasisElement, rho, zeta):
     """Row element of the rank-two correction for the channel of elem:
     conj(psi_{-conj k}(rho, zeta)) = e^{-i pi nu/2} psi_k(rho, -zeta)."""
-    return cmath.exp(-0.5j * math.pi * elem.nu) * elem(rho, np.negative(zeta))
+    return cmath.exp(-0.5j * math.pi * elem.nu) * elem(rho, -zeta)
 
 
-def _far_column(elem: AnalyticBasisElement, phi):
-    """The far field of elem, lim psi_k(r, phi) sqrt(r) e^{-i k r} as r -> infinity,
-    by H1_nu(z) ~ sqrt(2/(pi z)) e^{i(z - nu pi/2 - pi/4)} (DLMF 10.17.5): the one
-    rule behind both far limits of the rank-two correction."""
+def _far_column(elem: AnalyticBasisElement) -> complex:
+    """The far field of elem over its channel factor e^{i channel phi},
+    lim psi_k(r, phi) sqrt(r) e^{-i k r} e^{-i channel phi} as r -> infinity,
+    by H1_nu(z) ~ sqrt(2/(pi z)) e^{i(z - nu pi/2 - pi/4)} (DLMF 10.17.5): the
+    one rule behind both far limits of the rank-two correction."""
     radial = cmath.sqrt(2.0 / (math.pi * elem.k.k)) * cmath.exp(-1j * math.pi * (elem.nu / 2.0 + 0.25))
-    return elem.prefactor * radial * np.exp(1j * elem.channel * np.asarray(phi))
+    return elem.prefactor * radial
 
 
-def _far_row(elem: AnalyticBasisElement, zeta):
+def _far_row(elem: AnalyticBasisElement, zeta: float) -> complex:
     """_row(elem, rho, zeta) over the free outgoing wave (i/4) H1_0(k rho) as
     rho -> infinity: by the same rule H1_nu / H1_0 -> e^{-i nu pi/2}, leaving
     -4i e^{-i pi nu} prefactor e^{-i channel zeta}."""
     return (-4j * cmath.exp(-1j * math.pi * elem.nu) * elem.prefactor
-            * np.exp(-1j * elem.channel * np.asarray(zeta)))
+            * cmath.exp(-1j * elem.channel * zeta))
 
 
-def _rank_two(pk: np.ndarray, rows: list, cols: list):
-    """The rank-two correction sum_jl rows[j] p_jl cols[l] over the nonzero
-    entries of p(k): the one place p(k) meets channel factors.  rows and
-    cols hold the factors of channels (0, -1); at the regular point p(k)
-    has no nonzero entry and the sum is 0."""
-    return sum(pk[j, l] * rows[j] * cols[l] for j, l in zip(*np.nonzero(pk)))
+def _rank_two(pk: tuple, rows: list) -> list:
+    """The rank-two correction sum_jl rows[j] p_jl cols[l] as the coefficient
+    sum_j rows[j] p_jl of each column channel l, over the nonzero entries of
+    p(k): the one place p(k) meets channel factors.  rows hold those of
+    channels (0, -1); at the regular point each coefficient is 0."""
+    return [sum(rows[j] * pk[j][l] for j in (0, 1) if pk[j][l]) for l in (0, 1)]
 
 
-def p_at_i(params: ExtensionParams) -> np.ndarray:
+def _matrix(entry: Callable[[int, int], complex]) -> tuple:
+    """The 2x2 tuple of rows of entry(i, j), channels (0, -1)."""
+    return tuple(tuple(entry(i, j) for j in (0, 1)) for i in (0, 1))
+
+
+def p_at_i(params: ExtensionParams) -> tuple:
     """Coupling matrix at the reference point k0 = e^{i pi/4}:
     -(i/2) (I + conj(U)), the same for every alpha."""
-    return -0.5j * (np.eye(2) + build_u_matrix(params).conj())
+    u = build_u_matrix(params)
+    return _matrix(lambda i, j: -0.5j * (float(i == j) + u[i][j].conjugate()))
 
 
 @dataclass(frozen=True)
@@ -321,16 +336,37 @@ def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
     val = cf.common_factor * sum(terms)
     dscale = abs(cf.common_factor) * sum(abs(t) for t in terms)
     table = list(zip(_channel_table(alpha), powers[1:3]))  # pairs(): the orders 2nd and 3rd
-    g = np.array([(power - cmath.exp(-1j * math.pi * nu / 2.0)) / w for (nu, w, _), power in table])
-    g_size = np.array([(abs(power) + 1.0) / w for (_, w, _), power in table])
+    g = [(power - cmath.exp(-1j * math.pi * nu / 2.0)) / w for (nu, w, _), power in table]
+    g_size = [(abs(power) + 1.0) / w for (_, w, _), power in table]
     pref = p_at_i(params)
-    system = np.eye(2) - pref * g
-    diag, cross = system[0, 0] * system[1, 1], system[0, 1] * system[1, 0]
-    det = complex(diag - cross)
+    system = _matrix(lambda i, j: float(i == j) - pref[i][j] * g[j])
+    diag, cross = system[0][0] * system[1][1], system[0][1] * system[1][0]
+    det = diag - cross
     # Each route rounds at the size of its own terms: D's four and det S's two.
     if abs(val - det) > _DUAL_PATH_TOL * max(dscale, abs(diag) + abs(cross)):
         raise ConsistencyError(f"determinant paths disagree at k={k.k}: {val} vs {det}")
     return cf, complex(val), dscale, pref, system, g, g_size
+
+
+def _solve(s: tuple, b: tuple):
+    """s^-1 b for 2x2 s and b by Gaussian elimination with partial pivoting,
+    as LAPACK's getrf and getrs at n = 2; None when a pivot is 0."""
+    top = int(abs(s[1][0]) > abs(s[0][0]))  # the pivot row
+    (p, q), (r, t) = s[top], s[1 - top]
+    u = t - r / p * q if p else 0.0
+    if not u:
+        return None
+    low = [(b[1 - top][j] - r / p * b[top][j]) / u for j in (0, 1)]
+    return [(b[top][j] - q * low[j]) / p for j in (0, 1)], low
+
+
+def _condition(s: tuple) -> float:
+    """cond(s) = c = sigma_max / sigma_min of a 2x2 s from c + 1/c = |s|_F^2 / |det s|,
+    with s scaled to |s|_F = 1 so that no product leaves the float range."""
+    f = math.hypot(*(abs(x) for row in s for x in row))
+    (a, b), (c, d) = ((x / f for x in row) for row in s)
+    x = abs(a * d - b * c)
+    return (0.5 + math.sqrt(max(0.25 - x * x, 0.0))) / x if x else math.inf
 
 
 def d_of_k(params: ExtensionParams, alpha, k) -> complex:
@@ -339,21 +375,21 @@ def d_of_k(params: ExtensionParams, alpha, k) -> complex:
     return _channel_system(params, as_alpha(alpha), as_wavenumber(k))[1]
 
 
-def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
-    """Coupling matrix p(k) as a 2x2 array, by Cramer's rule on Krein's
+def p_of_k(params: ExtensionParams, alpha, k) -> tuple:
+    """Coupling matrix p(k) as a 2x2 tuple of rows, by Cramer's rule on Krein's
     channel system S p(k) = p(k0), S = I - X, X = p(k0) diag(g):
     adj(I - X) = (1 - tr X) I + X, and Cayley-Hamilton gives
     X p(k0) = tr X p(k0) - det p(k0) diag(g_-1, g_0), so
 
         p(k) = (p(k0) - det p(k0) diag(g_-1, g_0)) / D(k),  -det p(k0) = e^{-i eta} (-c1) / 2.
 
-    It is returned once it agrees with the solve of S to 1e-10 of the size
-    of p's terms, |1/D| times (1 + |a|)/2 + |c1| (|(-k^2)^nu| + 1)/(2 w) on
-    the diagonal and |b|/2 off it.  Raises NearEigenvalueError when |D(k)|
-    is below 1e-12 times the sum of the moduli of D's four terms, and when
-    the paths disagree because S is too ill-conditioned for the solve to
-    reach 1e-10 (16 cond(S) eps above 1e-10, as next to a zero-energy
-    resonance or a deep bound state).
+    It is returned once it agrees with the solve of S (Gaussian elimination
+    with partial pivoting) to 1e-10 of the size of p's terms, |1/D| times
+    (1 + |a|)/2 + |c1| (|(-k^2)^nu| + 1)/(2 w) on the diagonal and |b|/2 off
+    it.  Raises NearEigenvalueError when |D(k)| is below 1e-12 times the sum
+    of the moduli of D's four terms, and when the paths disagree because S
+    is too ill-conditioned for the solve to reach 1e-10 (16 cond(S) eps above
+    1e-10, as next to a zero-energy resonance or a deep bound state).
     """
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
@@ -361,17 +397,18 @@ def p_of_k(params: ExtensionParams, alpha, k) -> np.ndarray:
     if abs(dval) < 1e-12 * dscale:
         raise NearEigenvalueError(k.k, dval)
     sigma = cmath.exp(-1j * params.eta) * -cf.c1 / 2.0
-    closed = (pref + sigma * np.diag(g[::-1])) / dval
-    inverted = np.linalg.solve(system, pref)
+    closed = _matrix(lambda i, j: (pref[i][j] + (sigma * g[1 - i] if i == j else 0.0)) / dval)
+    inverted = _solve(system, pref)
     # The size of p's terms, which sets the rounding; hypot: huge |k| or |p| does not overflow.
-    sizes = (1.0 + abs(params.a)) / 2.0 + abs(cf.c1) / 2.0 * g_size[::-1]
+    sizes = [(1.0 + abs(params.a)) / 2.0 + abs(cf.c1) / 2.0 * size for size in g_size[::-1]]
     scale = math.hypot(*sizes, abs(params.b) / 2.0, abs(params.b) / 2.0) / abs(dval)
-    if math.hypot(*np.abs(closed - inverted).flat) > _DUAL_PATH_TOL * scale:
-        cond = float(np.linalg.cond(system))
-        if _SOLVE_ERROR_FACTOR * cond * np.finfo(float).eps > _DUAL_PATH_TOL:
+    if inverted is None or math.hypot(*(abs(x - y) for row, inv in zip(closed, inverted)
+                                        for x, y in zip(row, inv))) > _DUAL_PATH_TOL * scale:
+        cond = _condition(system)
+        if _SOLVE_ERROR_FACTOR * cond * math.ulp(1.0) > _DUAL_PATH_TOL:
             raise NearEigenvalueError(k.k, dval, condition=cond)
         raise ConsistencyError(f"coupling-matrix paths disagree at k={k.k}: "
-                               f"closed={closed.tolist()} inverted={inverted.tolist()}")
+                               f"closed={closed} inverted={inverted}")
     return closed
 
 
@@ -386,7 +423,7 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     r_vals, phi, shape = _polar_grid(x[0], x[1])
     out = ab_resolvent_kernel(alpha, k, (r_vals, phi), y)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
-    out += _rank_two(p_of_k(params, alpha, k),
-                     [_row(elem, float(y[0]), float(y[1])) for elem in basis],
-                     [elem(r_vals[:, None], phi) for elem in basis])
+    coefs = _rank_two(p_of_k(params, alpha, k),
+                      [_row(elem, float(y[0]), float(y[1])) for elem in basis])
+    out += sum(c * elem(r_vals[:, None], phi) for c, elem in zip(coefs, basis) if c)
     return _unwrap(out.reshape(shape))

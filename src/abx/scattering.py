@@ -17,6 +17,10 @@ against the eigenfunction's far field independently.
 The forward direction is distributional: the amplitude object keeps the
 off-forward smooth part separate from the symbolic delta coefficient and
 principal-value weight and never sums them.
+
+The amplitude, cross section and mixing are Python complex arithmetic, one
+angle at a time at two complex exponentials each; the eigenfunction and the
+extraction are grid code and load numpy inside their functions.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
+from . import _numpy
 from .errors import ConvergenceError
-from .extension import ExtensionParams, as_alpha
+from .extension import ExtensionParams, UpperHalfK, as_alpha
 from .krein import (
     _CHANNELS,
     _angular_distance,
@@ -43,7 +46,6 @@ from .krein import (
     analytic_basis,
     p_of_k,
 )
-from .specfun import UpperHalfK, bessel_j_orders
 
 __all__ = [
     "FORWARD_EPSILON",
@@ -93,9 +95,9 @@ def _momentum(k) -> float:
     return UpperHalfK(float(k), on_real_axis=True).k.real
 
 
-def _in_forward_cone(theta, phi):
-    """True where phi lies inside the forward cone around theta."""
-    return _angular_distance(np.subtract(phi, theta)) < FORWARD_EPSILON
+def _in_forward_cone(theta: float, phi: float) -> bool:
+    """True when phi lies inside the forward cone around theta."""
+    return _angular_distance(phi - theta) < FORWARD_EPSILON
 
 
 def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
@@ -105,6 +107,8 @@ def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
     polar grid of shape shape(r) + shape(phi), or a complex for a single
     point.  The partial-wave sum is cut once, at the largest radius.
     """
+    from .specfun import bessel_j_orders
+    np = _numpy()
     alpha = as_alpha(alpha)
     r_vals, phi, shape = _polar_grid(r, phi)
     mmax = _cutoff(chan.k, float(r_vals.max()), max(r_vals.size, phi.size))
@@ -129,9 +133,9 @@ def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     r_vals, phi, shape = _polar_grid(r, phi)
     out = psi_ab(alpha, chan, r_vals, phi)
     basis = [analytic_basis(ch, alpha, chan.k) for ch in _CHANNELS]
-    out += _rank_two(p_of_k(params, alpha, chan.k),
-                     [_far_row(elem, chan.theta + math.pi) for elem in basis],
-                     [elem(r_vals[:, None], phi) for elem in basis])
+    coefs = _rank_two(p_of_k(params, alpha, chan.k),
+                      [_far_row(elem, chan.theta + math.pi) for elem in basis])
+    out += sum(c * elem(r_vals[:, None], phi) for c, elem in zip(coefs, basis) if c)
     return _unwrap(out.reshape(shape))
 
 
@@ -140,10 +144,11 @@ class Amplitude:
     """Scattering amplitude split into the off-forward smooth part and the
     symbolic forward singular data.
 
-    ``smooth(theta, phi)`` is valid only off the forward cone; the delta
-    coefficient multiplies delta(phi - theta) and the principal-value
-    weight multiplies P[1/(e^{i(phi-theta)} - 1)].  The singular parts
-    are never summed into the smooth part.
+    ``smooth(theta, phi)`` is valid only off the forward cone; it takes a
+    float theta and a float phi (giving a complex) or a sequence of them
+    (giving a list).  The delta coefficient multiplies delta(phi - theta)
+    and the principal-value weight multiplies P[1/(e^{i(phi-theta)} - 1)].
+    The singular parts are never summed into the smooth part.
     """
 
     smooth: Callable[[float, float], complex]
@@ -151,39 +156,48 @@ class Amplitude:
     forward_pv_weight: complex
 
 
-def _finite(values, what: str, k: float):
+def _finite(values: list, what: str, k: float) -> list:
     """values, unless one of them has left the float range: then
     OverflowError, naming the quantity and the momentum."""
-    if not np.isfinite(values).all():
+    if not all(map(math.isfinite, values)):
         raise OverflowError(f"{what} leaves the float range at k = {k}")
     return values
+
+
+def _smooth(weight: complex, theta, phi, fold=None):
+    """weight / (e^{i(phi - theta)} - 1) + c0 + c1 e^{-i phi}, with (c0, c1) =
+    fold(theta) the rank-two far field of channels (0, -1) or 0, at a float phi
+    or over a sequence of them (giving a list), each finite and off the
+    forward cone, or ValueError."""
+    scalar = isinstance(phi, (int, float))
+    theta, angles = float(theta), [float(phi)] if scalar else [float(angle) for angle in phi]
+    if not math.isfinite(theta):
+        raise ValueError("amplitude angle theta is not finite")
+    if not all(map(math.isfinite, angles)):
+        raise ValueError("amplitude angle phi is not finite")
+    if any(_in_forward_cone(theta, angle) for angle in angles):
+        raise ValueError(f"smooth amplitude is undefined inside the forward cone "
+                         f"|phi - theta| < {FORWARD_EPSILON}")
+    c0, c1 = fold(theta) if fold else (0.0, 0.0)
+    values = [weight / (cmath.exp(1j * (angle - theta)) - 1.0) + (c0 + c1 * cmath.exp(-1j * angle))
+              for angle in angles]
+    return values[0] if scalar else values
 
 
 def amplitude_ab(alpha, k: float) -> Amplitude:
     """Amplitude of the regular extension.
 
     Off-forward modulus: |f|^2 = sin^2(pi alpha) / (2 pi k sin^2(delta/2)).
-    ``smooth`` takes phi (and theta) as scalars or arrays.
+    The smooth part's weight is the principal-value weight.
     """
     alpha = as_alpha(alpha)
     k = _momentum(k)
-    pref = _finite(math.sqrt(2.0 * math.pi / k), "amplitude prefactor sqrt(2 pi/k)", k)
+    pref = _finite([math.sqrt(2.0 * math.pi / k)], "amplitude prefactor sqrt(2 pi/k)", k)[0]
     pref *= cmath.exp(-0.25j * math.pi)
     weight = pref * 1j * math.sin(math.pi * alpha) / math.pi
 
-    def smooth(theta, phi):
-        for name, angles in (("theta", theta), ("phi", phi)):
-            if not np.all(np.isfinite(angles)):
-                raise ValueError(f"amplitude angle {name} is not finite")
-        if np.any(_in_forward_cone(theta, phi)):
-            raise ValueError(
-                f"smooth amplitude is undefined inside the forward cone "
-                f"|phi - theta| < {FORWARD_EPSILON}"
-            )
-        return _unwrap(weight / (np.exp(1j * np.subtract(phi, theta)) - 1.0))
-
     return Amplitude(
-        smooth=smooth,
+        smooth=lambda theta, phi: _smooth(weight, theta, phi),
         forward_delta_coeff=pref * (math.cos(math.pi * alpha) - 1.0),
         forward_pv_weight=weight,
     )
@@ -193,19 +207,19 @@ def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
     """Amplitude of the selected extension: the regular amplitude plus
     the far field of psi_u's rank-two term, four coupling-matrix terms
     whose theta-only and phi-only ones (channel mixing) vanish exactly
-    when b = 0.
+    when b = 0.  Per call of ``smooth``, p(k) and the rows at theta fold into
+    one coefficient per column channel.
     """
     base = amplitude_ab(alpha, k)
     pk = p_of_k(params, alpha, k)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
 
-    def smooth(theta, phi):
-        return _unwrap(base.smooth(theta, phi) + _rank_two(
-            pk, [_far_row(elem, np.add(theta, math.pi)) for elem in basis],
-            [_far_column(elem, phi) for elem in basis]))
+    def fold(theta):
+        coefs = _rank_two(pk, [_far_row(elem, theta + math.pi) for elem in basis])
+        return [c * _far_column(elem) for c, elem in zip(coefs, basis)]
 
     return Amplitude(
-        smooth=smooth,
+        smooth=lambda theta, phi: _smooth(base.forward_pv_weight, theta, phi, fold),
         forward_delta_coeff=base.forward_delta_coeff,
         forward_pv_weight=base.forward_pv_weight,
     )
@@ -214,14 +228,14 @@ def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
 def cross_section(params: ExtensionParams, alpha, k: float, theta: float, phi):
     """Differential cross section dsigma/dphi = |f|^2, off-forward only.
 
-    phi may be a scalar (giving a float) or an array of angles, all off
-    the forward cone, which the amplitude refuses; p(k) is solved once
-    per call.
+    phi may be a float (giving a float) or a sequence of angles (giving a
+    list), all off the forward cone, which the amplitude refuses; p(k) is
+    solved once per call.
     """
-    amp = amplitude_u(params, alpha, float(k))
-    with np.errstate(over="ignore"):
-        values = np.abs(amp.smooth(float(theta), phi)) ** 2
-    return _unwrap(_finite(values, "cross section", k))
+    values = amplitude_u(params, alpha, float(k)).smooth(theta, phi)
+    moduli = map(abs, values if isinstance(values, list) else [values])
+    squares = _finite([m * m for m in moduli], "cross section", k)
+    return squares if isinstance(values, list) else squares[0]
 
 
 class ChannelMixing(NamedTuple):
@@ -247,7 +261,7 @@ def channel_mixing(params: ExtensionParams, alpha, k: float) -> ChannelMixing:
     k = _momentum(k)
     pk = p_of_k(params, alpha, k)
     const = 8.0 * k * math.sin(math.pi * alpha)
-    return ChannelMixing(const * abs(pk[0, 1]) ** 2, const * abs(pk[1, 0]) ** 2, const)
+    return ChannelMixing(const * abs(pk[0][1]) ** 2, const * abs(pk[1][0]) ** 2, const)
 
 
 def extraction_remainder_bound(k: float, r_max: float, delta: float) -> float:
@@ -272,6 +286,7 @@ def extract_amplitude(params: ExtensionParams, alpha, chan: PlaneWaveChannel,
     Raises ConvergenceError when the two window halves disagree by more
     than the advertised remainder bound allows.
     """
+    np = _numpy()
     alpha = as_alpha(alpha)
     phi = float(phi)
     r_max = float(r_max)

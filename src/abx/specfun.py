@@ -2,11 +2,12 @@
 
 One vector surface for the fractional-order Bessel function J_nu and the
 Hankel function H1_nu over arrays of orders and arguments (real or in the
-upper half-plane), and the branch-consistent complex power (-k^2)^s that
-appears in every channel coefficient.  The J/H1 ladders return numpy
-arrays broadcast over orders and arguments; ``branch_power`` returns a
-plain complex number.  Every other Bessel-family value the package needs
-is read off this surface.
+upper half-plane).  The J/H1 ladders return numpy arrays broadcast over
+orders and arguments.  Every other Bessel-family value the package needs
+is read off this surface.  Only the grid code (partial-wave sums and
+channel elements on radii) imports this module, and with it numpy, which
+it binds at import through the package's loader; the closed-form tasks
+load neither.
 
 Numerical method
 ----------------
@@ -48,89 +49,23 @@ above the highest order is refused.  No scipy module is loaded.
 The surface is checked in the test tree against the AMOS routines of
 ``scipy.special`` (to 1e-12 for |z| in [1e-8, 1e3], arg z in
 [0, 3 pi/4]), an independent extended-precision series oracle, closed
-forms, asymptotics and the Wronskian.  This module also owns the
-wavenumber and branch conventions.
-
-Branch convention
------------------
-``branch_power(k, s)`` is (-k^2)^s = exp(s (2 Log k - i pi)), one formula
-on the whole closed upper half-plane.  For 0 < arg k < pi it equals
-exp(s Log(-k^2)) with the principal logarithm: -k^2 never touches the cut,
-so the power is analytic there and real positive on the ray k = i*kappa.
-On the positive real axis (arg k = 0) it is the continuous limit from
-Im k -> 0+, exp(-i*pi*s) * k**(2s); every module evaluates boundary
-quantities with this limit.  k^2 is never formed, so tiny |k| does not
-underflow.
+forms, asymptotics and the Wronskian.
 
 All functions are pure and reentrant; there is no mutable module state.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
-import numpy as np
+from . import _numpy
+
+np = _numpy()
 
 __all__ = [
-    "UpperHalfK",
-    "as_wavenumber",
-    "branch_power",
     "bessel_j_orders",
     "hankel1_orders",
 ]
-
-@dataclass(frozen=True)
-class UpperHalfK:
-    """Wavenumber in the closed upper half-plane, k != 0.
-
-    ``on_real_axis`` marks a boundary value understood as the limit from
-    Im k -> 0+; it requires Re k > 0 and Im k == 0.  Interior points
-    require Im k > 0 strictly.
-    """
-
-    k: complex
-    on_real_axis: bool = False
-
-    def __post_init__(self):
-        kc = complex(self.k)
-        object.__setattr__(self, "k", kc)
-        if kc == 0 or not (math.isfinite(kc.real) and math.isfinite(kc.imag)):
-            raise ValueError(f"wavenumber must be finite and nonzero, got {kc}")
-        if self.on_real_axis:
-            if kc.imag != 0.0 or kc.real <= 0.0:
-                raise ValueError(
-                    f"on_real_axis requires real k > 0, got {kc}"
-                )
-        elif kc.imag <= 0.0:
-            raise ValueError(f"interior wavenumber needs Im k > 0, got {kc}")
-
-
-def as_wavenumber(k) -> UpperHalfK:
-    """Coerce a complex number to UpperHalfK.
-
-    Positive reals become boundary values (limits from above); numbers
-    with Im > 0 become interior points; anything else is rejected.
-    """
-    if isinstance(k, UpperHalfK):
-        return k
-    kc = complex(k)
-    if kc.imag == 0.0:
-        return UpperHalfK(kc, on_real_axis=True)
-    return UpperHalfK(kc)
-
-
-def branch_power(k, s: float) -> complex:
-    """(-k^2)**s = exp(s (2 Log k - i pi)) on the closed upper half-plane:
-    the principal branch inside, its limit from Im k -> 0+ on the real
-    axis.  Beyond the float range: OverflowError naming s and k."""
-    k = as_wavenumber(k).k
-    # 2 Log k - i pi, with Log k = log|k| + i arg k
-    try:
-        return cmath.exp(float(s) * complex(2.0 * math.log(abs(k)), 2.0 * cmath.phase(k) - math.pi))
-    except OverflowError:
-        raise OverflowError(f"(-k^2)^s with s = {s} leaves the float range at k = {k}") from None
 
 
 def bessel_j_orders(nus, z) -> np.ndarray:

@@ -190,12 +190,12 @@ def psi_u_correction_table(alpha: float, k: float, pk) -> tuple:
     s2 = math.sqrt(2.0 * math.sin(math.pi * alpha))
     half = math.pi * alpha / 2.0
     return (
-        (2j * math.cos(half) * cmath.exp(-1j * half) * k ** (2 * alpha) * pk[0, 0], alpha, 0, 0),
-        (-s2 * cmath.exp(-0.25j * math.pi) * cmath.exp(1j * math.pi * alpha) * pk[1, 0] * k,
+        (2j * math.cos(half) * cmath.exp(-1j * half) * k ** (2 * alpha) * pk[0][0], alpha, 0, 0),
+        (-s2 * cmath.exp(-0.25j * math.pi) * cmath.exp(1j * math.pi * alpha) * pk[1][0] * k,
          alpha, 1, 0),
-        (s2 * cmath.exp(0.75j * math.pi) * cmath.exp(-1j * math.pi * alpha) * pk[0, 1] * k,
+        (s2 * cmath.exp(0.75j * math.pi) * cmath.exp(-1j * math.pi * alpha) * pk[0][1] * k,
          1.0 - alpha, 0, -1),
-        (-2.0 * math.sin(half) * cmath.exp(1j * half) * k ** (2 - 2 * alpha) * pk[1, 1],
+        (-2.0 * math.sin(half) * cmath.exp(1j * half) * k ** (2 - 2 * alpha) * pk[1][1],
          1.0 - alpha, 1, -1),
     )
 

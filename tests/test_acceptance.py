@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from abx.extension import ExtensionParams
+from abx.extension import ExtensionParams, UpperHalfK
 from abx.krein import (
     ab_resolvent_kernel,
     analytic_basis,
@@ -27,7 +27,7 @@ from abx.scattering import (
     psi_ab,
     psi_u,
 )
-from abx.specfun import UpperHalfK, hankel1_orders
+from abx.specfun import hankel1_orders
 from abx.spectrum import bound_states
 
 from _oracles import (apply_flux_operator, channel_system, inner_product_2d, observed_orders,
@@ -186,7 +186,7 @@ def test_criterion_6_amplitude_extraction():
         want = amp.smooth(theta, phi)
         worst = max(worst, abs(got - want) / abs(want))
     m = p_of_k(params, alpha, UpperHalfK(k, on_real_axis=True))
-    moduli_ok = abs(abs(m[0, 1]) - abs(m[1, 0])) <= 1e-12
+    moduli_ok = abs(abs(m[0][1]) - abs(m[1][0])) <= 1e-12
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-2 and moduli_ok and elapsed < 120.0
     _report(6, f"far-field extraction matches the amplitude at 8 angles "

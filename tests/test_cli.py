@@ -415,8 +415,8 @@ def _c2l(z):
 
 
 def _off_cone(cfg, angles, values_at):
-    cone = scattering._in_forward_cone(cfg.theta, angles)
-    vals = iter(values_at(angles[~cone]).tolist())
+    cone = [scattering._in_forward_cone(cfg.theta, phi) for phi in angles]
+    vals = iter(values_at([phi for phi, inside in zip(angles, cone) if not inside]))
     return [None if inside else next(vals) for inside in cone]
 
 
@@ -426,7 +426,7 @@ def _xsection_per_value(cfg):
     for k in cfg.k_values:
         vals = _off_cone(cfg, angles, lambda phi: scattering.cross_section(
             cfg.params, cfg.alpha, k, cfg.theta, phi))
-        results.append({"k": k, "theta": cfg.theta, "phi": angles.tolist(), "dsigma_dphi": vals,
+        results.append({"k": k, "theta": cfg.theta, "phi": angles, "dsigma_dphi": vals,
                         "forward_excluded": [v is None for v in vals]})
     cols = ["k", "theta", "phi", "dsigma_dphi", "in_forward_cone"]
     rows = ([r["k"], r["theta"], phi, "" if v is None else v, v is None]
@@ -440,8 +440,8 @@ def _amplitude_per_value(cfg):
     for k in cfg.k_values:
         amp = scattering.amplitude_u(cfg.params, cfg.alpha, k)
         vals = [None if v is None else _c2l(v)
-                for v in _off_cone(cfg, angles, lambda phi: amp.smooth(cfg.theta, phi))]
-        results.append({"k": k, "theta": cfg.theta, "phi": angles.tolist(), "smooth": vals,
+                for v in _off_cone(cfg, angles, lambda phis: [amp.smooth(cfg.theta, phi) for phi in phis])]
+        results.append({"k": k, "theta": cfg.theta, "phi": angles, "smooth": vals,
                         "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
                         "forward_pv_weight": _c2l(amp.forward_pv_weight),
                         "notes": list(cli._AMPLITUDE_NOTES)})
@@ -559,12 +559,16 @@ BLAS_THREADS = f"""
 import json, os, sys
 if sys.argv[1:] == ["numpy-first"]:
     import numpy
-import abx
+imported = None
+if sys.argv[1:] != ["no-abx"]:
+    import abx
+    imported = "numpy" in sys.modules
+    abx.psi_ab(0.5, abx.PlaneWaveChannel(1.0, 0.0), 1.0, 0.5)  # a grid call loads numpy
 import numpy as np
 a = np.ones((300, 300))
 a @ a
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([tasks, {{v: os.environ[v] for v in {BLAS_THREAD_VARS!r} if v in os.environ}}]))
+print(json.dumps([tasks, {{v: os.environ[v] for v in {BLAS_THREAD_VARS!r} if v in os.environ}}, imported]))
 """
 COUNTS_THREADS = os.path.isdir("/proc/self/task") and (os.cpu_count() or 1) >= 2
 
@@ -572,18 +576,33 @@ COUNTS_THREADS = os.path.isdir("/proc/self/task") and (os.cpu_count() or 1) >= 2
 @pytest.mark.parametrize("preset, threads", [
     ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)])
 def test_blas_runs_on_one_thread_unless_the_caller_chose(preset, threads):
-    # import abx starts numpy's BLAS on one thread and leaves os.environ as
-    # it found it; a count the caller set is kept
-    tasks, seen = json.loads(run_python(BLAS_THREADS, env=preset))
-    assert seen == preset
+    # import abx loads no numpy; abx's first grid call starts numpy's BLAS on
+    # one thread and leaves os.environ as it found it; a count the caller
+    # set is kept
+    tasks, seen, imported = json.loads(run_python(BLAS_THREADS, env=preset))
+    assert seen == preset and imported is False
     if COUNTS_THREADS:
         assert tasks == threads
 
 
 @pytest.mark.skipif(not COUNTS_THREADS, reason="needs /proc/self/task and two cores")
 def test_numpy_imported_first_keeps_its_thread_count():
-    default, _ = json.loads(run_python(BLAS_THREADS.replace("import abx\n", "")))
-    assert json.loads(run_python(BLAS_THREADS, "numpy-first")) == [default, {}]
+    default, _, _ = json.loads(run_python(BLAS_THREADS, "no-abx"))
+    assert json.loads(run_python(BLAS_THREADS, "numpy-first")) == [default, {}, True]
+
+
+def test_grid_task_freezes_numpy_heap():
+    # the grid task's imports (numpy's heap) are frozen like the CLI's own:
+    # 3 objects stay tracked after this run, 7994 without the second freeze
+    code = """
+import gc, io, sys
+from contextlib import redirect_stdout
+from abx import cli
+with redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(len(gc.get_objects()))
+"""
+    assert int(run_python(code, "--radii", "0.5,2", "--angles", "8", "eigenfunction")) < 1000
 
 
 @pytest.mark.parametrize("task", [["eigenfunction"], ["--k-imag", "0.25", "--source", "10,0",
@@ -608,23 +627,38 @@ def test_import_loads_no_scipy():
     assert out.splitlines() == [os.path.join(SRC, "abx", "__init__.py"), "[]"]
 
 
-def test_tasks_load_no_scipy():
-    # every task, the Bessel ones included, runs on numpy alone: with every
-    # scipy import refused and recorded, a guarded or lazy one included
-    code = f"""
-import importlib.abc, io, json, sys
-from contextlib import redirect_stdout
+def blocking(package: str) -> str:
+    """Python code that refuses every import of package, a guarded or lazy
+    one included, and records each in Block.tried."""
+    return f"""
+import importlib.abc, sys
 
-class BlockScipy(importlib.abc.MetaPathFinder):
+class Block(importlib.abc.MetaPathFinder):
     tried = []
 
     def find_spec(self, name, path=None, target=None):
-        if name.split('.')[0] == 'scipy':
+        if name.split('.')[0] == {package!r}:
             self.tried.append(name)
-            raise ImportError('scipy is blocked: ' + name)
+            raise ImportError({package!r} + ' is blocked: ' + name)
         return None
 
-sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, Block())
+"""
+
+
+def test_package_resolves_the_ladders_on_first_use():
+    # abx lists specfun's exports without importing specfun, which loads numpy
+    import abx
+    from abx import specfun
+    assert abx._SPECFUN == tuple(specfun.__all__)
+    assert all(getattr(abx, name) is getattr(specfun, name) for name in specfun.__all__)
+
+
+def test_tasks_load_no_scipy():
+    # every task, the Bessel ones included, runs on numpy alone
+    code = blocking("scipy") + f"""
+import io, json
+from contextlib import redirect_stdout
 import abx
 from abx import cli
 args = json.loads(sys.argv[1])
@@ -633,7 +667,7 @@ for task in cli.TASKS:
     out = io.StringIO()
     with redirect_stdout(out):
         runs[task] = [cli.main(args + [task]), out.getvalue()]
-print(json.dumps([{SCIPY_MODULES}, BlockScipy.tried, runs]))
+print(json.dumps([{SCIPY_MODULES}, Block.tried, runs]))
 """
     argv = POINTS["coupled"] + ["--k", "0.5,2", "--angles", "8", "--radii", "0.5,3"]
     loaded, tried, runs = json.loads(run_python(code, json.dumps(argv)))
@@ -645,3 +679,36 @@ print(json.dumps([{SCIPY_MODULES}, BlockScipy.tried, runs]))
         rc, out = runs[task]
         assert "NaN" not in out and "Infinity" not in out
         assert [len(block[key]) for block in json.loads(out)["results"]] == [2 * 8, 2 * 8]
+
+
+def test_closed_form_tasks_load_no_numpy():
+    # import abx and the four closed-form tasks need no numpy: with it
+    # refused, each prints, in JSON and CSV, what an unblocked run prints;
+    # each grid task asks for it
+    code = blocking("numpy") + """
+import io, json
+from contextlib import redirect_stdout
+import abx, abx.cli
+runs = {}
+for task in abx.cli.TASKS:
+    for fmt in ("json", "csv"):
+        del Block.tried[:]
+        out = io.StringIO()
+        try:
+            with redirect_stdout(out):
+                rc = abx.cli.main(json.loads(sys.argv[1]) + ["--format", fmt, task])
+        except ImportError:
+            rc = None
+        runs[f"{task} {fmt}"] = [rc, out.getvalue(), list(Block.tried)]
+print(json.dumps(runs))
+"""
+    argv = POINTS["coupled"] + ["--k", "0.5,2", "--angles", "8", "--radii", "0.5,3"]
+    runs = json.loads(run_python(code, json.dumps(argv)))
+    for task in cli.TASKS:
+        for fmt in ("json", "csv"):
+            rc, out, tried = runs[f"{task} {fmt}"]
+            if task in ("eigenfunction", "resolvent", "validate"):
+                assert (rc, tried) == (None, ["numpy"]), (task, fmt)
+            else:
+                assert (rc, tried) == (0, []), (task, fmt)
+                assert run_cli(argv + ["--format", fmt, task]) == (0, out, ""), (task, fmt)

@@ -64,7 +64,7 @@ class TestUMatrix:
         rng = np.random.default_rng(7)
         for _ in range(50):
             eta, a, b = random_params(rng)
-            u = build_u_matrix(ExtensionParams(eta, a, b))
+            u = np.array(build_u_matrix(ExtensionParams(eta, a, b)))
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
     def test_round_trip_bijection(self):
@@ -79,7 +79,7 @@ class TestUMatrix:
 
     def test_params_from_array_like(self):
         p = canonical_params(ExtensionParams.mixing(0.4, eta=0.2))
-        q = u_matrix_params(build_u_matrix(p).tolist())
+        q = u_matrix_params([list(row) for row in build_u_matrix(p)])
         assert (q.eta, q.a, q.b) == pytest.approx((p.eta, p.a, p.b), abs=1e-12)
         with pytest.raises(ValueError, match="2x2"):
             u_matrix_params(np.eye(3))

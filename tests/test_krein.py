@@ -16,7 +16,7 @@ from scipy.special import jve as sp_jve
 
 from abx import krein
 from abx.errors import ConsistencyError, NearEigenvalueError
-from abx.extension import ExtensionParams
+from abx.extension import ExtensionParams, UpperHalfK
 from abx.krein import (
     _row,
     ab_resolvent_kernel,
@@ -27,7 +27,6 @@ from abx.krein import (
     p_at_i,
     p_of_k,
 )
-from abx.specfun import UpperHalfK
 from abx.spectrum import bound_states
 
 from _oracles import (
@@ -198,7 +197,7 @@ class TestAnalyticBasis:
 
 class TestCouplingMatrix:
     def test_reference_point_ab_is_zero(self):
-        assert np.all(p_at_i(AB) == 0)
+        assert np.all(np.array(p_at_i(AB)) == 0)
 
     def test_reference_point_pure_mixing(self):
         gamma = 0.8
@@ -209,7 +208,7 @@ class TestCouplingMatrix:
 
     def test_reference_point_diagonal_for_b_zero(self):
         m = p_at_i(ROTINV)
-        assert m[0, 1] == 0 and m[1, 0] == 0
+        assert m[0][1] == 0 and m[1][0] == 0
 
     def test_reference_point_matches_inverse_overlap_path(self):
         # p(k0) = (i/2) A(k0, mirrored k0)^{-1} (-I - conj(U))
@@ -232,7 +231,7 @@ class TestCouplingMatrix:
         for _ in range(50):
             params = ExtensionParams(*random_params(rng))
             alpha = float(rng.uniform(0.05, 0.95))
-            p, want = p_of_k(params, alpha, UpperHalfK(K0)), p_at_i(params)
+            p, want = np.array(p_of_k(params, alpha, UpperHalfK(K0))), np.array(p_at_i(params))
             assert np.abs(p - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_channel_system_is_krein_system_of_the_overlaps(self):
@@ -258,7 +257,7 @@ class TestCouplingMatrix:
     def test_ab_coupling_vanishes_for_all_k(self):
         for k in (UpperHalfK(1j), UpperHalfK(2.0 + 0.1j),
                   UpperHalfK(1.0, on_real_axis=True)):
-            assert np.all(p_of_k(AB, 0.4, k) == 0)
+            assert np.all(np.array(p_of_k(AB, 0.4, k)) == 0)
 
     def test_cross_moduli_equal(self):
         rng = np.random.default_rng(12)
@@ -268,11 +267,11 @@ class TestCouplingMatrix:
             alpha = float(rng.uniform(0.05, 0.95))
             k = UpperHalfK(complex(rng.uniform(-5, 5), rng.uniform(0.1, 5)))
             m = p_of_k(params, alpha, k)
-            assert abs(abs(m[0, 1]) - abs(m[1, 0])) <= 1e-12 * max(abs(m[0, 1]), 1e-30)
+            assert abs(abs(m[0][1]) - abs(m[1][0])) <= 1e-12 * max(abs(m[0][1]), 1e-30)
 
     def test_diagonal_for_b_zero(self):
         m = p_of_k(ROTINV, 0.6, UpperHalfK(0.7 + 0.9j))
-        assert abs(m[0, 1]) <= 1e-14 and abs(m[1, 0]) <= 1e-14
+        assert abs(m[0][1]) <= 1e-14 and abs(m[1][0]) <= 1e-14
 
     def test_pure_mixing_at_unit_imaginary(self):
         # (0, 0, 1), alpha = 1/2, k = i: D = sqrt(2) - 1 and the
@@ -282,8 +281,8 @@ class TestCouplingMatrix:
         dval = d_of_k(params, 0.5, UpperHalfK(1j))
         assert dval == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
         m = p_of_k(params, 0.5, UpperHalfK(1j))
-        assert m[0, 1] == pytest.approx(0.5j / (math.sqrt(2.0) - 1.0), rel=1e-13)
-        assert m[1, 0] == pytest.approx(-0.5j / (math.sqrt(2.0) - 1.0), rel=1e-13)
+        assert m[0][1] == pytest.approx(0.5j / (math.sqrt(2.0) - 1.0), rel=1e-13)
+        assert m[1][0] == pytest.approx(-0.5j / (math.sqrt(2.0) - 1.0), rel=1e-13)
 
     def test_near_eigenvalue_rejected(self):
         with pytest.raises(NearEigenvalueError):
@@ -302,7 +301,7 @@ class TestCouplingMatrix:
         k0 = 1.2 + 1.5j
 
         def f(k):
-            return p_of_k(params, alpha, UpperHalfK(k))[0, 0]
+            return p_of_k(params, alpha, UpperHalfK(k))[0][0]
 
         def g(k):
             return d_of_k(params, alpha, UpperHalfK(k))
@@ -353,9 +352,14 @@ class TestRefusals:
         assert np.abs(p - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_sweep_next_to_bound_states(self):
-        # k = i sqrt(|E|) (1 + delta), delta = +-10^u with u uniform in [-8, -1]
+        # k = i sqrt(|E|) (1 + delta), delta = +-10^u with u uniform in [-8, -1].
+        # Every answer holds against a 40-digit inversion to 1e-8 of max|p|.
+        # Next to its pole p(k) moves by about eps / |delta| of itself under a
+        # rounding of its inputs, which both routes share: over 12 000 draws
+        # (seeds 1-4) the worst answer is 8.0e-9 off, and 2.3e-9 in these 300
         rng = np.random.default_rng(1)
         calls = refused = 0
+        worst = 0.0
         for _ in range(300):
             eta, a, b = random_params(rng)
             params = ExtensionParams(eta, a, b)
@@ -365,10 +369,14 @@ class TestRefusals:
                 k = UpperHalfK(1j * math.sqrt(-state.energy) * (1.0 + delta))
                 calls += 1
                 try:
-                    p_of_k(params, alpha, k)
+                    p = np.array(p_of_k(params, alpha, k))
                 except NearEigenvalueError:
                     refused += 1
+                    continue
+                want = p_by_inversion(params, alpha, k.k)
+                worst = max(worst, np.abs(p - want).max() / np.abs(want).max())
         assert calls >= 300 and 0 < refused < calls
+        assert worst <= 1e-8
 
     def test_corrupted_route_at_well_conditioned_point(self, monkeypatch):
         # a 1e-8 error in either route of a well-conditioned solve is still
@@ -376,8 +384,9 @@ class TestRefusals:
         k = UpperHalfK(1.2 + 1.5j)
         system = krein._channel_system(MIXING, 0.45, k)[4]
         assert np.linalg.cond(system) < 1e3
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda m, v: solve(m, v) * (1.0 + 1e-8))
+        solve = krein._solve
+        monkeypatch.setattr(krein, "_solve",
+                            lambda m, v: [[x * (1.0 + 1e-8) for x in row] for row in solve(m, v)])
         with pytest.raises(ConsistencyError, match="coupling-matrix paths disagree"):
             p_of_k(MIXING, 0.45, k)
         monkeypatch.undo()
@@ -518,8 +527,8 @@ class TestFullKernel:
 
         def g(r, phi):
             return (g_reference(r)
-                    + pk[0, 0] * overlap * complex(col0(r, phi))
-                    + pk[0, 1] * overlap * complex(col1(r, phi)))
+                    + pk[0][0] * overlap * complex(col0(r, phi))
+                    + pk[0][1] * overlap * complex(col1(r, phi)))
 
         for (r, phi) in ((2.0, 0.7), (0.9, 0.3), (3.6, 2.0)):
             resid = []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import hankel1 as sp_hankel1
 
 from abx.errors import NearEigenvalueError
-from abx.extension import ExtensionParams
+from abx.extension import ExtensionParams, UpperHalfK
 from abx.krein import d_of_k, full_resolvent_kernel, p_of_k
 from abx.scattering import (
     FORWARD_EPSILON,
@@ -25,7 +25,7 @@ from abx.scattering import (
     psi_ab,
     psi_u,
 )
-from abx.specfun import UpperHalfK, hankel1_orders
+from abx.specfun import hankel1_orders
 
 from _oracles import apply_flux_operator, observed_orders, psi_u_correction_table, random_params
 

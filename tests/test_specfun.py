@@ -14,14 +14,10 @@ from hypothesis import strategies as st
 from scipy.special import hankel1 as amos_hankel1
 from scipy.special import jv as amos_jv
 
-from abx import krein, specfun
-from abx.krein import _MAX_GRID_ELEMENTS, _cutoff, ab_resolvent_kernel
-from abx.specfun import (
-    UpperHalfK,
-    bessel_j_orders,
-    branch_power,
-    hankel1_orders,
-)
+from abx import specfun
+from abx.extension import UpperHalfK, branch_power
+from abx.krein import _cutoff, ab_resolvent_kernel
+from abx.specfun import _MAX_GRID_ELEMENTS, bessel_j_orders, hankel1_orders
 
 from _oracles import mp_complex, series_besselj, series_besselk
 
@@ -316,8 +312,7 @@ class TestLadderEdges:
         k, alpha, source = UpperHalfK(1.0, on_real_axis=True), 0.3, (1e-3, 0.0)
         radii = np.linspace(1e-4, 9e-4, 86)
         want = ab_resolvent_kernel(alpha, k, (radii, 1.0), source)
-        for module in (krein, specfun):
-            monkeypatch.setattr(module, "_MAX_GRID_ELEMENTS", 4000)
+        monkeypatch.setattr(specfun, "_MAX_GRID_ELEMENTS", 4000)  # krein._cutoff reads it too
         assert _cutoff(1.0, 1e-3, radii.size) == 22
         got = ab_resolvent_kernel(alpha, k, (radii, 1.0), source)
         assert got.tobytes() == want.tobytes()
