@@ -23,13 +23,13 @@ one task a CLI process runs, as a grid task does again after its imports;
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import gc
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__, _numpy
 from .errors import ConsistencyError, ConvergenceError, NearEigenvalueError
@@ -87,8 +87,7 @@ _SPECTRUM_NOTES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run configuration, built by parse_config; the defaults
     live in _OPTIONS."""
 
@@ -235,11 +234,12 @@ def parse_config(argv) -> RunConfig:
     )
 
 
-def _angle_grid(n: int) -> list:
+@functools.lru_cache(maxsize=1)
+def _angle_grid(n: int) -> tuple:
     # half-open [0, 2 pi), cell-centered so the forward direction is not
-    # sampled exactly
+    # sampled exactly; built once per request
     step = 2.0 * math.pi / n
-    return [(i + 0.5) * step for i in range(n)]
+    return tuple((i + 0.5) * step for i in range(n))
 
 
 def _c2l(z: complex) -> list:
@@ -285,22 +285,25 @@ def _task_mixing(cfg: RunConfig):
     return results, cols, rows, []
 
 
-def _off_cone(cfg: RunConfig, angles: list, values_at) -> tuple[list, list]:
-    """The list values_at(off-cone angles) spread over the angle grid, with
-    None inside the forward cone; and the cone mask."""
-    cone = [_in_forward_cone(cfg.theta, phi) for phi in angles]
-    vals = iter(values_at([phi for phi, inside in zip(angles, cone) if not inside]))
-    return [None if inside else next(vals) for inside in cone], cone
+def _off_cone(theta: float, angles: tuple) -> tuple[list, list]:
+    """The forward-cone mask over the angle grid, one test per angle, and
+    the angles off the cone."""
+    cone = [_in_forward_cone(theta, phi) for phi in angles]
+    return cone, [phi for phi, inside in zip(angles, cone) if not inside]
+
+
+def _spread(cone: list, values: list) -> list:
+    """The values at the off-cone angles over the whole grid, None inside the cone."""
+    vals = iter(values)
+    return [None if inside else next(vals) for inside in cone]
 
 
 def _task_xsection(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
-    results = []
-    for k in cfg.k_values:
-        vals, cone = _off_cone(cfg, angles, lambda phi: cross_section(
-            cfg.params, cfg.alpha, k, cfg.theta, phi))
-        results.append({"k": k, "theta": cfg.theta, "phi": _ANGLE_GRID,
-                        "dsigma_dphi": vals, "forward_excluded": cone})
+    cone, off = _off_cone(cfg.theta, angles)
+    results = [{"k": k, "theta": cfg.theta, "phi": _ANGLE_GRID,
+                "dsigma_dphi": _spread(cone, cross_section(cfg.params, cfg.alpha, k, cfg.theta, off)),
+                "forward_excluded": cone} for k in cfg.k_values]
     cols = ["k", "theta", "phi", "dsigma_dphi", "in_forward_cone"]
     rows = ([r["k"], r["theta"], phi, "" if v is None else v, v is None]
             for r in results for phi, v in zip(angles, r["dsigma_dphi"]))
@@ -310,12 +313,12 @@ def _task_xsection(cfg: RunConfig):
 
 def _task_amplitude(cfg: RunConfig):
     angles = _angle_grid(cfg.angle_count)
+    cone, off = _off_cone(cfg.theta, angles)
     results = []
     for k in cfg.k_values:
         amp = amplitude_u(cfg.params, cfg.alpha, k)
-        vals, _ = _off_cone(cfg, angles, lambda phi: [_c2l(f) for f in amp.smooth(cfg.theta, phi)])
         results.append({"k": k, "theta": cfg.theta, "phi": _ANGLE_GRID,
-                        "smooth": vals,
+                        "smooth": _spread(cone, [_c2l(f) for f in amp.smooth(cfg.theta, off)]),
                         "forward_delta_coeff": _c2l(amp.forward_delta_coeff),
                         "forward_pv_weight": _c2l(amp.forward_pv_weight),
                         "notes": list(_AMPLITUDE_NOTES)})
@@ -427,6 +430,7 @@ def _render_json(cfg: RunConfig, results) -> str:
 
 def _render_csv(cfg: RunConfig, cols, rows, meta) -> str:
     """The task's rows, each led by the run's provenance columns."""
+    import csv
     buf = io.StringIO()
     p = cfg.params
     buf.write(f"# task={cfg.task}\n")

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "ALPHA_MIN",
@@ -77,30 +77,28 @@ def _wrap_angle(eta: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class ExtensionParams:
-    """Parameters (eta, a, b) selecting one self-adjoint extension.
+class ExtensionParams(namedtuple("ExtensionParams", "eta a b")):
+    """Parameters (eta, a, b) selecting one self-adjoint extension, an
+    immutable (float, complex, complex) tuple.
 
     eta is normalized to (-pi, pi] at construction; all three must be
     finite and |a|^2 + |b|^2 must equal 1 within 1e-12, or construction
     fails.
     """
 
-    eta: float
-    a: complex
-    b: complex
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
-        object.__setattr__(self, "eta", _wrap_angle(float(self.eta)))
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        norm = abs(self.a) ** 2 + abs(self.b) ** 2
+    def __new__(cls, eta: float, a: complex, b: complex):
+        if not math.isfinite(eta):
+            raise ValueError(f"eta must be finite, got {eta}")
+        a, b = complex(a), complex(b)
+        norm = abs(a) ** 2 + abs(b) ** 2
         if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails this too
             raise ValueError(
                 f"|a|^2 + |b|^2 must equal 1 within {_NORM_TOL}, got {norm:.6g}"
             )
+        return super().__new__(cls, _wrap_angle(float(eta)), a, b)
 
     @classmethod
     def ab_point(cls) -> "ExtensionParams":
@@ -146,30 +144,30 @@ class ExtensionKind(enum.Enum):
     MIXING = "mixing"
 
 
-@dataclass(frozen=True)
-class UpperHalfK:
-    """Wavenumber in the closed upper half-plane, k != 0.
+class UpperHalfK(namedtuple("UpperHalfK", "k on_real_axis")):
+    """Wavenumber in the closed upper half-plane, k != 0, an immutable
+    (complex, bool) tuple.
 
     ``on_real_axis`` marks a boundary value understood as the limit from
     Im k -> 0+; it requires Re k > 0 and Im k == 0.  Interior points
     require Im k > 0 strictly.
     """
 
-    k: complex
-    on_real_axis: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        kc = complex(self.k)
-        object.__setattr__(self, "k", kc)
+    def __new__(cls, k: complex, on_real_axis: bool = False):
+        kc = complex(k)
         if kc == 0 or not (math.isfinite(kc.real) and math.isfinite(kc.imag)):
             raise ValueError(f"wavenumber must be finite and nonzero, got {kc}")
-        if self.on_real_axis:
+        if on_real_axis:
             if kc.imag != 0.0 or kc.real <= 0.0:
                 raise ValueError(
                     f"on_real_axis requires real k > 0, got {kc}"
                 )
         elif kc.imag <= 0.0:
             raise ValueError(f"interior wavenumber needs Im k > 0, got {kc}")
+        return super().__new__(cls, kc, on_real_axis)
 
 
 def as_wavenumber(k) -> UpperHalfK:

@@ -65,8 +65,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import _numpy
 from .errors import ConsistencyError, NearEigenvalueError
@@ -206,8 +205,7 @@ def ab_resolvent_kernel(alpha, k, x, y):
     return _unwrap(out.reshape(shape))
 
 
-@dataclass(frozen=True)
-class AnalyticBasisElement:
+class AnalyticBasisElement(NamedTuple):
     """One channel element psi_k as an immutable (r, phi) -> complex
     evaluator: prefactor * H1_nu(k r) e^{i channel phi}, broadcast over
     gated r and phi."""
@@ -280,8 +278,7 @@ def p_at_i(params: ExtensionParams) -> tuple:
     return _matrix(lambda i, j: -0.5j * (float(i == j) + u[i][j].conjugate()))
 
 
-@dataclass(frozen=True)
-class CCoeffs:
+class CCoeffs(NamedTuple):
     """Real bracketed coefficients of the channel determinant, with the
     common factor e^{-i eta}/sin(pi alpha) kept separate, the flux
     parameter that sets the powers, and the sizes of c1, c_alpha, c_1malpha

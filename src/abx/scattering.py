@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -73,20 +74,18 @@ _EXTRACT_SAMPLES = 96
 _EXTRACT_WINDOW_PERIODS = 3.0
 
 
-@dataclass(frozen=True)
-class PlaneWaveChannel:
-    """Incident plane-wave data: momentum k > 0, incidence angle theta
-    normalized to [0, 2 pi)."""
+class PlaneWaveChannel(namedtuple("PlaneWaveChannel", "k theta")):
+    """Incident plane-wave data, an immutable (float, float) tuple: momentum
+    k > 0, incidence angle theta normalized to [0, 2 pi)."""
 
-    k: float
-    theta: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", _momentum(self.k))
-        theta = float(self.theta)
+    def __new__(cls, k: float, theta: float):
+        k, theta = _momentum(k), float(theta)
         if not math.isfinite(theta):
             raise ValueError(f"incidence angle theta {theta} is not finite")
-        object.__setattr__(self, "theta", theta % (2.0 * math.pi))
+        return super().__new__(cls, k, theta % (2.0 * math.pi))
 
 
 def _momentum(k) -> float:
@@ -175,7 +174,9 @@ def _smooth(weight: complex, theta, phi, fold=None):
         raise ValueError("amplitude angle theta is not finite")
     if not all(map(math.isfinite, angles)):
         raise ValueError("amplitude angle phi is not finite")
-    if any(_in_forward_cone(theta, angle) for angle in angles):
+    # _in_forward_cone's test, inline: a call per angle would cost more than the test
+    if any(d < FORWARD_EPSILON or 2.0 * math.pi - d < FORWARD_EPSILON
+           for d in ((angle - theta) % (2.0 * math.pi) for angle in angles)):
         raise ValueError(f"smooth amplitude is undefined inside the forward cone "
                          f"|phi - theta| < {FORWARD_EPSILON}")
     c0, c1 = fold(theta) if fold else (0.0, 0.0)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConsistencyError
@@ -41,8 +40,7 @@ class BoundState(NamedTuple):
     residual: float    # |Phi(|energy|)| at the reported root
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     """Point spectrum summary; the essential spectrum is always [0, inf)."""
 
     bound_states: tuple[BoundState, ...]

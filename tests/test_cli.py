@@ -409,6 +409,69 @@ class TestRun:
                                        "--radii", "0.5,2.0", task]) == 0
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("task", ["xsection", "amplitude"])
+    def test_forward_cone_tested_once_per_angle(self, task, monkeypatch):
+        # one mask for the request's grid, not one per momentum, and no
+        # second test per value in the amplitude's refusal
+        calls = []
+        in_cone = scattering._in_forward_cone
+
+        def counting(theta, phi):
+            calls.append(phi)
+            return in_cone(theta, phi)
+
+        monkeypatch.setattr(cli, "_in_forward_cone", counting)
+        monkeypatch.setattr(scattering, "_in_forward_cone", counting)
+        rc, out, _ = run_cli(MIXING_ARGS + ["--k", "1,2,3,4", "--angles", "3600", task])
+        assert rc == 0 and len(json.loads(out)["results"]) == 4
+        assert len(calls) == 3600
+
+    def test_run_config_is_an_immutable_value(self):
+        argv = MIXING_ARGS + ["--k", "1,2", "xsection"]
+        cfg, again = cli.parse_config(argv), cli.parse_config(argv)
+        assert cfg == again and hash(cfg) == hash(again) and cfg is not again
+        assert cfg != cli.parse_config(MIXING_ARGS + ["--k", "1,3", "xsection"])
+        with pytest.raises(AttributeError):
+            cfg.k_values = (1.0,)
+        with pytest.raises(AttributeError):
+            cfg.extra = 0
+
+
+def test_amplitude_is_the_last_dataclass():
+    # The other seven value types are plain immutable types, which abx builds
+    # at import without the dataclasses module.  Amplitude stays one while
+    # the benchmark's tracer rebuilds it with dataclasses.replace; the change
+    # that may edit perfbench/ (ROADMAP item 12's) converts it too.
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import abx
+    modules = [importlib.import_module(f"abx.{m.name}") for m in pkgutil.iter_modules(abx.__path__)]
+    found = sorted(f"{mod.__name__}.{name}" for mod in modules for name, obj in vars(mod).items()
+                   if isinstance(obj, type) and obj.__module__ == mod.__name__
+                   and dataclasses.is_dataclass(obj))
+    assert found == ["abx.scattering.Amplitude"]
+
+
+def test_json_request_loads_no_csv():
+    # csv is imported by the CSV renderer alone
+    code = blocking("csv") + """
+import io
+from contextlib import redirect_stdout
+import abx.cli
+with redirect_stdout(io.StringIO()):
+    rc = abx.cli.main(sys.argv[1:] + ["xsection"])
+print(rc, "csv" in sys.modules, Block.tried)
+try:
+    with redirect_stdout(io.StringIO()):
+        abx.cli.main(sys.argv[1:] + ["--format", "csv", "xsection"])
+except ImportError:
+    print(Block.tried)
+"""
+    out = run_python(code, *POINTS["coupled"], "--k", "1,2", "--angles", "8")
+    assert out.splitlines() == ["0 False []", "['csv']"]
+
 
 def _c2l(z):
     return [float(z.real), float(z.imag)]
@@ -505,6 +568,58 @@ def test_render_matches_per_value_construction(task, case, fmt, monkeypatch):
     assert (rc, err) == (0, "")
     monkeypatch.setitem(cli._TASK_FNS, task, PER_VALUE_TASKS[task])
     assert run_cli(argv) == (rc, out, err)
+
+
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference", "responses.json")
+# Rounding alone (Python against numpy complex arithmetic) once moved printed
+# values by up to 2.3e-13 of themselves; a replayed number may move by 1e-12
+# of the largest number under its key, a refactor's rounding but not a change
+# of the physics.
+REFERENCE_TOL = 1e-12
+
+
+def _numbers(doc):
+    """Every number in the JSON value doc; booleans are not numbers."""
+    if isinstance(doc, (dict, list)):
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            yield from _numbers(value)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield doc
+
+
+def _drift(ref, got, path: str, scale: float = 0.0) -> float:
+    """The largest |got - ref| over the numbers of the JSON value ref, each
+    over the largest |number| under its nearest key; AssertionError naming
+    the path where the structure or a value that is not a number differs."""
+    if isinstance(ref, dict):
+        assert isinstance(got, dict) and got.keys() == ref.keys(), path
+        return max((_drift(v, got[key], f"{path}.{key}", max(map(abs, _numbers(v)), default=0.0))
+                    for key, v in ref.items()), default=0.0)
+    if isinstance(ref, list):
+        assert isinstance(got, list) and len(got) == len(ref), path
+        return max((_drift(v, w, path, scale) for v, w in zip(ref, got)), default=0.0)
+    if next(_numbers(ref), None) is None or next(_numbers(got), None) is None:
+        assert got == ref, path
+        return 0.0
+    return 0.0 if got == ref else abs(got - ref) / scale if scale else math.inf
+
+
+def test_reference_responses_replay():
+    # One shrunk cycle (8 angles, one momentum) of scatter-dense, field-grid
+    # and task-mix at seeds 1-3, stored by tests/reference/regenerate.py: a
+    # pin of today's values, not an oracle.  -s prints the largest change.
+    with open(REFERENCE, encoding="utf-8") as fh:
+        responses = json.load(fh)
+    assert len(responses) == 57
+    worst, where = 0.0, None
+    for ref in responses:
+        rc, out, err = run_cli(ref["argv"])
+        assert (rc, err) == (ref["code"], ref["stderr"]), ref["argv"]
+        drift = _drift(ref["output"], json.loads(out) if out else None, shlex.join(ref["argv"]))
+        if drift > worst:
+            worst, where = drift, ref["argv"]
+    print(f"largest change {worst:.3g} of its key's largest number, at {where}")
+    assert worst <= REFERENCE_TOL, (worst, where)
 
 
 def test_only_the_cli_freezes_the_import_heap():

@@ -10,6 +10,7 @@ import pytest
 from abx.extension import (
     ExtensionKind,
     ExtensionParams,
+    UpperHalfK,
     as_alpha,
     build_u_matrix,
     classify,
@@ -49,6 +50,43 @@ class TestParams:
         p = ExtensionParams(3.0 * PI, -1.0, 0.0)
         assert -PI < p.eta <= PI
         assert p.eta == pytest.approx(PI)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: ExtensionParams.mixing(0.7), "eta"),
+        (lambda: UpperHalfK(1.5, on_real_axis=True), "k"),
+        (lambda: UpperHalfK(0.3 + 2.0j), "on_real_axis"),
+    ], ids=["ExtensionParams", "UpperHalfK-real", "UpperHalfK-interior"])
+    def test_immutable_values(self, make, field):
+        one, other = make(), make()
+        assert one == other and hash(one) == hash(other) and one is not other
+        with pytest.raises(AttributeError):
+            setattr(one, field, getattr(one, field))
+        with pytest.raises(AttributeError):
+            one.extra = 0
+
+    def test_constructors_normalize_and_validate(self):
+        p = ExtensionParams.mixing(0.7)
+        assert (p.eta, p.a, p.b) == (0.0, 0j, cmath.exp(0.7j)) and type(p.a) is complex
+        assert p != ExtensionParams.mixing(0.7, eta=1e-9)
+        assert repr(ExtensionParams(0, -1, 0)) == "ExtensionParams(eta=0.0, a=(-1+0j), b=0j)"
+        k = UpperHalfK(2, on_real_axis=True)
+        assert (k.k, k.on_real_axis) == (2 + 0j, True) and type(k.k) is complex
+        assert UpperHalfK(1j) == UpperHalfK(1j, False) and not UpperHalfK(1j).on_real_axis
+        assert repr(k) == "UpperHalfK(k=(2+0j), on_real_axis=True)"
+        assert p._replace(eta=-0.1) == ExtensionParams(-0.1, p.a, p.b) and k._replace() == k
+        for make, message in [
+            (lambda: ExtensionParams(math.nan, -1.0, 0.0), "eta must be finite, got nan"),
+            (lambda: ExtensionParams(0.0, 1.0, 1.0), r"\|a\|\^2 \+ \|b\|\^2 must equal 1 within 1e-12, got 2"),
+            (lambda: UpperHalfK(0.0), r"wavenumber must be finite and nonzero, got 0j"),
+            (lambda: UpperHalfK(complex(1.0, math.inf)), "wavenumber must be finite and nonzero"),
+            (lambda: UpperHalfK(-2.0, on_real_axis=True), r"on_real_axis requires real k > 0, got \(-2\+0j\)"),
+            (lambda: UpperHalfK(1.0 + 1e-9j, on_real_axis=True), "on_real_axis requires real k > 0"),
+            (lambda: UpperHalfK(1.0), r"interior wavenumber needs Im k > 0, got \(1\+0j\)"),
+            (lambda: p._replace(a=1.0), "must equal 1 within 1e-12, got 2"),
+            (lambda: k._replace(on_real_axis=False), "interior wavenumber needs Im k > 0"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                make()
 
 
 class TestUMatrix:

@@ -2,7 +2,6 @@
 coupling/determinant checks, resolvent identity, adjoint symmetry."""
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -393,11 +392,24 @@ class TestRefusals:
 
         def shifted(params, alpha):
             cf = d_coeffs(params, alpha)
-            return dataclasses.replace(cf, c0=cf.c0 + 1e-8)
+            return cf._replace(c0=cf.c0 + 1e-8)
 
         monkeypatch.setattr(krein, "d_coeffs", shifted)
         with pytest.raises(ConsistencyError, match="determinant paths disagree"):
             p_of_k(MIXING, 0.45, k)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: analytic_basis(-1, 0.3, UpperHalfK(1.5, on_real_axis=True)), "prefactor"),
+    (lambda: d_coeffs(MIXING, 0.45), "c0"),
+], ids=["AnalyticBasisElement", "CCoeffs"])
+def test_immutable_values(make, field):
+    one, other = make(), make()
+    assert one == other and hash(one) == hash(other) and one is not other
+    with pytest.raises(AttributeError):
+        setattr(one, field, getattr(one, field))
+    with pytest.raises(AttributeError):
+        one.extra = 0
 
 
 class TestDeterminant:

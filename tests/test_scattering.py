@@ -39,6 +39,19 @@ def classical_ab_xsection(alpha: float, k: float, delta: float) -> float:
     return math.sin(PI * alpha) ** 2 / (2.0 * PI * k * math.sin(delta / 2.0) ** 2)
 
 
+def test_plane_wave_channel_is_an_immutable_value():
+    chan, again = PlaneWaveChannel(2, -0.5), PlaneWaveChannel(2.0, 2.0 * PI - 0.5)
+    assert (chan.k, chan.theta) == (2.0, 2.0 * PI - 0.5) and type(chan.k) is float
+    assert chan == again and hash(chan) == hash(again)
+    assert chan != PlaneWaveChannel(2.0, 0.5) and chan._replace(theta=-0.5) == chan
+    with pytest.raises(ValueError, match="theta nan is not finite"):
+        chan._replace(theta=math.nan)
+    with pytest.raises(AttributeError):
+        chan.theta = 0.0
+    with pytest.raises(AttributeError):
+        chan.extra = 0
+
+
 class TestPsiAB:
     def test_plane_wave_limit(self):
         # alpha -> 0 recovers e^{i k r cos(phi - theta)}

@@ -161,6 +161,16 @@ class TestBoundStates:
         assert out == "" and "found 3 determinant roots" in err and "Traceback" not in err
 
 
+def test_summary_is_an_immutable_value():
+    params = ExtensionParams.mixing(0.7)
+    one, other = bound_states(params, 0.5), bound_states(params, 0.5)
+    assert one == other and hash(one) == hash(other) and one is not other
+    with pytest.raises(AttributeError):
+        one.zero_resonance = False
+    with pytest.raises(AttributeError):
+        one.extra = 0
+
+
 class TestRotInvariantFactorization:
     def test_s_wave_substitution(self):
         # beta = -pi alpha/2 gives |E| = (1/cos(pi alpha/2))^{1/alpha}
