@@ -16,8 +16,8 @@ extreme momenta).  Each task evaluates its whole grid with one call per
 momentum, so the coupling matrix p(k) is solved once per momentum.
 Only the grid tasks, eigenfunction, resolvent and validate, load numpy.
 Importing this module freezes its import-time heap (gc.freeze) for the
-one task a CLI process runs, as a grid task does again after its imports;
-`import abx` leaves the GC alone.
+one task a CLI process runs, as the grid task that first imports specfun
+(and numpy) does again; `import abx` leaves the GC alone.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ import math
 import sys
 from typing import NamedTuple
 
-from . import __version__, _numpy
+from . import __version__
 from .errors import ConsistencyError, ConvergenceError, NearEigenvalueError
 from .extension import ExtensionParams, UpperHalfK, as_alpha, as_wavenumber, classify
 from .krein import full_resolvent_kernel, p_of_k
 from .scattering import (
     FORWARD_EPSILON,
     PlaneWaveChannel,
-    _in_forward_cone,
+    _forward_cone,
     amplitude_u,
     channel_mixing,
     cross_section,
@@ -286,9 +286,8 @@ def _task_mixing(cfg: RunConfig):
 
 
 def _off_cone(theta: float, angles: tuple) -> tuple[list, list]:
-    """The forward-cone mask over the angle grid, one test per angle, and
-    the angles off the cone."""
-    cone = [_in_forward_cone(theta, phi) for phi in angles]
+    """The forward-cone mask over the angle grid and the angles off the cone."""
+    cone = _forward_cone(theta, angles)
     return cone, [phi for phi, inside in zip(angles, cone) if not inside]
 
 
@@ -359,8 +358,8 @@ def _task_resolvent(cfg: RunConfig):
 def _task_validate(cfg: RunConfig):
     """Dual-path coupling/determinant cross-checks plus one
     resolvent-limit sample of the eigenfunction closed form."""
-    from .specfun import hankel1_orders
-    rng = _numpy().random.default_rng(20240811)
+    from .specfun import hankel1_orders, np
+    rng = np.random.default_rng(20240811)
     for _ in range(50):
         g = rng.normal(size=4)
         n = math.hypot(math.hypot(g[0], g[1]), math.hypot(g[2], g[3]))
@@ -446,9 +445,9 @@ def _render_csv(cfg: RunConfig, cols, rows, meta) -> str:
 
 def run(config: RunConfig) -> int:
     """Dispatch the configured task and write its output."""
-    if config.task in ("eigenfunction", "resolvent", "validate"):  # the grid tasks
+    if config.task in ("eigenfunction", "resolvent", "validate") and "abx.specfun" not in sys.modules:
         from . import specfun  # noqa: F401  (and numpy), which live until exit too
-        gc.freeze()
+        gc.freeze()  # once: later in-process calls leave the caller's garbage collectable
     results, cols, rows, meta = _TASK_FNS[config.task](config)
     text = (_render_json(config, results) if config.fmt == "json"
             else _render_csv(config, cols, rows, meta))

@@ -70,11 +70,10 @@ def as_alpha(alpha) -> float:
 
 
 def _wrap_angle(eta: float) -> float:
-    """Normalize an angle to (-pi, pi]."""
-    out = eta % (2.0 * math.pi)
-    if out > math.pi:
-        out -= 2.0 * math.pi
-    return out
+    """Normalize an angle to (-pi, pi]; the IEEE remainder is exact, so an
+    angle already in (-pi, pi] comes back unchanged."""
+    out = math.remainder(eta, 2.0 * math.pi)
+    return math.pi if out == -math.pi else out
 
 
 class ExtensionParams(namedtuple("ExtensionParams", "eta a b")):

@@ -58,7 +58,7 @@ limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
   against the determinant of the channel system on every call.
 
 U, p(k0), S, D(k), p(k) and the far fields are Python complex arithmetic; the
-grid code gets numpy and ``specfun`` inside its functions, via ``abx._numpy``.
+grid code gets numpy and the ladders from ``specfun`` inside its functions.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ import cmath
 import math
 from typing import Callable, NamedTuple
 
-from . import _numpy
 from .errors import ConsistencyError, NearEigenvalueError
 from .extension import (ExtensionParams, UpperHalfK, as_alpha, as_wavenumber, branch_power,
                         build_u_matrix)
@@ -126,7 +125,7 @@ def _gate(r, phi, point: str = ""):
     """Radii and angles as float arrays of their own shapes.  The one gate of
     the coordinates: a radius not finite and positive, or an angle not finite,
     is a ValueError naming it after the label point, such as "source "."""
-    np = _numpy()
+    from .specfun import np
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     bad_r, bad_phi = r[~(np.isfinite(r) & (r > 0.0))], phi[~np.isfinite(phi)]
@@ -153,7 +152,7 @@ def _partial_wave_sum(alpha: float, mmax: int, dphi, ladder: Callable):
     """sum_m ladder(m, nu)_m e^{i m dphi} over m = -mmax-1 .. mmax with
     nu = |m + alpha|, at every angle in dphi: one product of the order
     ladder (shape (..., orders)) with the orders x angles phase matrix."""
-    np = _numpy()
+    from .specfun import np
     m = np.arange(-mmax - 1, mmax + 1)
     return ladder(m, np.abs(m + alpha)) @ np.exp(1j * np.outer(m, dphi))
 
@@ -164,8 +163,7 @@ def _kernel_ladder(k: complex, m, nu, r_in, r_out, cutoffs):
     ladder call for all radii.  J's growth e^{Im k r_in} and H1's decay
     e^{-Im k r_out} are cancelled before the product, so that neither
     factor leaves the float range when their product does not."""
-    from .specfun import _ladder_values
-    np = _numpy()
+    from .specfun import _ladder_values, np
     j_in = _ladder_values(nu, k * r_in[:, None], want_j=True, scaled=True)
     # Orders far above |k| r_in underflow to exactly 0, and orders beyond a
     # row's cutoff are dropped; their H1 factors, which may be beyond the
@@ -188,7 +186,7 @@ def ab_resolvent_kernel(alpha, k, x, y):
     ``_cutoff(|k|, max(r, rho), width)``.  Coincident points are
     rejected (logarithmic singularity).
     """
-    np = _numpy()
+    from .specfun import np
     alpha = as_alpha(alpha)
     k = as_wavenumber(k)
     r_vals, phi, shape = _polar_grid(x[0], x[1])
@@ -216,8 +214,7 @@ class AnalyticBasisElement(NamedTuple):
     prefactor: complex
 
     def __call__(self, r, phi):
-        from .specfun import hankel1_orders
-        np = _numpy()
+        from .specfun import hankel1_orders, np
         r, phi = _gate(r, phi)
         rad = self.prefactor * hankel1_orders(self.nu, self.k.k * r)
         return _unwrap(rad * np.exp(1j * self.channel * phi))

@@ -20,7 +20,7 @@ principal-value weight and never sums them.
 
 The amplitude, cross section and mixing are Python complex arithmetic, one
 angle at a time at two complex exponentials each; the eigenfunction and the
-extraction are grid code and load numpy inside their functions.
+extraction are grid code and take numpy from ``specfun`` inside their functions.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import _numpy
 from .errors import ConvergenceError
 from .extension import ExtensionParams, UpperHalfK, as_alpha
 from .krein import (
     _CHANNELS,
-    _angular_distance,
     _cutoff,
     _far_column,
     _far_row,
@@ -94,9 +92,14 @@ def _momentum(k) -> float:
     return UpperHalfK(float(k), on_real_axis=True).k.real
 
 
-def _in_forward_cone(theta: float, phi: float) -> bool:
-    """True when phi lies inside the forward cone around theta."""
-    return _angular_distance(phi - theta) < FORWARD_EPSILON
+def _forward_cone(theta: float, angles) -> list[bool]:
+    """Per angle phi, whether it lies inside the forward cone around theta:
+    phi - theta within FORWARD_EPSILON of 0 on the circle.  The one test of
+    the cone, written out over the list: a call per angle would cost more
+    than the test."""
+    two_pi = 2.0 * math.pi
+    return [(d := (phi - theta) % two_pi) < FORWARD_EPSILON or two_pi - d < FORWARD_EPSILON
+            for phi in angles]
 
 
 def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
@@ -106,8 +109,7 @@ def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
     polar grid of shape shape(r) + shape(phi), or a complex for a single
     point.  The partial-wave sum is cut once, at the largest radius.
     """
-    from .specfun import bessel_j_orders
-    np = _numpy()
+    from .specfun import bessel_j_orders, np
     alpha = as_alpha(alpha)
     r_vals, phi, shape = _polar_grid(r, phi)
     mmax = _cutoff(chan.k, float(r_vals.max()), max(r_vals.size, phi.size))
@@ -174,9 +176,7 @@ def _smooth(weight: complex, theta, phi, fold=None):
         raise ValueError("amplitude angle theta is not finite")
     if not all(map(math.isfinite, angles)):
         raise ValueError("amplitude angle phi is not finite")
-    # _in_forward_cone's test, inline: a call per angle would cost more than the test
-    if any(d < FORWARD_EPSILON or 2.0 * math.pi - d < FORWARD_EPSILON
-           for d in ((angle - theta) % (2.0 * math.pi) for angle in angles)):
+    if any(_forward_cone(theta, angles)):
         raise ValueError(f"smooth amplitude is undefined inside the forward cone "
                          f"|phi - theta| < {FORWARD_EPSILON}")
     c0, c1 = fold(theta) if fold else (0.0, 0.0)
@@ -287,12 +287,12 @@ def extract_amplitude(params: ExtensionParams, alpha, chan: PlaneWaveChannel,
     Raises ConvergenceError when the two window halves disagree by more
     than the advertised remainder bound allows.
     """
-    np = _numpy()
+    from .specfun import np
     alpha = as_alpha(alpha)
     phi = float(phi)
     r_max = float(r_max)
     delta = phi - chan.theta
-    if _in_forward_cone(chan.theta, phi):
+    if _forward_cone(chan.theta, [phi])[0]:
         raise ValueError("amplitude extraction is undefined in the forward cone")
     k = chan.k
     w1 = k * (math.cos(delta) - 1.0)

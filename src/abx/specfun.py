@@ -4,10 +4,21 @@ One vector surface for the fractional-order Bessel function J_nu and the
 Hankel function H1_nu over arrays of orders and arguments (real or in the
 upper half-plane).  The J/H1 ladders return numpy arrays broadcast over
 orders and arguments.  Every other Bessel-family value the package needs
-is read off this surface.  Only the grid code (partial-wave sums and
-channel elements on radii) imports this module, and with it numpy, which
-it binds at import through the package's loader; the closed-form tasks
+is read off this surface.  This is the one module that imports numpy: the
+grid code (partial-wave sums and channel elements on radii) takes ``np``
+and the ladders from here, inside its functions, and the closed-form tasks
 load neither.
+
+numpy's OpenBLAS runs on one thread when this module imports numpy first
+and the caller set none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+OMP_NUM_THREADS; os.environ is left as it was.  The products are small: on
+a 2-core host the 6x202 by 202x256 complex product of a field-grid
+request took 0.09 ms on one thread against 16 ms on two, and a whole
+field-grid eigenfunction request a median of 237 ms against 350 ms with
+OPENBLAS_NUM_THREADS=2 (16 alternating fresh processes each).  One path
+also makes a request print the same bytes on one machine whatever its
+core count.  A BLAS-free np.einsum sum would keep the bytes too, but a
+grid request ran about 70 ms slower in 20 of 20 pairs without the rule.
 
 Numerical method
 ----------------
@@ -57,10 +68,18 @@ All functions are pure and reentrant; there is no mutable module state.
 from __future__ import annotations
 
 import math
+import os
+import sys
 
-from . import _numpy
-
-np = _numpy()
+if "numpy" in sys.modules or not os.environ.keys().isdisjoint(
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as numpy loads OpenBLAS
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __all__ = [
     "bessel_j_orders",

@@ -172,6 +172,18 @@ class TestRun:
         assert doc["params"]["b"] == [1.0, 0.0]
         assert "provenance" in doc and "diagnostics" in doc
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_params_header_echoes_eta(self, fmt):
+        # the requested eta is printed as given, not moved by its wrapping
+        rc, out, _ = run_cli(["--eta=-0.1", "--a=-1,0", "--format", fmt, "mixing"])
+        assert rc == 0
+        if fmt == "json":
+            assert repr(json.loads(out)["params"]["eta"]) == "-0.1"
+        else:
+            assert " eta=-0.1 " in out.splitlines()[1]
+            header, row = csv.reader(l for l in out.splitlines() if not l.startswith("#"))
+            assert row[header.index("eta")] == "-0.1"
+
     def test_validation_error_exit_code(self, capsys):
         rc = cli.main(["--alpha", "0.5", "--a", "0.9,0", "--b", "0.1,0", "spectrum"])
         assert rc == 2
@@ -411,20 +423,22 @@ class TestRun:
 
     @pytest.mark.parametrize("task", ["xsection", "amplitude"])
     def test_forward_cone_tested_once_per_angle(self, task, monkeypatch):
-        # one mask for the request's grid, not one per momentum, and no
-        # second test per value in the amplitude's refusal
+        # the CLI masks the request's grid once, not once per momentum; the
+        # amplitude's refusal then tests each momentum's off-cone angles
+        # (3598 of 3600 at theta = 0), so each angle meets _forward_cone
+        # once per momentum there
         calls = []
-        in_cone = scattering._in_forward_cone
+        forward_cone = scattering._forward_cone
 
-        def counting(theta, phi):
-            calls.append(phi)
-            return in_cone(theta, phi)
+        def counting(theta, angles):
+            calls.append(len(angles))
+            return forward_cone(theta, angles)
 
-        monkeypatch.setattr(cli, "_in_forward_cone", counting)
-        monkeypatch.setattr(scattering, "_in_forward_cone", counting)
+        monkeypatch.setattr(cli, "_forward_cone", counting)
+        monkeypatch.setattr(scattering, "_forward_cone", counting)
         rc, out, _ = run_cli(MIXING_ARGS + ["--k", "1,2,3,4", "--angles", "3600", task])
         assert rc == 0 and len(json.loads(out)["results"]) == 4
-        assert len(calls) == 3600
+        assert calls == [3600] + 4 * [3598]
 
     def test_run_config_is_an_immutable_value(self):
         argv = MIXING_ARGS + ["--k", "1,2", "xsection"]
@@ -478,7 +492,7 @@ def _c2l(z):
 
 
 def _off_cone(cfg, angles, values_at):
-    cone = [scattering._in_forward_cone(cfg.theta, phi) for phi in angles]
+    cone = [scattering._forward_cone(cfg.theta, [phi])[0] for phi in angles]
     vals = iter(values_at([phi for phi, inside in zip(angles, cone) if not inside]))
     return [None if inside else next(vals) for inside in cone]
 
@@ -720,6 +734,33 @@ print(len(gc.get_objects()))
     assert int(run_python(code, "--radii", "0.5,2", "--angles", "8", "eigenfunction")) < 1000
 
 
+def test_grid_task_freezes_once_per_process():
+    # only the grid call that imports numpy freezes the heap again, so
+    # cyclic garbage a caller makes between in-process calls stays collectable
+    code = """
+import gc, io, sys, weakref
+from contextlib import redirect_stdout
+from abx import cli
+
+class Node:
+    pass
+
+counts, cycles = [], []
+for _ in range(3):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+    counts.append(gc.get_freeze_count())
+    node = Node()
+    node.self = node
+    cycles.append(weakref.ref(node))
+    del node
+gc.collect()
+print(counts[0] > 0, counts[1:] == counts[:1] * 2, [ref() is None for ref in cycles])
+"""
+    out = run_python(code, "--radii", "0.5,2", "--angles", "8", "eigenfunction")
+    assert out.strip() == "True True [True, True, True]"
+
+
 @pytest.mark.parametrize("task", [["eigenfunction"], ["--k-imag", "0.25", "--source", "10,0",
                                                       "resolvent"]])
 def test_field_grid_bytes_do_not_depend_on_blas_threads(task):
@@ -827,3 +868,24 @@ print(json.dumps(runs))
             else:
                 assert (rc, tried) == (0, []), (task, fmt)
                 assert run_cli(argv + ["--format", fmt, task]) == (0, out, ""), (task, fmt)
+
+
+def test_numpy_imported_in_specfun_alone():
+    # one module loads numpy, with its thread rule; the grid code takes np from it
+    import ast
+    import glob
+
+    importers = set()
+    for path in glob.glob(os.path.join(SRC, "abx", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(os.path.basename(path))
+    assert importers == {"specfun.py"}

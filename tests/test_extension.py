@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from abx.extension import (
     ExtensionKind,
@@ -50,6 +52,14 @@ class TestParams:
         p = ExtensionParams(3.0 * PI, -1.0, 0.0)
         assert -PI < p.eta <= PI
         assert p.eta == pytest.approx(PI)
+
+    @given(st.floats(-PI, PI, exclude_min=True))
+    @example(-0.1)
+    @example(-0.0)
+    @example(PI)
+    def test_eta_in_range_kept_exactly(self, eta):
+        # the wrap is an exact remainder: an eta of (-pi, pi], -0.0 too, is kept
+        assert repr(ExtensionParams(eta, -1.0, 0.0).eta) == repr(eta)
 
     @pytest.mark.parametrize("make, field", [
         (lambda: ExtensionParams.mixing(0.7), "eta"),

@@ -131,7 +131,7 @@ class TestBoundStates:
         assert not wrong, wrong
 
     @pytest.mark.parametrize("eta, tau, alpha", [
-        (-0.39680979775436565, -2.7447828558354272, 0.7473830379376531),
+        (-0.39680979775436587, -2.7447828558354272, 0.7473830379376531),
         (-0.2553771657851682, -2.886215487804625, 0.8374218468499681),
         (-0.4462252574567822, -2.695367396133011, 0.7159241781731979),
     ])
@@ -149,6 +149,21 @@ class TestBoundStates:
         assert "c1 = -(Re a + cos eta) = -0 cancels to rounding" in err
         assert "cannot resolve its c1 E term, up to " in err
         assert "Traceback" not in err
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 13: a root that c1's rounding cannot "
+                       "place passes the residual check")
+    def test_root_beyond_c1_rounding_not_misplaced(self):
+        # a = e^{i tau} next to -e^{-i eta}, where c1 = -(Re a + cos eta) is
+        # -1.26e-16 for these float inputs and rounds to -1.11e-16: the
+        # deep root is at E = 1.196e21 (60-digit mpmath); it is printed at
+        # 1.41e21 instead of being refused as unresolvable
+        params = _rot_params(-0.39680979775436565, -2.7447828558354272)
+        try:
+            energies = [st.energy for st in bound_states(params, 0.7473830379376531).bound_states]
+        except ConsistencyError:
+            return
+        assert min(energies) == pytest.approx(-1.196061284087197e21, rel=1e-8)
 
     def test_more_than_two_roots_refused(self, monkeypatch, capsys):
         # the count bound is a cross-check on the root search: a third root
