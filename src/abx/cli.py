@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import ConsistencyError, ConvergenceError, NearEigenvalueError
-from .extension import ExtensionParams, UpperHalfK, as_alpha, as_wavenumber, classify
+from .extension import ExtensionParams, UpperHalfK, as_alpha, classify
 from .krein import full_resolvent_kernel, p_of_k
 from .scattering import (
     FORWARD_EPSILON,
@@ -346,7 +346,7 @@ def _task_resolvent(cfg: RunConfig):
     y = cfg.source
     results = []
     for k in cfg.k_values:
-        kk = as_wavenumber(complex(k, cfg.k_imag))
+        kk = UpperHalfK(complex(k, cfg.k_imag))
         vals = full_resolvent_kernel(cfg.params, cfg.alpha, kk, (cfg.radii, angles), y)
         results.append({"k": [k, cfg.k_imag], "source": list(y), "points": points,
                         "kernel": [_c2l(v) for v in vals.ravel().tolist()]})
@@ -377,7 +377,7 @@ def _task_validate(cfg: RunConfig):
     rho = 300.0 / k
     kc = UpperHalfK(complex(k, 1e-6 * k))
     chan = PlaneWaveChannel(k, theta)
-    limit = (4.0 / (1j * complex(hankel1_orders(0.0, kc.k * rho)))
+    limit = (4.0 / (1j * complex(hankel1_orders(0.0, kc * rho)))
              * full_resolvent_kernel(params, alpha, kc, (r, phi), (rho, theta + math.pi)))
     closed = psi_u(params, alpha, chan, r, phi)
     rel = float(abs(limit - closed) / max(abs(closed), 1e-300))

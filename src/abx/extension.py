@@ -14,8 +14,9 @@ Hamiltonian; b = 0 gives the rotationally invariant extensions; b != 0
 couples the two channels, so angular momentum is no longer conserved.
 
 This module holds the parameter types with their validation, the unitary
-matrix and the classification of the family, and the wavenumber and branch
-conventions.  The orders and norms of the two channels live in
+matrix and the classification of the family, the wavenumber ``UpperHalfK``
+(a complex checked to lie in the closed upper half-plane) and the branch
+convention.  The orders and norms of the two channels live in
 ``krein._channel_table``.
 
 Branch convention
@@ -43,7 +44,6 @@ __all__ = [
     "ExtensionKind",
     "UpperHalfK",
     "as_alpha",
-    "as_wavenumber",
     "branch_power",
     "build_u_matrix",
     "classify",
@@ -143,51 +143,43 @@ class ExtensionKind(enum.Enum):
     MIXING = "mixing"
 
 
-class UpperHalfK(namedtuple("UpperHalfK", "k on_real_axis")):
-    """Wavenumber in the closed upper half-plane, k != 0, an immutable
-    (complex, bool) tuple.
+class UpperHalfK(complex):
+    """Wavenumber in the closed upper half-plane, k != 0: a checked complex.
 
-    ``on_real_axis`` marks a boundary value understood as the limit from
-    Im k -> 0+; it requires Re k > 0 and Im k == 0.  Interior points
-    require Im k > 0 strictly.
+    Im k > 0 is an interior point; Im k == 0 is a boundary value, the limit
+    from Im k -> 0+, and needs Re k > 0.  ``on_real_axis``, when given,
+    must agree with the value.  A UpperHalfK passes through unchanged.
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __new__(cls, k: complex, on_real_axis: bool = False):
+    def __new__(cls, k: complex, *, on_real_axis: bool | None = None):
+        if type(k) is cls and on_real_axis is None:
+            return k
         kc = complex(k)
         if kc == 0 or not (math.isfinite(kc.real) and math.isfinite(kc.imag)):
             raise ValueError(f"wavenumber must be finite and nonzero, got {kc}")
+        if on_real_axis is None:
+            on_real_axis = kc.imag == 0.0
+            if on_real_axis and kc.real <= 0.0:
+                raise ValueError(f"real wavenumber must be positive, got {kc}")
         if on_real_axis:
             if kc.imag != 0.0 or kc.real <= 0.0:
-                raise ValueError(
-                    f"on_real_axis requires real k > 0, got {kc}"
-                )
+                raise ValueError(f"on_real_axis requires real k > 0, got {kc}")
         elif kc.imag <= 0.0:
             raise ValueError(f"interior wavenumber needs Im k > 0, got {kc}")
-        return super().__new__(cls, kc, on_real_axis)
+        return super().__new__(cls, kc)
 
-
-def as_wavenumber(k) -> UpperHalfK:
-    """Coerce a complex number to UpperHalfK.
-
-    Positive reals become boundary values (limits from above); numbers
-    with Im > 0 become interior points; anything else is rejected.
-    """
-    if isinstance(k, UpperHalfK):
-        return k
-    kc = complex(k)
-    if kc.imag == 0.0:
-        return UpperHalfK(kc, on_real_axis=True)
-    return UpperHalfK(kc)
+    def __getnewargs__(self):
+        # complex's (real, imag) would not fit __new__: copy and pickle rebuild from the value
+        return (complex(self),)
 
 
 def branch_power(k, s: float) -> complex:
     """(-k^2)**s = exp(s (2 Log k - i pi)) on the closed upper half-plane:
     the principal branch inside, its limit from Im k -> 0+ on the real
     axis.  Beyond the float range: OverflowError naming s and k."""
-    k = as_wavenumber(k).k
+    k = UpperHalfK(k)
     # 2 Log k - i pi, with Log k = log|k| + i arg k
     try:
         return cmath.exp(float(s) * complex(2.0 * math.log(abs(k)), 2.0 * cmath.phase(k) - math.pi))

@@ -68,8 +68,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ConsistencyError, NearEigenvalueError
-from .extension import (ExtensionParams, UpperHalfK, as_alpha, as_wavenumber, branch_power,
-                        build_u_matrix)
+from .extension import (ExtensionParams, UpperHalfK, as_alpha, branch_power, build_u_matrix)
 
 __all__ = [
     "CCoeffs",
@@ -188,7 +187,7 @@ def ab_resolvent_kernel(alpha, k, x, y):
     """
     from .specfun import np
     alpha = as_alpha(alpha)
-    k = as_wavenumber(k)
+    k = UpperHalfK(k)
     r_vals, phi, shape = _polar_grid(x[0], x[1])
     (rho,), (zeta,), _ = _polar_grid(y[0], y[1], "source ")
     if (any(_angular_distance(p - zeta) <= _COINCIDENCE_TOL for p in phi.tolist())
@@ -196,10 +195,10 @@ def ab_resolvent_kernel(alpha, k, x, y):
         raise ValueError("kernel is singular at coincident points x = y")
     r_in, r_out = np.minimum(r_vals, rho), np.maximum(r_vals, rho)
     width = max(r_vals.size, phi.size)
-    cutoffs = np.array([_cutoff(abs(k.k), r, width) for r in r_out])
+    cutoffs = np.array([_cutoff(abs(k), r, width) for r in r_out])
     out = 0.25j * _partial_wave_sum(
         alpha, int(cutoffs.max()), phi - zeta,
-        lambda m, nu: _kernel_ladder(k.k, m, nu, r_in, r_out, cutoffs))
+        lambda m, nu: _kernel_ladder(k, m, nu, r_in, r_out, cutoffs))
     return _unwrap(out.reshape(shape))
 
 
@@ -216,7 +215,7 @@ class AnalyticBasisElement(NamedTuple):
     def __call__(self, r, phi):
         from .specfun import hankel1_orders, np
         r, phi = _gate(r, phi)
-        rad = self.prefactor * hankel1_orders(self.nu, self.k.k * r)
+        rad = self.prefactor * hankel1_orders(self.nu, self.k * r)
         return _unwrap(rad * np.exp(1j * self.channel * phi))
 
 
@@ -225,11 +224,11 @@ def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
     if channel not in (0, -1):
         raise ValueError(f"channel must be 0 or -1, got {channel}")
     alpha = as_alpha(alpha)
-    k = as_wavenumber(k)
+    k = UpperHalfK(k)
     nu, _, norm = _channel_table(alpha)[_CHANNELS.index(channel)]
     coef = norm * (0.5j * math.pi) * cmath.exp(1j * math.pi * nu / 4.0)
     # k**nu on the principal branch, continuous down to the positive real axis
-    return AnalyticBasisElement(channel, k, nu, coef * cmath.exp(nu * cmath.log(k.k)))
+    return AnalyticBasisElement(channel, k, nu, coef * cmath.exp(nu * cmath.log(k)))
 
 
 def _row(elem: AnalyticBasisElement, rho, zeta):
@@ -243,7 +242,7 @@ def _far_column(elem: AnalyticBasisElement) -> complex:
     lim psi_k(r, phi) sqrt(r) e^{-i k r} e^{-i channel phi} as r -> infinity,
     by H1_nu(z) ~ sqrt(2/(pi z)) e^{i(z - nu pi/2 - pi/4)} (DLMF 10.17.5): the
     one rule behind both far limits of the rank-two correction."""
-    radial = cmath.sqrt(2.0 / (math.pi * elem.k.k)) * cmath.exp(-1j * math.pi * (elem.nu / 2.0 + 0.25))
+    radial = cmath.sqrt(2.0 / (math.pi * elem.k)) * cmath.exp(-1j * math.pi * (elem.nu / 2.0 + 0.25))
     return elem.prefactor * radial
 
 
@@ -338,7 +337,7 @@ def _channel_system(params: ExtensionParams, alpha: float, k: UpperHalfK):
     det = diag - cross
     # Each route rounds at the size of its own terms: D's four and det S's two.
     if abs(val - det) > _DUAL_PATH_TOL * max(dscale, abs(diag) + abs(cross)):
-        raise ConsistencyError(f"determinant paths disagree at k={k.k}: {val} vs {det}")
+        raise ConsistencyError(f"determinant paths disagree at k={k}: {val} vs {det}")
     return cf, complex(val), dscale, pref, system, g, g_size
 
 
@@ -366,7 +365,7 @@ def _condition(s: tuple) -> float:
 def d_of_k(params: ExtensionParams, alpha, k) -> complex:
     """Channel determinant D(k), coefficient expansion cross-checked
     against the literal 2x2 determinant."""
-    return _channel_system(params, as_alpha(alpha), as_wavenumber(k))[1]
+    return _channel_system(params, as_alpha(alpha), UpperHalfK(k))[1]
 
 
 def p_of_k(params: ExtensionParams, alpha, k) -> tuple:
@@ -386,10 +385,10 @@ def p_of_k(params: ExtensionParams, alpha, k) -> tuple:
     1e-10, as next to a zero-energy resonance or a deep bound state).
     """
     alpha = as_alpha(alpha)
-    k = as_wavenumber(k)
+    k = UpperHalfK(k)
     cf, dval, dscale, pref, system, g, g_size = _channel_system(params, alpha, k)
     if abs(dval) < 1e-12 * dscale:
-        raise NearEigenvalueError(k.k, dval)
+        raise NearEigenvalueError(k, dval)
     sigma = cmath.exp(-1j * params.eta) * -cf.c1 / 2.0
     closed = _matrix(lambda i, j: (pref[i][j] + (sigma * g[1 - i] if i == j else 0.0)) / dval)
     inverted = _solve(system, pref)
@@ -400,8 +399,8 @@ def p_of_k(params: ExtensionParams, alpha, k) -> tuple:
                                         for x, y in zip(row, inv))) > _DUAL_PATH_TOL * scale:
         cond = _condition(system)
         if _SOLVE_ERROR_FACTOR * cond * math.ulp(1.0) > _DUAL_PATH_TOL:
-            raise NearEigenvalueError(k.k, dval, condition=cond)
-        raise ConsistencyError(f"coupling-matrix paths disagree at k={k.k}: "
+            raise NearEigenvalueError(k, dval, condition=cond)
+        raise ConsistencyError(f"coupling-matrix paths disagree at k={k}: "
                                f"closed={closed} inverted={inverted}")
     return closed
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError
-from .extension import ExtensionParams, UpperHalfK, as_alpha
+from .extension import ExtensionParams, as_alpha
 from .krein import (
     _CHANNELS,
     _cutoff,
@@ -87,9 +87,11 @@ class PlaneWaveChannel(namedtuple("PlaneWaveChannel", "k theta")):
 
 
 def _momentum(k) -> float:
-    """k as a float, or ValueError unless it is finite and positive: the
-    real-axis check of UpperHalfK."""
-    return UpperHalfK(float(k), on_real_axis=True).k.real
+    """k as a float, or ValueError unless it is finite and positive."""
+    k = float(k)
+    if not 0.0 < k < math.inf:  # NaN fails this too
+        raise ValueError(f"momentum k must be finite and positive, got {k}")
+    return k
 
 
 def _forward_cone(theta: float, angles) -> list[bool]:

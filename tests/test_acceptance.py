@@ -98,7 +98,7 @@ def test_criterion_3_dual_path_consistency():
         alpha = float(rng.uniform(0.05, 0.95))
         k = UpperHalfK(complex(rng.uniform(-10, 10), rng.uniform(0.1, 10)))
         closed = p_of_k(params, alpha, k)  # raises on internal mismatch
-        system = channel_system(p_at_i(params), alpha, k.k)
+        system = channel_system(p_at_i(params), alpha, k)
         inverted = np.linalg.solve(system, p_at_i(params))
         worst_p = max(worst_p, float(
             np.linalg.norm(closed - inverted) / max(np.linalg.norm(closed), 1e-300)))
@@ -125,9 +125,9 @@ def test_criterion_4_analytic_basis_gate():
     for alpha in (0.1, 0.5, 0.9):
         for (z1, z2) in pairs:
             k1, k2 = UpperHalfK(z1), UpperHalfK(z2)
-            amat = overlap(alpha, k1.k, k2.k)
+            amat = overlap(alpha, k1, k2)
             for i, ch_row in enumerate((0, -1)):
-                bra = analytic_basis(ch_row, alpha, UpperHalfK(-k1.k.conjugate()))
+                bra = analytic_basis(ch_row, alpha, UpperHalfK(-k1.conjugate()))
                 for j, ch_col in enumerate((0, -1)):
                     col = analytic_basis(ch_col, alpha, k2)
                     got = inner_product_2d(bra, col)
@@ -160,7 +160,7 @@ def test_criterion_5_eigenfunction_limit_oracle():
             for dphi in (1.0, 2.2, 5.0):
                 for r in (0.6, 1.2, 1.9):
                     phi = theta + dphi
-                    lim = (4.0 / (1j * complex(hankel1_orders(0.0, kc.k * rho)))
+                    lim = (4.0 / (1j * complex(hankel1_orders(0.0, kc * rho)))
                            * full_resolvent_kernel(params, alpha, kc,
                                                    (r, phi), (rho, theta + PI)))
                     closed = psi_u(params, alpha, chan, r, phi)
@@ -210,10 +210,10 @@ def test_criterion_7_pde_residual_suite():
             lambda r, phi: psi_u(mixing, alpha, chan, r, phi), chan.k**2),
         "reference kernel": (
             lambda r, phi: ab_resolvent_kernel(alpha, kern_k, (r, phi), y),
-            kern_k.k**2),
+            kern_k**2),
         "full kernel": (
             lambda r, phi: full_resolvent_kernel(mixing, alpha, kern_k, (r, phi), y),
-            kern_k.k**2),
+            kern_k**2),
     }
     ok = True
     details = {}

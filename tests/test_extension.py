@@ -2,13 +2,16 @@
 reference deficiency elements with their closed-form norms."""
 
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from abx.cli import parse_config
 from abx.extension import (
     ExtensionKind,
     ExtensionParams,
@@ -17,6 +20,9 @@ from abx.extension import (
     build_u_matrix,
     classify,
 )
+from abx.krein import analytic_basis, d_coeffs
+from abx.scattering import PlaneWaveChannel
+from abx.spectrum import bound_states
 
 from _oracles import (
     DeficiencyElement,
@@ -63,8 +69,8 @@ class TestParams:
 
     @pytest.mark.parametrize("make, field", [
         (lambda: ExtensionParams.mixing(0.7), "eta"),
-        (lambda: UpperHalfK(1.5, on_real_axis=True), "k"),
-        (lambda: UpperHalfK(0.3 + 2.0j), "on_real_axis"),
+        (lambda: UpperHalfK(1.5, on_real_axis=True), "real"),
+        (lambda: UpperHalfK(0.3 + 2.0j), "imag"),
     ], ids=["ExtensionParams", "UpperHalfK-real", "UpperHalfK-interior"])
     def test_immutable_values(self, make, field):
         one, other = make(), make()
@@ -74,16 +80,38 @@ class TestParams:
         with pytest.raises(AttributeError):
             one.extra = 0
 
+    @pytest.mark.parametrize("make", [
+        lambda: ExtensionParams.mixing(0.7),
+        lambda: UpperHalfK(1.3 + 0.4j),
+        lambda: UpperHalfK(2.0),
+        lambda: PlaneWaveChannel(1.5, 0.4),
+        lambda: d_coeffs(ExtensionParams.mixing(0.7), 0.45),
+        lambda: analytic_basis(-1, 0.3, 1.3 + 0.4j),
+        lambda: bound_states(ExtensionParams.rotationally_invariant(-2.0, 0.5), 0.3),
+        lambda: parse_config(["--k", "1.5,2", "xsection"]),
+    ], ids=["ExtensionParams", "UpperHalfK-interior", "UpperHalfK-real", "PlaneWaveChannel",
+            "CCoeffs", "AnalyticBasisElement", "SpectralSummary", "RunConfig"])
+    @pytest.mark.parametrize("rebuild", [copy.copy, copy.deepcopy,
+                                         lambda value: pickle.loads(pickle.dumps(value))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_values_survive_copy_and_pickle(self, make, rebuild):
+        # A complex subclass rebuilt from complex's (real, imag) would lose Im k silently.
+        value = make()
+        again = rebuild(value)
+        assert again == value and type(again) is type(value)
+        if isinstance(value, tuple):
+            assert list(map(type, again)) == list(map(type, value))
+
     def test_constructors_normalize_and_validate(self):
         p = ExtensionParams.mixing(0.7)
         assert (p.eta, p.a, p.b) == (0.0, 0j, cmath.exp(0.7j)) and type(p.a) is complex
         assert p != ExtensionParams.mixing(0.7, eta=1e-9)
         assert repr(ExtensionParams(0, -1, 0)) == "ExtensionParams(eta=0.0, a=(-1+0j), b=0j)"
         k = UpperHalfK(2, on_real_axis=True)
-        assert (k.k, k.on_real_axis) == (2 + 0j, True) and type(k.k) is complex
-        assert UpperHalfK(1j) == UpperHalfK(1j, False) and not UpperHalfK(1j).on_real_axis
-        assert repr(k) == "UpperHalfK(k=(2+0j), on_real_axis=True)"
-        assert p._replace(eta=-0.1) == ExtensionParams(-0.1, p.a, p.b) and k._replace() == k
+        assert k == 2 + 0j and isinstance(k, complex) and UpperHalfK(2) == k
+        assert UpperHalfK(1j) == UpperHalfK(1j, on_real_axis=False) == 1j
+        assert repr(k) == "(2+0j)" and f"{k}" == "(2+0j)"
+        assert p._replace(eta=-0.1) == ExtensionParams(-0.1, p.a, p.b)
         for make, message in [
             (lambda: ExtensionParams(math.nan, -1.0, 0.0), "eta must be finite, got nan"),
             (lambda: ExtensionParams(0.0, 1.0, 1.0), r"\|a\|\^2 \+ \|b\|\^2 must equal 1 within 1e-12, got 2"),
@@ -91,9 +119,10 @@ class TestParams:
             (lambda: UpperHalfK(complex(1.0, math.inf)), "wavenumber must be finite and nonzero"),
             (lambda: UpperHalfK(-2.0, on_real_axis=True), r"on_real_axis requires real k > 0, got \(-2\+0j\)"),
             (lambda: UpperHalfK(1.0 + 1e-9j, on_real_axis=True), "on_real_axis requires real k > 0"),
-            (lambda: UpperHalfK(1.0), r"interior wavenumber needs Im k > 0, got \(1\+0j\)"),
+            (lambda: UpperHalfK(-2.0), r"real wavenumber must be positive, got \(-2\+0j\)"),
+            (lambda: UpperHalfK(1.0, on_real_axis=False), r"interior wavenumber needs Im k > 0, got \(1\+0j\)"),
+            (lambda: UpperHalfK(1.0 - 1e-9j), "interior wavenumber needs Im k > 0"),
             (lambda: p._replace(a=1.0), "must equal 1 within 1e-12, got 2"),
-            (lambda: k._replace(on_real_axis=False), "interior wavenumber needs Im k > 0"),
         ]:
             with pytest.raises(ValueError, match=message):
                 make()

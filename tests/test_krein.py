@@ -15,7 +15,7 @@ from scipy.special import jve as sp_jve
 
 from abx import krein
 from abx.errors import ConsistencyError, NearEigenvalueError
-from abx.extension import ExtensionParams, UpperHalfK
+from abx.extension import ExtensionParams, UpperHalfK, branch_power
 from abx.krein import (
     _row,
     ab_resolvent_kernel,
@@ -50,7 +50,7 @@ AB = ExtensionParams.ab_point()
 
 def _row_element(channel, alpha, k: UpperHalfK):
     """conj(psi_{-conj k}) through the public basis surface (interior k)."""
-    elem = analytic_basis(channel, alpha, UpperHalfK(-k.k.conjugate()))
+    elem = analytic_basis(channel, alpha, UpperHalfK(-k.conjugate()))
 
     def row(r, phi):
         return np.conj(elem(r, phi))
@@ -64,7 +64,7 @@ class TestAbKernel:
         k = UpperHalfK(1.0 + 0.5j)
         x, y = (2.0, 0.9), (1.0, 0.9)  # |x - y| = 1, radii separated
         got = ab_resolvent_kernel(1e-6, k, x, y)
-        want = 0.25j * complex(sp_hankel1(0, k.k * 1.0))
+        want = 0.25j * complex(sp_hankel1(0, k * 1.0))
         assert abs(got - want) <= 2e-5
 
     def test_truncation_converged(self, monkeypatch):
@@ -108,7 +108,7 @@ class TestAbKernel:
         for h in (0.02, 0.01, 0.005):
             worst = 0.0
             for (r, phi) in ((1.2, 0.5), (1.8, 4.0)):
-                val = apply_flux_operator(u, alpha, r, phi, h) - k.k**2 * u(r, phi)
+                val = apply_flux_operator(u, alpha, r, phi, h) - k**2 * u(r, phi)
                 worst = max(worst, abs(val))
             resid.append(worst)
         assert min(observed_orders(resid)) >= 1.8, resid
@@ -175,10 +175,10 @@ class TestAnalyticBasis:
         # quadrature oracle for one pair; the full gate runs in acceptance
         alpha = 0.5
         k1, k2 = UpperHalfK(0.8 + 0.9j), UpperHalfK(1.2 + 0.6j)
-        bra = analytic_basis(0, alpha, UpperHalfK(-k1.k.conjugate()))
+        bra = analytic_basis(0, alpha, UpperHalfK(-k1.conjugate()))
         col = analytic_basis(0, alpha, k2)
         got = inner_product_2d(bra, col)
-        want = overlap(alpha, k1.k, k2.k)[0, 0]
+        want = overlap(alpha, k1, k2)[0, 0]
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
     def test_refuses_other_channels(self):
@@ -219,7 +219,7 @@ class TestCouplingMatrix:
             eta, a, b = random_params(rng)
             params = ExtensionParams(eta, a, b)
             alpha = float(rng.uniform(0.05, 0.95))
-            amat = overlap(alpha, K0, k2.k)
+            amat = overlap(alpha, K0, k2)
             u = build_u_matrix(params)
             want = 0.5j * np.linalg.solve(amat, -np.eye(2) - np.conj(u))
             assert np.allclose(p_at_i(params), want, atol=1e-13)
@@ -250,7 +250,7 @@ class TestCouplingMatrix:
                 system = krein._channel_system(params, alpha, k)[4]
             except ConsistencyError:  # near a root, det S cancels beyond D's terms
                 continue
-            want = channel_system(p_at_i(params), alpha, k.k)
+            want = channel_system(p_at_i(params), alpha, k)
             assert np.abs(system - want).max() <= 1e-13 * (1.0 + np.abs(want - np.eye(2)).max())
 
     def test_ab_coupling_vanishes_for_all_k(self):
@@ -372,7 +372,7 @@ class TestRefusals:
                 except NearEigenvalueError:
                     refused += 1
                     continue
-                want = p_by_inversion(params, alpha, k.k)
+                want = p_by_inversion(params, alpha, k)
                 worst = max(worst, np.abs(p - want).max() / np.abs(want).max())
         assert calls >= 300 and 0 < refused < calls
         assert worst <= 1e-8
@@ -410,6 +410,29 @@ def test_immutable_values(make, field):
         setattr(one, field, getattr(one, field))
     with pytest.raises(AttributeError):
         one.extra = 0
+
+
+def _outcome(f):
+    """f's value, or the message of the NearEigenvalueError it raised."""
+    try:
+        return f()
+    except NearEigenvalueError as err:
+        return str(err)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.one_of(st.floats(1e-2, 20.0),
+                 st.builds(complex, st.floats(-20.0, 20.0), st.floats(1e-3, 20.0))))
+def test_wavenumber_forms_are_interchangeable(k):
+    # A float or complex k and UpperHalfK(k) give equal results everywhere k is taken.
+    kk = UpperHalfK(k)
+    assert kk == k and UpperHalfK(kk) is kk
+    x, y = (1.0, 0.3), (2.0, 1.1)
+    for entry in (lambda k: p_of_k(MIXING, 0.45, k), lambda k: d_of_k(MIXING, 0.45, k),
+                  lambda k: branch_power(k, 0.45), lambda k: analytic_basis(-1, 0.45, k),
+                  lambda k: ab_resolvent_kernel(0.45, k, x, y),
+                  lambda k: full_resolvent_kernel(MIXING, 0.45, k, x, y)):
+        assert _outcome(lambda: entry(k)) == _outcome(lambda: entry(kk))
 
 
 class TestDeterminant:
@@ -472,7 +495,7 @@ class TestDeterminant:
             alpha = float(rng.uniform(0.05, 0.95))
             k = UpperHalfK(complex(rng.uniform(-10, 10), rng.uniform(0.1, 10)))
             val = d_of_k(params, alpha, k)
-            m = channel_system(p_at_i(params), alpha, k.k)
+            m = channel_system(p_at_i(params), alpha, k)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(val - det) <= 1e-10 * max(abs(val), 1.0)
 
@@ -519,16 +542,16 @@ class TestFullKernel:
             inner = 0j
             if r > lo_edge:
                 inner = complex_quad(
-                    lambda rho: sp_jv(nu, k.k * rho) * bump(rho) * rho,
+                    lambda rho: sp_jv(nu, k * rho) * bump(rho) * rho,
                     lo_edge, min(r, hi_edge), limit=200)
             outer = 0j
             if r < hi_edge:
                 outer = complex_quad(
-                    lambda rho: sp_hankel1(nu, k.k * rho) * bump(rho) * rho,
+                    lambda rho: sp_hankel1(nu, k * rho) * bump(rho) * rho,
                     max(r, lo_edge), hi_edge, limit=200)
             return 2.0 * PI * 0.25j * (
-                complex(sp_hankel1(nu, k.k * r)) * inner
-                + complex(sp_jv(nu, k.k * r)) * outer)
+                complex(sp_hankel1(nu, k * r)) * inner
+                + complex(sp_jv(nu, k * r)) * outer)
 
         pk = p_of_k(params, alpha, k)
         row = _row_element(0, alpha, k)
@@ -545,7 +568,7 @@ class TestFullKernel:
         for (r, phi) in ((2.0, 0.7), (0.9, 0.3), (3.6, 2.0)):
             resid = []
             for h in (0.02, 0.01):
-                val = apply_flux_operator(g, alpha, r, phi, h) - k.k**2 * g(r, phi)
+                val = apply_flux_operator(g, alpha, r, phi, h) - k**2 * g(r, phi)
                 resid.append(abs(val - bump(r)))
             assert resid[1] < 3e-5
             if resid[0] > 1e-9:  # above the quadrature noise floor
@@ -570,6 +593,6 @@ class TestFullKernel:
 
         resid = []
         for h in (0.02, 0.01, 0.005):
-            val = apply_flux_operator(u, alpha, 1.5, 0.8, h) - k.k**2 * u(1.5, 0.8)
+            val = apply_flux_operator(u, alpha, 1.5, 0.8, h) - k**2 * u(1.5, 0.8)
             resid.append(abs(val))
         assert min(observed_orders(resid)) >= 1.8, resid

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abx.errors import NearEigenvalueError
-from abx.extension import ExtensionParams, as_wavenumber, classify
+from abx.extension import ExtensionParams, UpperHalfK, classify
 from abx.krein import (_CHANNELS, _rank_two, _row, analytic_basis, d_of_k, full_resolvent_kernel,
                        p_at_i, p_of_k)
 from abx.scattering import (FORWARD_EPSILON, PlaneWaveChannel, amplitude_ab, amplitude_u,
@@ -68,7 +68,7 @@ def test_both_representations_agree(params, alpha, log_k, arg_k):
     # (eta, a, b) and (eta + pi, -a, -b) are the same channel map U
     mirror = _mirror(params)
     assert classify(mirror) is classify(params)
-    k = as_wavenumber(10.0 ** log_k * cmath.exp(1j * arg_k))
+    k = UpperHalfK(10.0 ** log_k * cmath.exp(1j * arg_k))
     try:
         p, q = np.array(p_of_k(params, alpha, k)), np.array(p_of_k(mirror, alpha, k))
     except REFUSED:
@@ -92,14 +92,14 @@ def test_dual_paths_agree(params, alpha, log_k, arg_k):
     # channel system S p(k) = p(k0), redone here, must agree with them to
     # 1e-10 of a bound on the size of p's terms, (2 + 2 |(-k^2)^s| / min(sin,
     # cos)(pi alpha/2) + |b|) / (2 |D|), even where p cancels far below it
-    k = as_wavenumber(10.0 ** log_k * cmath.exp(1j * arg_k))
+    k = UpperHalfK(10.0 ** log_k * cmath.exp(1j * arg_k))
     try:
         p = p_of_k(params, alpha, k)
     except REFUSED:
         assume(False)
     pref = p_at_i(params)
-    inverted = np.linalg.solve(channel_system(pref, alpha, k.k), pref)
-    power = max(abs(k.k) ** (2.0 * alpha), abs(k.k) ** (2.0 - 2.0 * alpha))
+    inverted = np.linalg.solve(channel_system(pref, alpha, k), pref)
+    power = max(abs(k) ** (2.0 * alpha), abs(k) ** (2.0 - 2.0 * alpha))
     trig = min(math.sin(PI * alpha / 2.0), math.cos(PI * alpha / 2.0))
     size = (2.0 + 2.0 * (1.0 + power) / trig + abs(params.b)) / (2.0 * abs(d_of_k(params, alpha, k)))
     assert np.linalg.norm(p - inverted) <= 1e-10 * size
@@ -229,12 +229,12 @@ def test_coupling_matrix_matches_boundary_route():
     # p(k) in the closed upper half-plane, real axis included
     errors = []
     for params, alpha, rng in _random_points(20, 100):
-        k = as_wavenumber(10.0 ** rng.uniform(-2.0, 2.0) * cmath.exp(1j * rng.uniform(0.0, PI)))
+        k = UpperHalfK(10.0 ** rng.uniform(-2.0, 2.0) * cmath.exp(1j * rng.uniform(0.0, PI)))
         try:
             p = p_of_k(params, alpha, k)
         except REFUSED:
             continue
-        want = boundary_route(params, alpha, k.k).p
+        want = boundary_route(params, alpha, k).p
         errors.append(np.abs(p - want).max() / np.abs(want).max())
     assert len(errors) >= 90 and max(errors) <= 1e-10
 
@@ -263,7 +263,7 @@ def _origin_ratio(values, alpha, k):
 
 def _rank_two_at(params, alpha, k, r, phi):
     """The rank-two term of the resolvent kernel at x = y = (r, phi)."""
-    k = as_wavenumber(k)
+    k = UpperHalfK(k)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
     coefs = _rank_two(p_of_k(params, alpha, k), [_row(e, r, phi) for e in basis])
     return complex(sum(c * e(r, phi) for c, e in zip(coefs, basis)))
@@ -391,8 +391,8 @@ def test_coupled_bound_states_zero_the_channel_system(params, alpha):
     assume(params.b != 0)
     pref = p_at_i(params)
     for state in bound_states(params, alpha).bound_states:
-        k = as_wavenumber(1j * math.sqrt(-state.energy))
-        system = channel_system(pref, alpha, k.k)
+        k = UpperHalfK(1j * math.sqrt(-state.energy))
+        system = channel_system(pref, alpha, k)
         det = system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0]
         assert abs(det) <= 1e-9 * (1.0 + np.abs(system).max() ** 2)
 

@@ -120,7 +120,7 @@ class TestPsiU:
         kc = UpperHalfK(complex(k, eps))
         chan = PlaneWaveChannel(k, theta)
         r, phi = 1.2, 1.6
-        lim = (4.0 / (1j * complex(hankel1_orders(0.0, kc.k * rho)))
+        lim = (4.0 / (1j * complex(hankel1_orders(0.0, kc * rho)))
                * full_resolvent_kernel(MIXING, alpha, kc, (r, phi), (rho, theta + PI)))
         closed = psi_u(MIXING, alpha, chan, r, phi)
         assert abs(lim - closed) / abs(closed) <= 2e-2
@@ -294,6 +294,20 @@ def test_momentum_off_the_positive_axis_is_invalid(entry, k):
     # Not a numerical failure (OverflowError), and no amplitude of zeros at k = inf.
     with pytest.raises(ValueError):
         entry(k)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda: PlaneWaveChannel(-1, 0), "momentum k must be finite and positive, got -1.0"),
+    (lambda: amplitude_ab(0.3, math.nan), "momentum k must be finite and positive, got nan"),
+    (lambda: amplitude_u(MIXING, 0.3, -1.0), "momentum k must be finite and positive, got -1.0"),
+    (lambda: cross_section(MIXING, 0.3, -2.0, 0, 1), "momentum k must be finite and positive, got -2.0"),
+    (lambda: p_of_k(MIXING, 0.3, -1.0), "real wavenumber must be positive, got (-1+0j)"),
+], ids=["PlaneWaveChannel", "amplitude_ab", "amplitude_u", "cross_section", "p_of_k"])
+def test_momentum_error_names_what_was_passed(entry, message):
+    # No message names on_real_axis, which none of these callers passes.
+    with pytest.raises(ValueError) as err:
+        entry()
+    assert str(err.value) == message
 
 
 INF, NAN = math.inf, math.nan
