@@ -507,7 +507,8 @@ class TestFullKernel:
             assert full_resolvent_kernel(AB, 0.35, k, x, y) == \
                 ab_resolvent_kernel(0.35, k, x, y)
 
-    @pytest.mark.parametrize("k", [UpperHalfK(1.1 + 0.7j), UpperHalfK(1.9, on_real_axis=True)])
+    @pytest.mark.parametrize("k", [UpperHalfK(1.1 + 0.7j), UpperHalfK(1.9, on_real_axis=True)],
+                             ids=["k0", "k1"])
     def test_grid_matches_pointwise(self, k):
         # radii on both sides of the source and on its ring
         y = (1.3, 0.6)
