@@ -3,9 +3,9 @@ resolvents, spectra, generalized eigenfunctions and scattering.
 
 The package exports every module's ``__all__``; each public name is
 declared once, in its module, and specfun's resolve on first use.  Only
-the grid code imports specfun, the one module that imports numpy; it starts
-numpy's OpenBLAS on one thread unless the caller chose a thread count, so
-a request prints the same bytes whatever the core count."""
+the grid code imports specfun, its ladders and angular sums; numpy loads
+there alone, for validate and array inputs, with OpenBLAS on one thread
+unless the caller chose a thread count."""
 
 __version__ = "0.1.0"
 
@@ -16,7 +16,7 @@ from .krein import *  # noqa: F401,F403
 from .scattering import *  # noqa: F401,F403
 from .spectrum import *  # noqa: F401,F403
 
-_SPECFUN = ("bessel_j_orders", "hankel1_orders")  # specfun.__all__, which loads numpy
+_SPECFUN = ("bessel_j_orders", "hankel1_orders")  # specfun.__all__, grid code
 
 __all__ = ["__version__", *errors.__all__, *extension.__all__, *krein.__all__,
            *scattering.__all__, *_SPECFUN, *spectrum.__all__]

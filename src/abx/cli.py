@@ -14,16 +14,15 @@ request for more than 4e6 output values), 3 numerical failure
 (near-eigenvalue momentum, a failed internal cross-check, overflow at
 extreme momenta).  Each task evaluates its whole grid with one call per
 momentum, so the coupling matrix p(k) is solved once per momentum.
-Only the grid tasks, eigenfunction, resolvent and validate, load numpy.
-Importing this module freezes its import-time heap (gc.freeze) for the
-one task a CLI process runs, as the grid task that first imports specfun
-(and numpy) does again; `import abx` leaves the GC alone.
+Only validate loads numpy, for its random draws; eigenfunction and resolvent
+are Python arithmetic.  Importing this module freezes its import-time heap
+(gc.freeze) for the one task a CLI process runs, as the validate task that
+first imports numpy does again; `import abx` leaves the GC alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import io
 import json
@@ -34,7 +33,7 @@ from typing import NamedTuple
 from . import __version__
 from .errors import ConsistencyError, ConvergenceError, NearEigenvalueError
 from .extension import ExtensionParams, UpperHalfK, as_alpha, classify
-from .krein import full_resolvent_kernel, p_of_k
+from .krein import _angle_grid, full_resolvent_kernel, p_of_k
 from .scattering import (
     FORWARD_EPSILON,
     PlaneWaveChannel,
@@ -234,14 +233,6 @@ def parse_config(argv) -> RunConfig:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _angle_grid(n: int) -> tuple:
-    # half-open [0, 2 pi), cell-centered so the forward direction is not
-    # sampled exactly; built once per request
-    step = 2.0 * math.pi / n
-    return tuple((i + 0.5) * step for i in range(n))
-
-
 def _c2l(z: complex) -> list:
     """A complex value as [re, im]."""
     return [z.real, z.imag]
@@ -334,7 +325,7 @@ def _task_eigenfunction(cfg: RunConfig):
     for k in cfg.k_values:
         vals = psi_u(cfg.params, cfg.alpha, PlaneWaveChannel(k, cfg.theta), cfg.radii, angles)
         results.append({"k": k, "theta": cfg.theta, "points": points,
-                        "psi": [_c2l(v) for v in vals.ravel().tolist()]})
+                        "psi": [_c2l(v) for row in vals for v in row]})
     cols = ["k", "theta", "r", "phi", "psi_re", "psi_im"]
     rows = ([r["k"], r["theta"], *p, *v] for r in results for p, v in zip(r["points"], r["psi"]))
     return results, cols, rows, []
@@ -349,7 +340,7 @@ def _task_resolvent(cfg: RunConfig):
         kk = UpperHalfK(complex(k, cfg.k_imag))
         vals = full_resolvent_kernel(cfg.params, cfg.alpha, kk, (cfg.radii, angles), y)
         results.append({"k": [k, cfg.k_imag], "source": list(y), "points": points,
-                        "kernel": [_c2l(v) for v in vals.ravel().tolist()]})
+                        "kernel": [_c2l(v) for row in vals for v in row]})
     cols = ["k_re", "k_im", "src_r", "src_phi", "r", "phi", "kernel_re", "kernel_im"]
     rows = ([*r["k"], *r["source"], *p, *v] for r in results for p, v in zip(r["points"], r["kernel"]))
     return results, cols, rows, []
@@ -445,8 +436,8 @@ def _render_csv(cfg: RunConfig, cols, rows, meta) -> str:
 
 def run(config: RunConfig) -> int:
     """Dispatch the configured task and write its output."""
-    if config.task in ("eigenfunction", "resolvent", "validate") and "abx.specfun" not in sys.modules:
-        from . import specfun  # noqa: F401  (and numpy), which live until exit too
+    if config.task == "validate" and "numpy" not in sys.modules:
+        from .specfun import np  # noqa: F401  which lives until exit too
         gc.freeze()  # once: later in-process calls leave the caller's garbage collectable
     results, cols, rows, meta = _TASK_FNS[config.task](config)
     text = (_render_json(config, results) if config.fmt == "json"

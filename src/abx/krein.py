@@ -57,14 +57,16 @@ limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
   bracket is written.  ``d_of_k`` cross-checks the coefficient expansion
   against the determinant of the channel system on every call.
 
-U, p(k0), S, D(k), p(k) and the far fields are Python complex arithmetic; the
-grid code gets numpy and the ladders from ``specfun`` inside its functions.
+All of it is Python complex arithmetic; the grid code takes the ladders and
+angular sums from ``specfun`` inside its functions, and numpy only for arrays.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from typing import Callable, NamedTuple
 
 from .errors import ConsistencyError, NearEigenvalueError
@@ -120,92 +122,93 @@ def _angular_distance(delta: float) -> float:
     return d if d <= math.pi else 2.0 * math.pi - d
 
 
-def _gate(r, phi, point: str = ""):
-    """Radii and angles as float arrays of their own shapes.  The one gate of
-    the coordinates: a radius not finite and positive, or an angle not finite,
-    is a ValueError naming it after the label point, such as "source "."""
+@functools.lru_cache(maxsize=1)
+def _angle_grid(n: int) -> tuple:
+    """The CLI's n angles, cell-centred on [0, 2 pi) so that the forward
+    direction is not sampled exactly; built once per request."""
+    step = 2.0 * math.pi / n
+    return tuple((i + 0.5) * step for i in range(n))
+
+
+def _floats(x, ok, message: str) -> tuple:
+    """x's values as floats, each passing ok or a ValueError of message naming
+    it; x's shape, () for a scalar; whether x is of numpy, told without importing it."""
+    np = sys.modules.get("numpy")
+    if array := np is not None and isinstance(x, (np.ndarray, np.generic)):
+        x = np.asarray(x, dtype=float)
+        values, shape = x.ravel().tolist(), x.shape
+    else:
+        values = [float(x)] if isinstance(x, (int, float)) else [float(v) for v in x]
+        shape = () if isinstance(x, (int, float)) else (len(values),)
+    if bad := [v for v in values if not ok(v)]:
+        raise ValueError(message.format(bad[0]))
+    return values, shape, array
+
+
+def _polar_grid(r, phi, point: str = "", broadcast: bool = False):
+    """Gated radii and angles as lists of floats, and the form of the result
+    for _unwrap: the polar grid of shape shape(r) + shape(phi), as a complex
+    for Python scalars, nested lists for sequences and an array when either
+    is of numpy; broadcast gives numpy's broadcast of r against phi, an
+    array unless both are scalars.  The one gate of the coordinates: a
+    radius not finite and positive, or an angle not finite, is a ValueError
+    naming it after the label point, such as "source "."""
+    rs, r_shape, r_array = _floats(r, lambda x: 0.0 < x < math.inf,
+                                   point + "radius {} is not finite and positive")
+    phis, phi_shape, phi_array = _floats(phi, math.isfinite, point + "angle {} is not finite")
+    return rs, phis, (r_array or phi_array or broadcast, r_shape, phi_shape, broadcast)
+
+
+def _unwrap(rows: list, form):
+    """rows, one list over the angles per radius, in the form _polar_grid chose."""
+    array, r_shape, phi_shape, broadcast = form
+    if not (array and (r_shape or phi_shape)):
+        rows = rows if phi_shape else [row[0] for row in rows]
+        return rows if r_shape else rows[0]
     from .specfun import np
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    bad_r, bad_phi = r[~(np.isfinite(r) & (r > 0.0))], phi[~np.isfinite(phi)]
-    if bad_r.size:
-        raise ValueError(f"{point}radius {bad_r[0]} is not finite and positive")
-    if bad_phi.size:
-        raise ValueError(f"{point}angle {bad_phi[0]} is not finite")
-    return r, phi
-
-
-def _polar_grid(r, phi, point: str = ""):
-    """Gated radii and angles as 1-D arrays, plus the shape of the result:
-    shape(r) + shape(phi), () for a single point."""
-    r, phi = _gate(r, phi, point)
-    return r.ravel(), phi.ravel(), r.shape + phi.shape
-
-
-def _unwrap(values):
-    """A Python scalar for a single (0-d) value, the array otherwise."""
-    return values.item() if values.ndim == 0 else values
-
-
-def _partial_wave_sum(alpha: float, mmax: int, dphi, ladder: Callable):
-    """sum_m ladder(m, nu)_m e^{i m dphi} over m = -mmax-1 .. mmax with
-    nu = |m + alpha|, at every angle in dphi: one product of the order
-    ladder (shape (..., orders)) with the orders x angles phase matrix."""
-    from .specfun import np
-    m = np.arange(-mmax - 1, mmax + 1)
-    return ladder(m, np.abs(m + alpha)) @ np.exp(1j * np.outer(m, dphi))
-
-
-def _kernel_ladder(k: complex, m, nu, r_in, r_out, cutoffs):
-    """J_nu(k r_in) H1_nu(k r_out) over the orders nu, one row per radius
-    pair, each row cut at its own partial-wave cutoff: one J and one H1
-    ladder call for all radii.  J's growth e^{Im k r_in} and H1's decay
-    e^{-Im k r_out} are cancelled before the product, so that neither
-    factor leaves the float range when their product does not."""
-    from .specfun import _ladder_values, np
-    j_in = _ladder_values(nu, k * r_in[:, None], want_j=True, scaled=True)
-    # Orders far above |k| r_in underflow to exactly 0, and orders beyond a
-    # row's cutoff are dropped; their H1 factors, which may be beyond the
-    # float range, stay out of the product.
-    keep = (j_in != 0) & (np.abs(m + 0.5) <= cutoffs[:, None] + 0.5)
-    h_out = _ladder_values(nu, k * r_out[:, None], want_j=False, scaled=True)
-    damping = np.broadcast_to(np.exp(k.imag * (r_in - r_out))[:, None], keep.shape)
-    terms = np.zeros(keep.shape, dtype=complex)
-    terms[keep] = j_in[keep] * h_out[keep] * damping[keep]
-    return terms
+    table = np.array(rows, dtype=complex).reshape(math.prod(r_shape), math.prod(phi_shape))
+    if broadcast:   # the index arrays broadcast against each other, as r and phi do
+        return table[np.arange(len(rows)).reshape(r_shape), np.arange(table.shape[1]).reshape(phi_shape)]
+    return table.reshape(r_shape + phi_shape)
 
 
 def ab_resolvent_kernel(alpha, k, x, y):
     """Reference resolvent kernel at observation x = (r, phi), source
     y = (rho, zeta).
 
-    r and phi may each be a scalar or a 1-D array; the result is then the
-    polar grid of shape shape(r) + shape(phi), or a complex for a single
-    point.  The m-sum at each radius is truncated at
-    ``_cutoff(|k|, max(r, rho), width)``.  Coincident points are
-    rejected (logarithmic singularity).
+    r and phi may each be a scalar or a 1-D array or sequence; the result is
+    then the polar grid of shape shape(r) + shape(phi) (``_polar_grid``).
+    The m-sum at each radius is truncated at ``_cutoff(|k|, max(r, rho),
+    width)``.  Coincident points are rejected (logarithmic singularity).
     """
-    from .specfun import np
+    from .specfun import _angular_sum, _partial_waves
     alpha = as_alpha(alpha)
     k = UpperHalfK(k)
-    r_vals, phi, shape = _polar_grid(x[0], x[1])
+    rs, phis, form = _polar_grid(x[0], x[1])
     (rho,), (zeta,), _ = _polar_grid(y[0], y[1], "source ")
-    if (any(_angular_distance(p - zeta) <= _COINCIDENCE_TOL for p in phi.tolist())
-            and np.any(np.abs(r_vals - rho) <= _COINCIDENCE_TOL * np.maximum(r_vals, rho))):
+    if (any(_angular_distance(p - zeta) <= _COINCIDENCE_TOL for p in phis)
+            and any(abs(r - rho) <= _COINCIDENCE_TOL * max(r, rho) for r in rs)):
         raise ValueError("kernel is singular at coincident points x = y")
-    r_in, r_out = np.minimum(r_vals, rho), np.maximum(r_vals, rho)
-    width = max(r_vals.size, phi.size)
-    cutoffs = np.array([_cutoff(abs(k), r, width) for r in r_out])
-    out = 0.25j * _partial_wave_sum(
-        alpha, int(cutoffs.max()), phi - zeta,
-        lambda m, nu: _kernel_ladder(k, m, nu, r_in, r_out, cutoffs))
-    return _unwrap(out.reshape(shape))
+    width = max(len(rs), len(phis))
+    cutoffs = [_cutoff(abs(k), max(r, rho), width) for r in rs]
+    total, rows = _angular_sum(phis, zeta, max(cutoffs)), []
+    for r, cutoff in zip(rs, cutoffs):
+        # J_nu(k r_in) H1_nu(k r_out), scaled so that neither factor leaves the
+        # float range when their product does not; where J underflows to 0, H1
+        # may be beyond the float range and stays out of the product.
+        r_in, r_out = min(r, rho), max(r, rho)
+        j_in = _partial_waves(alpha, cutoff, k * r_in, want_j=True, scaled=True)
+        h_out = _partial_waves(alpha, cutoff, k * r_out, want_j=False, scaled=True)
+        damping = math.exp(k.imag * (r_in - r_out))
+        terms = [j * h * damping if j else 0j for j, h in zip(j_in, h_out)]
+        rows.append([0.25j * v for v in total(terms)])
+    return _unwrap(rows, form)
 
 
 class AnalyticBasisElement(NamedTuple):
     """One channel element psi_k as an immutable (r, phi) -> complex
     evaluator: prefactor * H1_nu(k r) e^{i channel phi}, broadcast over
-    gated r and phi."""
+    gated r and phi as numpy broadcasts them; a complex at Python scalars."""
 
     channel: int
     k: UpperHalfK
@@ -213,10 +216,24 @@ class AnalyticBasisElement(NamedTuple):
     prefactor: complex
 
     def __call__(self, r, phi):
-        from .specfun import hankel1_orders, np
-        r, phi = _gate(r, phi)
-        rad = self.prefactor * hankel1_orders(self.nu, self.k * r)
-        return _unwrap(rad * np.exp(1j * self.channel * phi))
+        rs, phis, form = _polar_grid(r, phi, broadcast=True)
+        return _unwrap(_element_rows(self, rs, phis), form)
+
+
+def _element_rows(elem: AnalyticBasisElement, rs: list, phis: list) -> list:
+    """elem on the polar grid of rs and phis, one list over phis per radius."""
+    from .specfun import hankel1_orders
+    radial = [elem.prefactor * hankel1_orders(elem.nu, elem.k * r) for r in rs]
+    angular = [cmath.exp(1j * elem.channel * phi) for phi in phis]
+    return [[rad * ang for ang in angular] for rad in radial]
+
+
+def _add_columns(rows: list, coefs: list, basis: list, rs: list, phis: list) -> list:
+    """rows plus sum_l coefs[l] basis[l] on the polar grid of rs and phis:
+    the column side of the rank-two correction."""
+    terms = [(c, _element_rows(elem, rs, phis)) for c, elem in zip(coefs, basis) if c]
+    return [[v + sum(c * col[i][j] for c, col in terms) for j, v in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
 def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
@@ -410,13 +427,12 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     kernel plus the rank-two channel correction.  Near-eigenvalue k is
     rejected (via p_of_k).
 
-    x = (r, phi) takes the same scalar or 1-D array forms as
-    ``ab_resolvent_kernel``, with p(k) solved once for the whole grid.
+    x = (r, phi) takes the same forms as ``ab_resolvent_kernel``, with p(k)
+    solved once for the whole grid.
     """
-    r_vals, phi, shape = _polar_grid(x[0], x[1])
-    out = ab_resolvent_kernel(alpha, k, (r_vals, phi), y)
+    rs, phis, form = _polar_grid(x[0], x[1])
+    rows = ab_resolvent_kernel(alpha, k, (rs, phis), y)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
     coefs = _rank_two(p_of_k(params, alpha, k),
                       [_row(elem, float(y[0]), float(y[1])) for elem in basis])
-    out += sum(c * elem(r_vals[:, None], phi) for c, elem in zip(coefs, basis) if c)
-    return _unwrap(out.reshape(shape))
+    return _unwrap(_add_columns(rows, coefs, basis, rs, phis), form)

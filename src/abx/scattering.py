@@ -19,8 +19,8 @@ off-forward smooth part separate from the symbolic delta coefficient and
 principal-value weight and never sums them.
 
 The amplitude, cross section and mixing are Python complex arithmetic, one
-angle at a time at two complex exponentials each; the eigenfunction and the
-extraction are grid code and take numpy from ``specfun`` inside their functions.
+angle at a time at two complex exponentials each; the eigenfunction is grid
+code, and the extraction takes numpy (its least squares) from ``specfun``.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .errors import ConvergenceError
 from .extension import ExtensionParams, as_alpha
 from .krein import (
     _CHANNELS,
+    _add_columns,
     _cutoff,
     _far_column,
     _far_row,
-    _partial_wave_sum,
     _polar_grid,
     _rank_two,
     _unwrap,
@@ -107,21 +107,21 @@ def _forward_cone(theta: float, angles) -> list[bool]:
 def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
     """Generalized eigenfunction of the regular (pure flux) extension.
 
-    r and phi may each be a scalar or a 1-D array; the result is the
-    polar grid of shape shape(r) + shape(phi), or a complex for a single
-    point.  The partial-wave sum is cut once, at the largest radius.
+    r and phi may each be a scalar or a 1-D array or sequence; the result is
+    the polar grid of shape shape(r) + shape(phi) (``krein._polar_grid``).
+    The partial-wave sum is cut once, at the largest radius.
     """
-    from .specfun import bessel_j_orders, np
+    from .specfun import _angular_sum, _partial_waves
     alpha = as_alpha(alpha)
-    r_vals, phi, shape = _polar_grid(r, phi)
-    mmax = _cutoff(chan.k, float(r_vals.max()), max(r_vals.size, phi.size))
-
-    def ladder(m, nu):
-        # i^{|m|} e^{i pi (|m| - nu)/2} = (-1)^m e^{-i pi nu / 2}
-        coef = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * math.pi * nu)
-        return coef * bessel_j_orders(nu, chan.k * r_vals[:, None])
-
-    return _unwrap(_partial_wave_sum(alpha, mmax, phi - chan.theta, ladder).reshape(shape))
+    rs, phis, form = _polar_grid(r, phi)
+    mmax = _cutoff(chan.k, max(rs), max(len(rs), len(phis)))
+    total = _angular_sum(phis, chan.theta, mmax)
+    # i^{|m|} e^{i pi (|m| - nu)/2} = (-1)^m e^{-i pi nu / 2}, nu = |m + alpha|
+    phases = [(-1.0 if m % 2 else 1.0) * cmath.exp(-0.5j * math.pi * abs(m + alpha))
+              for m in range(-mmax - 1, mmax + 1)]
+    rows = [total([c * j.real for c, j in zip(phases, _partial_waves(alpha, mmax, chan.k * r, True))])
+            for r in rs]
+    return _unwrap(rows, form)
 
 
 def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
@@ -133,13 +133,12 @@ def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     momenta are rejected by the coupling matrix evaluation.
     """
     alpha = as_alpha(alpha)
-    r_vals, phi, shape = _polar_grid(r, phi)
-    out = psi_ab(alpha, chan, r_vals, phi)
+    rs, phis, form = _polar_grid(r, phi)
+    rows = psi_ab(alpha, chan, rs, phis)
     basis = [analytic_basis(ch, alpha, chan.k) for ch in _CHANNELS]
     coefs = _rank_two(p_of_k(params, alpha, chan.k),
                       [_far_row(elem, chan.theta + math.pi) for elem in basis])
-    out += sum(c * elem(r_vals[:, None], phi) for c, elem in zip(coefs, basis) if c)
-    return _unwrap(out.reshape(shape))
+    return _unwrap(_add_columns(rows, coefs, basis, rs, phis), form)
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,22 @@
-"""Special functions on the domains the channel formulas consume.
+"""Special functions on the domains the channel formulas consume, and the
+angular sums of the partial-wave series, in Python complex arithmetic.
 
-One vector surface for the fractional-order Bessel function J_nu and the
-Hankel function H1_nu over arrays of orders and arguments (real or in the
-upper half-plane).  The J/H1 ladders return numpy arrays broadcast over
-orders and arguments.  Every other Bessel-family value the package needs
-is read off this surface.  This is the one module that imports numpy: the
-grid code (partial-wave sums and channel elements on radii) takes ``np``
-and the ladders from here, inside its functions, and the closed-form tasks
-load neither.
+J_nu and H1_nu are evaluated one ladder at a time: the orders mu + n at one
+argument z (real or in the upper half-plane).  The grid code reads the
+orders |m + alpha| off two ladders per radius and adds each radius's
+coefficients over the angles with ``_angular_sum``: an FFT on the CLI's
+angle grid, Horner's rule elsewhere.  ``bessel_j_orders`` and
+``hankel1_orders`` take Python scalars, or broadcast over numpy arrays.
 
-numpy's OpenBLAS runs on one thread when this module imports numpy first
-and the caller set none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-OMP_NUM_THREADS; os.environ is left as it was.  The products are small: on
-a 2-core host the 6x202 by 202x256 complex product of a field-grid
-request took 0.09 ms on one thread against 16 ms on two, and a whole
-field-grid eigenfunction request a median of 237 ms against 350 ms with
-OPENBLAS_NUM_THREADS=2 (16 alternating fresh processes each).  One path
-also makes a request print the same bytes on one machine whatever its
-core count.  A BLAS-free np.einsum sum would keep the bytes too, but a
-grid request ran about 70 ms slower in 20 of 20 pairs without the rule.
+This is the one module that imports numpy, and only when asked: for the
+array form of the ladders and as ``np`` (resolved on first use) for the
+validate task and array inputs.  It starts numpy's OpenBLAS on one thread
+unless numpy is already loaded or the caller set OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS; os.environ is left as it was.
 
 Numerical method
 ----------------
-numpy only.  The orders a caller asks for are grouped into ladders
-mu + n, n = 0, 1, ..., one per fractional part, with |mu| <= 1/2: the
-partial-wave orders |m + alpha| form at most two, alpha + n and
-1 - alpha + n.  Each ladder is evaluated once per distinct argument z, in
-three steps.
+A ladder mu + n, |mu| <= 1/2, at z != 0 takes three steps.
 
 1. K_mu(w) and K_{mu+1}(w) at w = -i z, which give H1_mu and H1_{mu+1}
    by H1_nu(z) = (2/(i pi)) e^{-i nu pi/2} K_nu(-i z) (DLMF 10.27.8):
@@ -40,46 +30,27 @@ three steps.
 3. The J ladder, the minimal solution, by backward recurrence of the
    ratios J_nu/J_{nu-1}, started above the top order by the continued
    fraction DLMF 10.10.1 (modified Lentz) and normalized by the Wronskian
-   J_mu H1_{mu+1} - J_{mu+1} H1_mu = -2i/(pi z).  ``hankel1_orders``
-   skips this step.
+   J_mu H1_{mu+1} - J_{mu+1} H1_mu = -2i/(pi z).
 
-Both ladders are multiplied out from their ratios with the powers of two
-split off, the factors e^{+-i z} included, so no partial product over- or
-underflows before the value itself does; a value below the smallest
-normal float is exactly 0.  Domain: orders >= 0 and z in the closed
-upper half-plane, z = 0 or |z| >= 1e-300; a smaller nonzero |z| is
-refused, as intermediate values such as 1/z leave the float range near
-1e-308.  The start values (the K pair of step 1 and the continued
-fraction of step 3) are computed per column, one (ladder, argument) pair
-at a time in scalar loops, so a value does not depend on the batch it is
-asked in; the recurrences and products run vectorized over all columns,
-one pass per order of the highest ladder.  J at orders far below |z|
-costs about |z| steps of its continued fraction, so |z| more than 1e7
-above the highest order is refused.  No scipy module is loaded.
+A ladder is multiplied out from its ratios with a power of two carried
+apart, the factors e^{+-i z} included, so no partial product over- or
+underflows before the value does; a value below the smallest normal float
+is exactly 0.  Domain: orders >= 0, z in the closed upper half-plane, z = 0
+or |z| >= 1e-300 (1/z leaves the float range near 1e-308), and |z| at most
+1e7 above the highest order (J's continued fraction takes about |z| steps).
 
-The surface is checked in the test tree against the AMOS routines of
-``scipy.special`` (to 1e-12 for |z| in [1e-8, 1e3], arg z in
-[0, 3 pi/4]), an independent extended-precision series oracle, closed
-forms, asymptotics and the Wronskian.
-
-All functions are pure and reentrant; there is no mutable module state.
+The test tree checks the surface against the AMOS routines of
+``scipy.special`` (to 1e-12 for |z| in [1e-8, 1e3], arg z in [0, 3 pi/4]),
+an extended-precision series oracle, closed forms, asymptotics and the
+Wronskian.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import sys
-
-if "numpy" in sys.modules or not os.environ.keys().isdisjoint(
-        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-    import numpy as np
-else:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as numpy loads OpenBLAS
-    try:
-        import numpy as np
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __all__ = [
     "bessel_j_orders",
@@ -87,19 +58,34 @@ __all__ = [
 ]
 
 
-def bessel_j_orders(nus, z) -> np.ndarray:
-    """J_nu(z), broadcast over arrays of orders nu >= 0 and arguments z
-    (real z >= 0, or complex in the closed upper half-plane).  Values
-    below the smallest normal float, as at orders far above |z|, are
-    exactly 0; real z gives a real result."""
+def __getattr__(name):
+    """``np``: numpy, imported on first use under the one-thread BLAS rule."""
+    if name != "np":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if "numpy" in sys.modules or not os.environ.keys().isdisjoint(
+            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        import numpy
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as numpy loads OpenBLAS
+        try:
+            import numpy
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
+
+
+def bessel_j_orders(nus, z):
+    """J_nu(z) at orders nu >= 0 and arguments z (real z >= 0, or complex in
+    the closed upper half-plane): a float (real z) or complex for Python
+    scalars, else a numpy array broadcast over both, real at real z.  Values
+    below the smallest normal float, as at orders far above |z|, are 0."""
     return _ladder_values(nus, z, want_j=True)
 
 
-def hankel1_orders(nus, z) -> np.ndarray:
-    """H1_nu(z) = J_nu(z) + i Y_nu(z), broadcast like bessel_j_orders; on
-    the positive real axis Y_nu is its imaginary part.  Values below the
-    smallest normal float are exactly 0; z = 0 is singular (the value is
-    not finite), as is a value beyond the float range."""
+def hankel1_orders(nus, z):
+    """H1_nu(z) = J_nu(z) + i Y_nu(z) in the forms of bessel_j_orders, Y_nu its
+    imaginary part at real z.  Values below the smallest normal float are 0;
+    at z = 0, and beyond the float range, the value is not finite."""
     return _ladder_values(nus, z, want_j=False)
 
 
@@ -118,160 +104,166 @@ _RGAMMA_TAYLOR = [
 ]
 # (c_{2j}, c_{2j-1}) pairs, highest first: Horner in mu^2 for Temme's gam1, gam2
 _GAM_TAYLOR = list(zip(_RGAMMA_TAYLOR[1::2], _RGAMMA_TAYLOR[0::2]))[::-1]
-_EPS = np.finfo(float).eps
-_MIN_NORMAL_EXP = np.finfo(float).minexp   # 2**-1022, the smallest normal float
+_EPS = sys.float_info.epsilon
+_MIN_NORMAL = sys.float_info.min           # 2**-1022
 _MAX_EXP = 2100                            # beyond the float range either way
 _MIN_ABS_Z = 1e-300                        # smallest nonzero |z| of the domain
+_LOW = 2.0 ** -64                          # a running product is rescaled below this
 # The continued fraction for J_nu/J_{nu-1} takes about |z| - nu steps
 # below the turning point: a bound on its cost.
 _MAX_CF1_STEPS = 1e7
-# Largest orders x (radii or angles) array a partial-wave sum may build, and
-# largest orders x columns ladder table: 1.6e7 complex elements, 256 MB.
+# Largest orders x (radii or angles) of a partial-wave sum, whose work it
+# bounds (the sums hold one radius at a time), and largest orders x columns
+# table of the ladders' array form: 1.6e7 elements, 256 MB as complex.
 _MAX_GRID_ELEMENTS = 16_000_000
+_DOMAIN = "Bessel ladders need orders >= 0 and z in the closed upper half-plane"
+_TINY_Z = f"Bessel ladders need z = 0 or |z| >= {_MIN_ABS_Z:g}"
 
 
-def _ladder_values(nus, z, want_j: bool, scaled: bool = False) -> np.ndarray:
-    """J or H1 at every (nu, z) pair: the orders are grouped into ladders
-    mu + n, n = 0, 1, ..., one per fractional part (|mu| <= 1/2), and each
-    ladder is evaluated once per distinct argument.  scaled drops the
-    growth e^{Im z} of J or the decay e^{-Im z} of H1: J e^{-Im z} or
-    H1 e^{Im z}, which stay in the float range where J or H1 would not."""
-    nus = np.asarray(nus, dtype=float)
-    z = np.asarray(z)
+def _ladder_values(nus, z, want_j: bool):
+    """J or H1 at every (nu, z) pair; numpy is loaded for non-scalar input."""
+    if not (isinstance(nus, (int, float)) and isinstance(z, (int, float, complex))):
+        return _array_values(nus, z, want_j)
+    nu, real = float(nus), not isinstance(z, complex)
+    if not math.isfinite(nu):
+        raise ValueError(f"Bessel order {nu} is not finite")
+    if nu < 0 or (z < 0 if real else z.imag < 0):
+        raise ValueError(_DOMAIN)
+    _check_table(nu, math.floor(nu + 0.5), 1)
+    value = _ladder_from(nu, 0, z, want_j)[0]
+    return value.real if want_j and real else value
+
+
+def _check_table(nu: float, top: int, columns: int) -> None:
+    if top * columns > _MAX_GRID_ELEMENTS:
+        raise ValueError(f"Bessel order {nu:.6g}: a ladder table of {top} orders x "
+                         f"{columns} columns exceeds the limit of {_MAX_GRID_ELEMENTS:.3g} elements")
+
+
+def _array_values(nus, z, want_j: bool):
+    """The array form: one ladder mu + n per fractional part mu of the orders,
+    evaluated once per distinct argument."""
+    np = __getattr__("np")
+    nus, z = np.asarray(nus, dtype=float), np.asarray(z)
     real = not np.iscomplexobj(z)
     if not np.isfinite(nus).all():
         raise ValueError(f"Bessel order {nus[~np.isfinite(nus)].flat[0]} is not finite")
     if (nus < 0).any() or ((z < 0) if real else (z.imag < 0)).any():
-        raise ValueError("Bessel ladders need orders >= 0 and z in the closed upper half-plane")
+        raise ValueError(_DOMAIN)
     if nus.size == 0 or z.size == 0:
         return np.zeros(np.broadcast_shapes(nus.shape, z.shape), float if want_j and real else complex)
-    orders, order_idx = _distinct(nus)
-    args, arg_idx = _distinct(z.astype(complex))
+    orders, order_idx = np.unique(nus, return_inverse=True)
+    args, arg_idx = np.unique(z.astype(complex), return_inverse=True)
     if ((args != 0) & (np.abs(args) < _MIN_ABS_Z)).any():
-        raise ValueError(f"Bessel ladders need z = 0 or |z| >= {_MIN_ABS_Z:g}")
+        raise ValueError(_TINY_Z)
     steps = np.floor(orders + 0.5)
     frac = orders - steps
     # Orders whose fractional parts agree to rounding share a ladder; the
     # lowest order's fraction, the most exact one, is its base.
-    tol = 16.0 * _EPS * np.maximum(orders, 1.0)
-    ladder = np.zeros(orders.size, dtype=int)
-    bases = [frac[0]]
-    left = np.abs(frac - frac[0]) > tol
-    while left.any():
-        i = int(np.argmax(left))
-        same = left & (np.abs(frac - frac[i]) <= tol)
-        ladder[same] = len(bases)
-        bases.append(frac[i])
-        left &= ~same
-    top, columns = int(steps[-1]), len(bases) * args.size
+    tol, ladder, bases = 16.0 * _EPS * np.maximum(orders, 1.0), np.full(orders.size, -1), []
+    while (ladder < 0).any():
+        i = int(np.argmax(ladder < 0))
+        ladder[(ladder < 0) & (np.abs(frac - frac[i]) <= tol)] = len(bases)
+        bases.append(float(frac[i]))
+    top, width = int(steps[-1]), args.size
     # A partial-wave sum that krein._cutoff admits has top <= mmax + 1 and
     # columns <= 2 x radii: top x columns <= (2 mmax + 2) x width <= the limit.
-    if top * columns > _MAX_GRID_ELEMENTS:
-        raise ValueError(f"Bessel order {orders[-1]:.6g}: a ladder table of {top} orders x "
-                         f"{columns} columns exceeds the limit of {_MAX_GRID_ELEMENTS:.3g} elements")
-    mu = np.repeat(bases, args.size)
-    zcol = np.tile(args, len(bases))
-    at_zero = zcol == 0
-    with np.errstate(all="ignore"):
-        table = _ladders(mu, zcol + at_zero, top, want_j, scaled)
-    if at_zero.any():
-        # J_nu(0) = 0 except J_0(0) = 1; H1 is singular there
-        table[:, at_zero] = 0.0 if want_j else complex(math.nan, math.nan)
-        if want_j:
-            table[0, at_zero & (mu == 0)] = 1.0
-    out = table[steps.astype(int)[order_idx], ladder[order_idx] * args.size + arg_idx]
+    _check_table(orders[-1], top, len(bases) * width)
+    table = np.empty((top + 1, len(bases) * width), dtype=complex)
+    for i, mu in enumerate(bases):
+        for j, arg in enumerate(args.tolist()):
+            table[:, i * width + j] = _ladder(mu, arg, top, want_j)
+    order_idx, arg_idx = order_idx.reshape(nus.shape), arg_idx.reshape(z.shape)
+    out = table[steps.astype(int)[order_idx], ladder[order_idx] * width + arg_idx]
     return (out.real if want_j and real else out)[()]
 
 
-def _distinct(values):
-    """The sorted distinct values and, per entry, its index among them."""
-    found, idx = np.unique(values, return_inverse=True)
-    return found, idx.reshape(values.shape)
+def _partial_waves(alpha: float, top: int, z, want_j: bool, scaled: bool = False) -> list:
+    """J or H1 (scaled as by _ladder) at the orders |m + alpha|, m = -top-1 ..
+    top, at one z: ladders from 1 - alpha (m < 0) and from alpha (m >= 0)."""
+    return (_ladder_from(abs(alpha - 1.0), top, z, want_j, scaled)[::-1]
+            + _ladder_from(alpha, top, z, want_j, scaled))
 
 
-def _ladders(mu, z, top: int, want_j: bool, scaled: bool) -> np.ndarray:
-    """J_{mu+n}(z) (want_j) or H1_{mu+n}(z) for n = 0 .. top, one column per
-    (mu, z) pair, |mu| <= 1/2, z != 0: shape (top + 1, columns); scaled by
-    e^{-Im z} (J) or e^{Im z} (H1) when scaled.
+def _ladder_from(nu: float, top: int, z, want_j: bool, scaled: bool = False) -> list:
+    """The orders nu + n, n = 0 .. top, off the ladder of nu's fractional part."""
+    steps = math.floor(nu + 0.5)
+    return _ladder(nu - steps, z, steps + top, want_j, scaled)[steps:]
 
-    H1_mu and H1_{mu+1} come from K_mu(-i z); the H1 ladder climbs by
-    forward recurrence, in which H1 is the dominant solution.  J is the
-    minimal solution: its ratios J_{nu}/J_{nu-1} descend from a continued
-    fraction above the top order, and J_mu is fixed by the Wronskian."""
-    k_mu, k_ratio = _by_column(_k_pair, mu, -1j * z)
+
+def _ladder(mu: float, z, top: int, want_j: bool, scaled: bool = False) -> list:
+    """J_{mu+n}(z) (want_j) or H1_{mu+n}(z) for n = 0 .. top, |mu| <= 1/2, as
+    complex values, by the three steps of the module docstring; scaled by
+    e^{-Im z} (J) or e^{Im z} (H1) when scaled."""
+    z = complex(z)
+    if not z:
+        # J_nu(0) = 0 except J_0(0) = 1; H1 is singular there
+        return [complex(mu == 0 and not n) if want_j else complex(math.nan, math.nan)
+                for n in range(top + 1)]
+    if abs(z) < _MIN_ABS_Z:
+        raise ValueError(_TINY_Z)
+    w = -1j * z
+    # Temme's series cancels by about e^{|w| + Re w}: it serves up to 1e-14
+    k_mu, k_ratio = (_temme_series if abs(w) + w.real <= 4.0 else _steed_cf2)(mu, w)
     im_z = 0.0 if scaled else z.imag
     # H1_nu(z) = (2/(i pi)) e^{-i nu pi/2} K_nu(-i z) (DLMF 10.27.8), carried
     # as H1_mu(z) e^{-i z}, and H1_{mu+1}/H1_mu
-    h_mu = (2.0 / (1j * math.pi)) * np.exp(-0.5j * math.pi * mu) * k_mu
+    h_mu = (2.0 / (1j * math.pi)) * cmath.exp(-0.5j * math.pi * mu) * k_mu
     h_ratio = -1j * k_ratio
-    recur = 2.0 * (mu + np.arange(top + 2)[:, None]) / z   # 2 nu / z, nu = mu + n
     if not want_j:
-        ratios = np.empty((top, z.size), dtype=complex)  # H1_{mu+n+1}/H1_{mu+n}
-        if top:
-            ratios[0] = h_ratio
+        ratios = [h_ratio] if top else []   # H1_{mu+n+1}/H1_{mu+n}
         for n in range(1, top):
-            np.subtract(recur[n], 1.0 / ratios[n - 1], out=ratios[n])
-        return _climb(np.log(np.abs(h_mu)) - im_z, _unit(h_mu) * np.exp(1j * z.real), ratios)
+            ratios.append(2.0 * (mu + n) / z - 1.0 / ratios[-1])
+        return _climb(math.log(abs(h_mu)) - im_z, h_mu / abs(h_mu) * cmath.exp(1j * z.real), ratios)
     steps = max(top, 1)
-    if np.abs(z).max() > steps + _MAX_CF1_STEPS:
+    if abs(z) > steps + _MAX_CF1_STEPS:
         raise ValueError(f"J needs |z| at most {_MAX_CF1_STEPS:.0e} above the highest order asked for")
-    ratios = np.empty((steps, z.size), dtype=complex)  # J_{mu+n}/J_{mu+n-1}, n = 1 .. steps
-    r = _by_column(_cf1, mu + steps + 1, z)
+    ratios = [0j] * steps  # J_{mu+n}/J_{mu+n-1}, n = 1 .. steps
+    r = _cf1(mu + steps + 1, z)
     for n in range(steps, 0, -1):
-        r = 1.0 / (recur[n] - r)
+        recur = 2.0 * (mu + n) / z
+        d = recur - r
+        # Where J_{mu+n-1} is 0 to rounding, this ratio is infinite and the
+        # next one 0: make the pair finite with the same product, -1.
+        r = 1.0 / d if abs(d) > 1.0 / sys.float_info.max else 1.0 / (_EPS * recur)
         ratios[n - 1] = r
-    # Where J_{mu+n-1} is 0 to rounding, the ratio above it is infinite and
-    # the one below it 0: make the pair finite with the same product, -1.
-    row, col = np.nonzero(np.isinf(ratios))
-    if row.size:
-        ratios[row, col] = 1.0 / (_EPS * recur[row + 1, col])
-        row, col = row[row > 0], col[row > 0]
-        ratios[row - 1, col] = 1.0 / (recur[row, col] - ratios[row, col])
     # Wronskian J_mu H1_{mu+1} - J_{mu+1} H1_mu = -2i/(pi z) (DLMF 10.5.5),
     # J_mu = -2i/(pi D) e^{-i z} with D = z (H1_mu e^{-iz}) (h_ratio - J_{mu+1}/J_mu)
     d = z * h_mu * (h_ratio - ratios[0])
-    log_j = math.log(2.0 / math.pi) - np.log(np.abs(d)) + im_z
-    return _climb(log_j, -1j * np.conj(_unit(d)) * np.exp(-1j * z.real), ratios[:top])
+    return _climb(math.log(2.0 / math.pi) - math.log(abs(d)) + im_z,
+                  -1j * (d / abs(d)).conjugate() * cmath.exp(-1j * z.real), ratios[:top])
 
 
-def _unit(x):
-    return x / np.abs(x)
-
-
-def _climb(log_base, unit_base, ratios) -> np.ndarray:
-    """base * cumprod(ratios) down the rows, for base = unit_base *
-    exp(log_base).  Each factor is split into a power of two, chosen so the
-    running product of the rest stays near modulus 1, and the rest; only
-    the rest is multiplied out.  No partial product over- or underflows
-    before the true value does, and moduli below the smallest normal float
-    are exactly 0."""
-    log2 = np.empty((ratios.shape[0] + 1, ratios.shape[1]))
-    log2[0] = log_base / math.log(2.0)
-    np.cumsum(np.log2(np.abs(ratios)), axis=0, out=log2[1:])
-    log2[1:] += log2[0]
-    # past the float range either way; nan (inf - inf) only arises in an overflow
-    expo = np.rint(np.maximum(np.fmin(log2, _MAX_EXP), -_MAX_EXP))
-    mant = np.empty(log2.shape, dtype=complex)
-    mant[0] = unit_base * np.exp2(log2[0] - expo[0])
-    np.multiply(ratios, np.exp2(expo[:-1] - expo[1:]), out=mant[1:])   # exact rescaling
-    np.cumprod(mant, axis=0, out=mant)
-    expo = expo.astype(int)
-    out = np.empty_like(mant)
-    out.real = np.ldexp(mant.real, expo)
-    out.imag = np.ldexp(mant.imag, expo)
-    out[expo < _MIN_NORMAL_EXP] = 0.0
+def _climb(log_base: float, unit_base: complex, ratios: list) -> list:
+    """base, base r_0, base r_0 r_1, ... for base = unit_base exp(log_base), as
+    a mantissa times 2**e, the mantissa brought back to [1/2, 1) when its
+    modulus leaves [2**-64, 1]: no partial product over- or underflows before
+    the value does, and moduli below the smallest normal float are 0."""
+    log2 = log_base / math.log(2.0)
+    if abs(log2) < _MAX_EXP:
+        e = 0 if -64.0 <= log2 <= 0.0 else math.ceil(log2)   # modulus in [2**-64, 1]
+        m = unit_base * 2.0 ** (log2 - e)
+    else:  # past the float range either way; nan (inf - inf) only arises in an overflow
+        e, m = 0, unit_base * (0.0 if log2 < 0 else math.inf)
+    out = [_value(m, e) if e else m]
+    for r in ratios:
+        m *= r
+        if not _LOW <= (a := abs(m)) <= 1.0 and 0.0 < a < math.inf:
+            shift = math.frexp(a)[1]
+            m, e = m / 2.0 ** shift, e + shift   # exact, for shift down to -1073
+        out.append(_value(m, e) if e else m)
     return out
 
 
-def _by_column(fn, *cols):
-    """fn on each column's scalars; its outputs stacked, one row each."""
-    return np.array([fn(*args) for args in zip(*(c.tolist() for c in cols))]).T
-
-
-def _k_pair(mu, w):
-    """K_mu(w) e^w and K_{mu+1}(w)/K_mu(w) for |mu| <= 1/2."""
-    # Temme's series cancels by about e^{|w| + Re w}: it serves up to 1e-14
-    return (_temme_series if abs(w) + w.real <= 4.0 else _steed_cf2)(mu, w)
+def _value(m: complex, e: int) -> complex:
+    """m 2**e: exactly 0 below the smallest normal float, infinite beyond the float range."""
+    if -958 < e < 1024 and _LOW <= abs(m) <= 1.0:
+        return m * 2.0 ** e   # exact, and a normal float
+    try:
+        v = complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
+    except OverflowError:
+        return complex(*(math.copysign(math.inf, x) if x else 0.0 for x in (m.real, m.imag)))
+    return 0j if abs(v) < _MIN_NORMAL else v
 
 
 def _temme_series(mu, w):
@@ -284,14 +276,14 @@ def _temme_series(mu, w):
         gam1 = gam1 * mu2 - c_even   # (1/G(1-mu) - 1/G(1+mu))/(2 mu)
         gam2 = gam2 * mu2 + c_odd    # (1/G(1-mu) + 1/G(1+mu))/2
     rg_plus, rg_minus = gam2 - mu * gam1, gam2 + mu * gam1   # 1/Gamma(1+mu), 1/Gamma(1-mu)
-    log_half = -np.log(0.5 * w)
+    log_half = -cmath.log(0.5 * w)
     e = mu * log_half
     # sinh(e)/e, which is 1 to rounding below |e| = 1e-100, where the
     # complex division itself could underflow
-    sinhc = np.sinh(e) / e if not abs(e) < 1e-100 else 1.0
+    sinhc = cmath.sinh(e) / e if not abs(e) < 1e-100 else 1.0
     # Gamma(1+mu) Gamma(1-mu) = pi mu / sin(pi mu)
-    f = (gam1 * np.cosh(e) + gam2 * sinhc * log_half) / (rg_plus * rg_minus)
-    ee = np.exp(e)
+    f = (gam1 * cmath.cosh(e) + gam2 * sinhc * log_half) / (rg_plus * rg_minus)
+    ee = cmath.exp(e)
     p = 0.5 * ee / rg_plus    # Gamma(1+mu) (w/2)^{-mu} / 2
     q = 0.5 / (ee * rg_minus)  # Gamma(1-mu) (w/2)^{mu} / 2
     c = 1.0
@@ -309,7 +301,7 @@ def _temme_series(mu, w):
         if not abs(term) > _EPS * abs(k0):
             break
         i += 1
-    return k0 * np.exp(w), (k1 / k0) * (2.0 / w)
+    return k0 * cmath.exp(w), (k1 / k0) * (2.0 / w)
 
 
 def _steed_cf2(mu, w):
@@ -340,7 +332,7 @@ def _steed_cf2(mu, w):
         if not abs(dels) > _EPS * abs(s):
             break
         i += 1
-    return np.sqrt(0.5 * math.pi / w) / s, (mu + w + 0.5 - a1 * h) / w
+    return cmath.sqrt(0.5 * math.pi / w) / s, (mu + w + 0.5 - a1 * h) / w
 
 
 def _cf1(nu, z):
@@ -368,3 +360,64 @@ def _cf1(nu, z):
             break
         j += 1
     return 1.0 / f
+
+
+def _angular_sum(angles: list, offset: float, mmax: int):
+    """The map from one radius's coefficients c_m, m = -c-1 .. c, c <= mmax,
+    to sum_m c_m e^{i m (phi - offset)} at each phi in angles.  On the CLI's
+    grid phi_j = (j + 1/2) 2 pi / n (krein._angle_grid) orders fold mod n, with
+    e^{i m (pi/n - offset)}, and the sums are one FFT of the n bins, at
+    about n x (sum of n's prime factors) products; it serves when that sum
+    is below the 2 mmax + 2 orders.  Otherwise each angle's sum runs by
+    Horner's rule in e^{+-i (phi - offset)}, at n x orders products."""
+    from .krein import _angle_grid
+    n = rest = len(angles)
+    factors = []   # n's prime factors, smallest first
+    while rest > 1:
+        factors.append(next(p for p in range(2, rest + 1) if rest % p == 0))
+        rest //= factors[-1]
+    if n and sum(factors) < 2 * mmax + 2 and tuple(angles) == _angle_grid(n):
+        fold = [cmath.exp(1j * m * (math.pi / n - offset)) for m in range(-mmax - 1, mmax + 1)]
+        twiddles = [cmath.exp(2j * math.pi * q / n) for q in range(n)]
+
+        def by_fft(coefs: list) -> list:
+            bins, low = [0j] * n, len(coefs) // 2
+            for m, c, phase in zip(range(-low, low), coefs, fold[mmax + 1 - low:]):
+                bins[m % n] += c * phase
+            return _dft(bins, twiddles, factors)
+
+        return by_fft
+    steps = [cmath.exp(1j * (phi - offset)) for phi in angles]
+
+    def by_horner(coefs: list) -> list:
+        low, out = len(coefs) // 2, []
+        above, below = coefs[:low - 1:-1], coefs[:low]   # m = c .. 0, and m = -c-1 .. -1
+        for x in steps:
+            acc, tail, back = 0j, 0j, x.conjugate()
+            for c in above:
+                acc = acc * x + c
+            for c in below:
+                tail = (tail + c) * back
+            out.append(acc + tail)
+        return out
+
+    return by_horner
+
+
+def _dft(values: list, twiddles: list, factors: list, stride: int = 1) -> list:
+    """sum_q values[q] w^{q j}, j < len(values), w = twiddles[stride] with
+    twiddles[t] = e^{2 pi i t / len(twiddles)}: the mixed-radix FFT of Cooley
+    and Tukey (Math. Comp. 19 (1965) 297) over the factors of len(values)."""
+    if not factors:
+        return values
+    p, m = factors[0], len(values) // factors[0]
+    subs = ([_dft(values[r::p], twiddles, factors[1:], stride * p) for r in range(p)] if m > 1
+            else [[v] for v in values])
+    if p == 2:
+        even, odd = subs
+        odd = [o * t for o, t in zip(odd, twiddles[:m * stride:stride])]
+        return [a + b for a, b in zip(even, odd)] + [a - b for a, b in zip(even, odd)]
+    n, out, roots = p * m, subs[0] * p, twiddles[::stride]   # roots[j] = e^{2 pi i j / n}
+    for r in range(1, p):   # out[j] += subs[r][j mod m] roots[r j mod n]
+        out = [o + s * roots[i % n] for o, s, i in zip(out, subs[r] * p, range(0, r * n, r))]
+    return out

@@ -26,6 +26,7 @@ from abx.krein import (
     p_at_i,
     p_of_k,
 )
+from abx.scattering import PlaneWaveChannel, psi_u
 from abx.spectrum import bound_states
 
 from _oracles import (
@@ -43,6 +44,10 @@ from _oracles import (
 )
 
 PI = math.pi
+# sizes of the CLI's angle grid on which the grid tests run, and the ids of
+# the cases: the first, off that grid, keeps its old name
+GRID_SIZES = (1, 7, 97, 256)
+GRID_IDS = ("", *(f"-grid{n}" for n in GRID_SIZES))
 MIXING = ExtensionParams.mixing(0.7)
 ROTINV = ExtensionParams.rotationally_invariant(0.4, 0.9)
 AB = ExtensionParams.ab_point()
@@ -192,6 +197,33 @@ class TestAnalyticBasis:
             analytic_basis(0, 0.3, 1.0)(r, phi)
         with pytest.raises(ValueError, match="radius|angle"):
             analytic_basis(-1, 0.3, 1.0)(np.array([[1.0], [r]]), np.array([0.5, phi]))
+
+
+def _bits(value) -> str:
+    """A complex value's bits, as its repr (which tells -0.0 from 0.0)."""
+    return repr(complex(value))
+
+
+def test_a_point_has_the_same_bits_alone_and_in_a_grid():
+    # Off the CLI's angle grid a grid value is computed by the operations of
+    # its point alone, whatever form the coordinates come in.  numpy rounded a
+    # complex product of a 0-d array and of a 1-D one differently, so this
+    # element gave ...524 alone and ...526 as a one-element array.  psi_u's
+    # grid is cut at its largest radius, so the point sits there.
+    alpha, k = 0.743225377964413, UpperHalfK(0.5187311859293329 + 0.12968279648233322j)
+    r, phi, y = 18.702220465254523, -0.0, (4.1, 2.2)
+    elem = analytic_basis(-1, alpha, k)
+    chan = PlaneWaveChannel(abs(k), 0.4)
+    radii, angles = (3.0, r), (1.0, phi, 2.5)
+    alone = _bits(elem(r, phi))
+    assert _bits(elem(np.array([r]), np.array([phi]))[0]) == alone
+    assert _bits(elem(np.array(radii)[:, None], np.array(angles))[1, 1]) == alone
+    for fn in (lambda r, phi: psi_u(MIXING, alpha, chan, r, phi),
+               lambda r, phi: full_resolvent_kernel(MIXING, alpha, k, (r, phi), y)):
+        alone = _bits(fn(r, phi))
+        assert _bits(fn(np.array([r]), np.array([phi]))[0, 0]) == alone
+        assert _bits(fn(np.array(radii), np.array(angles))[1, 1]) == alone
+        assert _bits(fn(radii, angles)[1][1]) == alone
 
 
 class TestCouplingMatrix:
@@ -507,14 +539,18 @@ class TestFullKernel:
             assert full_resolvent_kernel(AB, 0.35, k, x, y) == \
                 ab_resolvent_kernel(0.35, k, x, y)
 
-    @pytest.mark.parametrize("k", [UpperHalfK(1.1 + 0.7j), UpperHalfK(1.9, on_real_axis=True)],
-                             ids=["k0", "k1"])
-    def test_grid_matches_pointwise(self, k):
-        # radii on both sides of the source and on its ring
+    @pytest.mark.parametrize("k, angles", [
+        (k, angles) for k in (UpperHalfK(1.1 + 0.7j), UpperHalfK(1.9, on_real_axis=True))
+        for angles in (np.linspace(0.1, 6.2, 7), *map(krein._angle_grid, GRID_SIZES))
+    ], ids=[f"k{i}{suffix}" for i in (0, 1) for suffix in GRID_IDS])
+    def test_grid_matches_pointwise(self, k, angles):
+        # radii on both sides of the source and on its ring; on the CLI's angle
+        # grid the angular sum is an FFT (the orders alias at n = 1 and 7) or,
+        # at n = 97 with fewer orders than 97, the direct sum
         y = (1.3, 0.6)
-        radii, angles = np.array([0.4, 1.3, 5.0]), np.linspace(0.1, 6.2, 7)
+        radii = np.array([0.4, 1.3, 5.0])
         grid = full_resolvent_kernel(MIXING, 0.35, k, (radii, angles), y)
-        assert grid.shape == (3, 7)
+        assert grid.shape == (3, len(angles))
         want = np.array([[full_resolvent_kernel(MIXING, 0.35, k, (r, phi), y) for phi in angles]
                          for r in radii])
         assert np.max(np.abs(grid - want) / np.abs(want)) <= 1e-12

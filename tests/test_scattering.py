@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import hankel1 as sp_hankel1
 
+from abx import krein
 from abx.errors import NearEigenvalueError
 from abx.extension import ExtensionParams, UpperHalfK
 from abx.krein import d_of_k, full_resolvent_kernel, p_of_k
@@ -30,6 +31,10 @@ from abx.specfun import hankel1_orders
 from _oracles import apply_flux_operator, observed_orders, psi_u_correction_table, random_params
 
 PI = math.pi
+# sizes of the CLI's angle grid on which the grid tests run, and the ids of
+# the cases: the first, off that grid, keeps its old name
+GRID_SIZES = (1, 7, 97, 256)
+GRID_IDS = ("", *(f"-grid{n}" for n in GRID_SIZES))
 MIXING = ExtensionParams.mixing(0.7)
 ROTINV = ExtensionParams.rotationally_invariant(0.4, 0.9)
 AB = ExtensionParams.ab_point()
@@ -97,13 +102,18 @@ class TestPsiU:
             assert np.array_equal(psi_u(AB, alpha, chan, radii, angles),
                                   psi_ab(alpha, chan, radii, angles))
 
-    @pytest.mark.parametrize("params", [AB, ROTINV, MIXING])
-    def test_grid_matches_pointwise(self, params):
-        # the grid is cut once at its largest radius, each point at its own
+    @pytest.mark.parametrize("params, angles", [
+        (params, angles) for params in (AB, ROTINV, MIXING)
+        for angles in (np.linspace(0.1, 6.2, 7), *map(krein._angle_grid, GRID_SIZES))
+    ], ids=[f"params{i}{suffix}" for i in range(3) for suffix in GRID_IDS])
+    def test_grid_matches_pointwise(self, params, angles):
+        # the grid is cut once at its largest radius, each point at its own;
+        # on the CLI's angle grid the angular sum is an FFT, with the 110
+        # orders aliased mod n at n = 1, 7 and 97
         chan = PlaneWaveChannel(2.3, 0.4)
-        radii, angles = np.array([0.3, 1.1, 6.0]), np.linspace(0.1, 6.2, 7)
+        radii = np.array([0.3, 1.1, 6.0])
         grid = psi_u(params, 0.35, chan, radii, angles)
-        assert grid.shape == (3, 7)
+        assert grid.shape == (3, len(angles))
         want = np.array([[psi_u(params, 0.35, chan, r, phi) for phi in angles] for r in radii])
         assert type(psi_u(params, 0.35, chan, 1.1, 0.1)) is complex
         assert np.max(np.abs(grid - want)) <= 1e-13 * np.max(np.abs(want))
