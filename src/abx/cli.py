@@ -14,10 +14,9 @@ request for more than 4e6 output values), 3 numerical failure
 (near-eigenvalue momentum, a failed internal cross-check, overflow at
 extreme momenta).  Each task evaluates its whole grid with one call per
 momentum, so the coupling matrix p(k) is solved once per momentum.
-Only validate loads numpy, for its random draws; eigenfunction and resolvent
-are Python arithmetic.  Importing this module freezes its import-time heap
-(gc.freeze) for the one task a CLI process runs, as the validate task that
-first imports numpy does again; `import abx` leaves the GC alone.
+Every task is Python arithmetic and no task loads numpy.  Importing this
+module freezes its import-time heap (gc.freeze) for the one task a CLI
+process runs; `import abx` leaves the GC alone.
 """
 
 from __future__ import annotations
@@ -349,10 +348,12 @@ def _task_resolvent(cfg: RunConfig):
 def _task_validate(cfg: RunConfig):
     """Dual-path coupling/determinant cross-checks plus one
     resolvent-limit sample of the eigenfunction closed form."""
-    from .specfun import hankel1_orders, np
-    rng = np.random.default_rng(20240811)
+    import random
+
+    from .specfun import hankel1_orders
+    rng = random.Random(20240811)
     for _ in range(50):
-        g = rng.normal(size=4)
+        g = [rng.gauss(0.0, 1.0) for _ in range(4)]
         n = math.hypot(math.hypot(g[0], g[1]), math.hypot(g[2], g[3]))
         params = ExtensionParams(rng.uniform(-math.pi, math.pi),
                                  complex(g[0], g[1]) / n, complex(g[2], g[3]) / n)
@@ -436,9 +437,6 @@ def _render_csv(cfg: RunConfig, cols, rows, meta) -> str:
 
 def run(config: RunConfig) -> int:
     """Dispatch the configured task and write its output."""
-    if config.task == "validate" and "numpy" not in sys.modules:
-        from .specfun import np  # noqa: F401  which lives until exit too
-        gc.freeze()  # once: later in-process calls leave the caller's garbage collectable
     results, cols, rows, meta = _TASK_FNS[config.task](config)
     text = (_render_json(config, results) if config.fmt == "json"
             else _render_csv(config, cols, rows, meta))

@@ -58,7 +58,8 @@ limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
   against the determinant of the channel system on every call.
 
 All of it is Python complex arithmetic; the grid code takes the ladders and
-angular sums from ``specfun`` inside its functions, and numpy only for arrays.
+angular sums from ``specfun`` inside its functions.  No module imports
+numpy: array inputs come back as arrays of the numpy the caller loaded.
 """
 
 from __future__ import annotations
@@ -149,14 +150,14 @@ def _polar_grid(r, phi, point: str = "", broadcast: bool = False):
     """Gated radii and angles as lists of floats, and the form of the result
     for _unwrap: the polar grid of shape shape(r) + shape(phi), as a complex
     for Python scalars, nested lists for sequences and an array when either
-    is of numpy; broadcast gives numpy's broadcast of r against phi, an
-    array unless both are scalars.  The one gate of the coordinates: a
-    radius not finite and positive, or an angle not finite, is a ValueError
-    naming it after the label point, such as "source "."""
+    is of numpy, where broadcast gives numpy's broadcast of r against phi
+    instead.  The one gate of the coordinates: a radius not finite and
+    positive, or an angle not finite, is a ValueError naming it after the
+    label point, such as "source "."""
     rs, r_shape, r_array = _floats(r, lambda x: 0.0 < x < math.inf,
                                    point + "radius {} is not finite and positive")
     phis, phi_shape, phi_array = _floats(phi, math.isfinite, point + "angle {} is not finite")
-    return rs, phis, (r_array or phi_array or broadcast, r_shape, phi_shape, broadcast)
+    return rs, phis, (r_array or phi_array, r_shape, phi_shape, broadcast)
 
 
 def _unwrap(rows: list, form):
@@ -165,7 +166,7 @@ def _unwrap(rows: list, form):
     if not (array and (r_shape or phi_shape)):
         rows = rows if phi_shape else [row[0] for row in rows]
         return rows if r_shape else rows[0]
-    from .specfun import np
+    np = sys.modules["numpy"]   # loaded by the caller, who passed an array
     table = np.array(rows, dtype=complex).reshape(math.prod(r_shape), math.prod(phi_shape))
     if broadcast:   # the index arrays broadcast against each other, as r and phi do
         return table[np.arange(len(rows)).reshape(r_shape), np.arange(table.shape[1]).reshape(phi_shape)]
@@ -207,8 +208,9 @@ def ab_resolvent_kernel(alpha, k, x, y):
 
 class AnalyticBasisElement(NamedTuple):
     """One channel element psi_k as an immutable (r, phi) -> complex
-    evaluator: prefactor * H1_nu(k r) e^{i channel phi}, broadcast over
-    gated r and phi as numpy broadcasts them; a complex at Python scalars."""
+    evaluator: prefactor * H1_nu(k r) e^{i channel phi} at gated r and phi,
+    broadcast as numpy broadcasts arrays; a complex at Python scalars, and
+    the polar grid of nested lists for sequences."""
 
     channel: int
     k: UpperHalfK

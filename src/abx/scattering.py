@@ -20,7 +20,7 @@ principal-value weight and never sums them.
 
 The amplitude, cross section and mixing are Python complex arithmetic, one
 angle at a time at two complex exponentials each; the eigenfunction is grid
-code, and the extraction takes numpy (its least squares) from ``specfun``.
+code, and the extraction fits the far field by a least squares on lists.
 """
 
 from __future__ import annotations
@@ -288,7 +288,6 @@ def extract_amplitude(params: ExtensionParams, alpha, chan: PlaneWaveChannel,
     Raises ConvergenceError when the two window halves disagree by more
     than the advertised remainder bound allows.
     """
-    from .specfun import np
     alpha = as_alpha(alpha)
     phi = float(phi)
     r_max = float(r_max)
@@ -300,26 +299,21 @@ def extract_amplitude(params: ExtensionParams, alpha, chan: PlaneWaveChannel,
     w2 = -2.0 * k
     slow = min(abs(w1), abs(w2))
     window = min(_EXTRACT_WINDOW_PERIODS * 2.0 * math.pi / max(slow, 1e-6), 1.2 * r_max)
-    radii = np.linspace(r_max, r_max + window, _EXTRACT_SAMPLES)
+    radii = [r_max + window * i / (_EXTRACT_SAMPLES - 1) for i in range(_EXTRACT_SAMPLES)]
     vals = psi_u(params, alpha, chan, radii, phi)
-    raw = (vals - np.exp(1j * k * radii * np.cos(delta))) * np.sqrt(radii) * np.exp(-1j * k * radii)
+    raw = [(v - cmath.exp(1j * k * r * math.cos(delta))) * math.sqrt(r) * cmath.exp(-1j * k * r)
+           for r, v in zip(radii, vals)]
+    slow_wave, fast_wave = ([cmath.exp(1j * w * r) for r in radii] for w in (w1, w2))
+    basis = [[1.0] * len(radii), [math.sqrt(r) * e for r, e in zip(radii, slow_wave)], slow_wave,
+             [math.sqrt(r) * e for r, e in zip(radii, fast_wave)], fast_wave,
+             [1.0 / math.sqrt(r) for r in radii], [1.0 / r for r in radii]]
 
-    def fit(r, y):
-        basis = np.column_stack([
-            np.ones_like(r),
-            np.sqrt(r) * np.exp(1j * w1 * r),
-            np.exp(1j * w1 * r),
-            np.sqrt(r) * np.exp(1j * w2 * r),
-            np.exp(1j * w2 * r),
-            1.0 / np.sqrt(r),
-            1.0 / r,
-        ])
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        return complex(coef[0])
+    def fit(part: slice) -> complex:
+        return _least_squares([col[part] for col in basis], raw[part])[0]
 
-    full = fit(radii, raw)
-    half = len(radii) // 2
-    spread = abs(fit(radii[:half], raw[:half]) - fit(radii[half:], raw[half:]))
+    full = fit(slice(None))
+    half = _EXTRACT_SAMPLES // 2
+    spread = abs(fit(slice(half)) - fit(slice(half, None)))
     bound = extraction_remainder_bound(k, r_max, delta)
     if spread > max(10.0 * bound, 0.25 * abs(full)):
         raise ConvergenceError(
@@ -327,3 +321,21 @@ def extract_amplitude(params: ExtensionParams, alpha, chan: PlaneWaveChannel,
             f"{spread:.3g} against bound {bound:.3g}"
         )
     return full
+
+
+def _least_squares(columns: list, y: list) -> list:
+    """x minimizing |sum_j x_j columns[j] - y|, by modified Gram-Schmidt on
+    the augmented matrix [A | y], which is backward stable for least squares
+    (A. Bjorck, BIT 7 (1967) 1), and back substitution in R."""
+    q, n = [list(c) for c in (*columns, y)], len(columns)
+    r = [[0j] * (n + 1) for _ in range(n)]
+    for j in range(n):
+        r[j][j] = norm = math.hypot(*map(abs, q[j]))
+        q[j] = [v / norm for v in q[j]]
+        for l in range(j + 1, n + 1):
+            r[j][l] = d = sum(a.conjugate() * b for a, b in zip(q[j], q[l]))
+            q[l] = [b - d * a for a, b in zip(q[j], q[l])]
+    x = [0j] * n
+    for j in reversed(range(n)):
+        x[j] = (r[j][n] - sum(r[j][l] * x[l] for l in range(j + 1, n))) / r[j][j]
+    return x

@@ -6,13 +6,9 @@ argument z (real or in the upper half-plane).  The grid code reads the
 orders |m + alpha| off two ladders per radius and adds each radius's
 coefficients over the angles with ``_angular_sum``: an FFT on the CLI's
 angle grid, Horner's rule elsewhere.  ``bessel_j_orders`` and
-``hankel1_orders`` take Python scalars, or broadcast over numpy arrays.
-
-This is the one module that imports numpy, and only when asked: for the
-array form of the ladders and as ``np`` (resolved on first use) for the
-validate task and array inputs.  It starts numpy's OpenBLAS on one thread
-unless numpy is already loaded or the caller set OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS; os.environ is left as it was.
+``hankel1_orders`` take Python scalars, or broadcast over numpy arrays;
+the module imports no numpy, and takes it from ``sys.modules`` for an
+array, whose caller has loaded it.
 
 Numerical method
 ----------------
@@ -49,7 +45,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import sys
 
 __all__ = [
@@ -58,27 +53,12 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    """``np``: numpy, imported on first use under the one-thread BLAS rule."""
-    if name != "np":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if "numpy" in sys.modules or not os.environ.keys().isdisjoint(
-            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-        import numpy
-    else:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as numpy loads OpenBLAS
-        try:
-            import numpy
-        finally:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-    return numpy
-
-
 def bessel_j_orders(nus, z):
     """J_nu(z) at orders nu >= 0 and arguments z (real z >= 0, or complex in
     the closed upper half-plane): a float (real z) or complex for Python
-    scalars, else a numpy array broadcast over both, real at real z.  Values
-    below the smallest normal float, as at orders far above |z|, are 0."""
+    scalars, a numpy array broadcast over both for numpy arrays, real at real
+    z, and a TypeError for other forms, such as lists.  Values below the
+    smallest normal float, as at orders far above |z|, are 0."""
     return _ladder_values(nus, z, want_j=True)
 
 
@@ -121,8 +101,8 @@ _TINY_Z = f"Bessel ladders need z = 0 or |z| >= {_MIN_ABS_Z:g}"
 
 
 def _ladder_values(nus, z, want_j: bool):
-    """J or H1 at every (nu, z) pair; numpy is loaded for non-scalar input."""
-    if not (isinstance(nus, (int, float)) and isinstance(z, (int, float, complex))):
+    """J or H1 at every (nu, z) pair."""
+    if not (isinstance(nus, (int, float, complex)) and isinstance(z, (int, float, complex))):
         return _array_values(nus, z, want_j)
     nu, real = float(nus), not isinstance(z, complex)
     if not math.isfinite(nu):
@@ -143,7 +123,10 @@ def _check_table(nu: float, top: int, columns: int) -> None:
 def _array_values(nus, z, want_j: bool):
     """The array form: one ladder mu + n per fractional part mu of the orders,
     evaluated once per distinct argument."""
-    np = __getattr__("np")
+    np = sys.modules.get("numpy")
+    forms = (int, float, complex, *((np.ndarray, np.generic) if np else ()))
+    if odd := [type(x).__name__ for x in (nus, z) if not isinstance(x, forms)]:
+        raise TypeError(f"Bessel ladders take Python scalars or numpy arrays, not {odd[0]}")
     nus, z = np.asarray(nus, dtype=float), np.asarray(z)
     real = not np.iscomplexobj(z)
     if not np.isfinite(nus).all():
@@ -367,16 +350,19 @@ def _angular_sum(angles: list, offset: float, mmax: int):
     to sum_m c_m e^{i m (phi - offset)} at each phi in angles.  On the CLI's
     grid phi_j = (j + 1/2) 2 pi / n (krein._angle_grid) orders fold mod n, with
     e^{i m (pi/n - offset)}, and the sums are one FFT of the n bins, at
-    about n x (sum of n's prime factors) products; it serves when that sum
-    is below the 2 mmax + 2 orders.  Otherwise each angle's sum runs by
-    Horner's rule in e^{+-i (phi - offset)}, at n x orders products."""
+    about n x (sum of n's prime factors) products.  A combine over an odd
+    prime p costs about twice a Horner step per product, so p is weighed at
+    2p, and the FFT serves when the weighed sum is below the 2 mmax + 2
+    orders.  Otherwise each angle's sum runs by Horner's rule in
+    e^{+-i (phi - offset)}, at n x orders products."""
     from .krein import _angle_grid
     n = rest = len(angles)
     factors = []   # n's prime factors, smallest first
     while rest > 1:
         factors.append(next(p for p in range(2, rest + 1) if rest % p == 0))
         rest //= factors[-1]
-    if n and sum(factors) < 2 * mmax + 2 and tuple(angles) == _angle_grid(n):
+    fft_cost = sum(p if p == 2 else 2 * p for p in factors)   # per angle, in Horner steps
+    if n and fft_cost < 2 * mmax + 2 and tuple(angles) == _angle_grid(n):
         fold = [cmath.exp(1j * m * (math.pi / n - offset)) for m in range(-mmax - 1, mmax + 1)]
         twiddles = [cmath.exp(2j * math.pi * q / n) for q in range(n)]
 

@@ -2,7 +2,6 @@
 formats, determinism."""
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -677,7 +676,7 @@ import abx
 print(gc.get_freeze_count())
 from abx import cli
 print(gc.get_freeze_count() > 0)
-for task in ("xsection", "amplitude", "eigenfunction", "resolvent"):
+for task in ("xsection", "amplitude", "eigenfunction", "resolvent", "validate"):
     outs = []
     for _ in range(2):
         buf = io.StringIO()
@@ -687,8 +686,51 @@ for task in ("xsection", "amplitude", "eigenfunction", "resolvent"):
     print(task, outs[0] == outs[1] and outs[0].startswith('{"diagnostics"'))
 """
     out = run_python(code, *POINTS["coupled"], "--k", "0.5,2", "--angles", "32", "--radii", "0.5,3")
-    assert out.splitlines() == ["0", "True", "xsection True", "amplitude True",
-                                "eigenfunction True", "resolvent True"]
+    assert out.splitlines() == ["0", "True", "xsection True", "amplitude True", "eigenfunction True",
+                                "resolvent True", "validate True"]
+
+
+def test_grid_task_freezes_numpy_heap():
+    # validate loads no numpy and no task freezes again: the import-time
+    # freeze leaves about 170 objects tracked after this run (786 while
+    # validate loaded numpy and froze a second time, 8605 without that freeze)
+    code = """
+import gc, io, sys
+from contextlib import redirect_stdout
+from abx import cli
+with redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(len(gc.get_objects()))
+"""
+    assert int(run_python(code, "validate")) < 1000
+
+
+def test_grid_task_freezes_once_per_process():
+    # no task freezes the heap after the CLI's import, so the freeze count
+    # stays fixed and cyclic garbage a caller makes between in-process calls
+    # stays collectable
+    code = """
+import gc, io, sys, weakref
+from contextlib import redirect_stdout
+from abx import cli
+
+class Node:
+    pass
+
+counts, cycles = [], []
+for task in ("validate", "eigenfunction", "resolvent"):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:] + [task]) == 0
+    counts.append(gc.get_freeze_count())
+    node = Node()
+    node.self = node
+    cycles.append(weakref.ref(node))
+    del node
+gc.collect()
+print(counts[0] > 0, counts[1:] == counts[:1] * 2, [ref() is None for ref in cycles])
+"""
+    out = run_python(code, *POINTS["coupled"], "--k", "0.5", "--angles", "8", "--radii", "0.5,3")
+    assert out.strip() == "True True [True, True, True]"
 
 
 @pytest.mark.parametrize("line", readme_cli_lines())
@@ -702,109 +744,12 @@ def test_readme_cli_examples_run(line):
         assert json.loads(out)["task"] == line.split()[-1]
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def run_python(code: str, *args: str, env=None) -> str:
+def run_python(code: str, *args: str) -> str:
     """stdout of `python -c code args` in a fresh interpreter that imports
-    this checkout's abx, with none of the BLAS thread variables set unless
-    env sets them."""
+    this checkout's abx."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          check=True, env={**base, **(env or {}), "PYTHONPATH": path}).stdout
-
-
-BLAS_THREADS = f"""
-import json, os, sys
-if sys.argv[1:] == ["numpy-first"]:
-    import numpy
-imported = None
-if sys.argv[1:] != ["no-abx"]:
-    import abx
-    imported = "numpy" in sys.modules
-    abx.bessel_j_orders([0.5, 1.5], 1.0)  # the ladders' array form loads numpy
-import numpy as np
-a = np.ones((300, 300))
-a @ a
-tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([tasks, {{v: os.environ[v] for v in {BLAS_THREAD_VARS!r} if v in os.environ}}, imported]))
-"""
-COUNTS_THREADS = os.path.isdir("/proc/self/task") and (os.cpu_count() or 1) >= 2
-
-
-@pytest.mark.parametrize("preset, threads", [
-    ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)])
-def test_blas_runs_on_one_thread_unless_the_caller_chose(preset, threads):
-    # import abx loads no numpy; abx's first call that needs it starts numpy's BLAS on
-    # one thread and leaves os.environ as it found it; a count the caller
-    # set is kept
-    tasks, seen, imported = json.loads(run_python(BLAS_THREADS, env=preset))
-    assert seen == preset and imported is False
-    if COUNTS_THREADS:
-        assert tasks == threads
-
-
-@pytest.mark.skipif(not COUNTS_THREADS, reason="needs /proc/self/task and two cores")
-def test_numpy_imported_first_keeps_its_thread_count():
-    default, _, _ = json.loads(run_python(BLAS_THREADS, "no-abx"))
-    assert json.loads(run_python(BLAS_THREADS, "numpy-first")) == [default, {}, True]
-
-
-def test_grid_task_freezes_numpy_heap():
-    # validate, the one task that imports numpy, freezes numpy's heap like the
-    # CLI's own: 786 objects, most of them from modules numpy.random loads
-    # later, stay tracked after this run, 8605 without the second freeze
-    code = """
-import gc, io, sys
-from contextlib import redirect_stdout
-from abx import cli
-with redirect_stdout(io.StringIO()):
-    assert cli.main(sys.argv[1:]) == 0
-print(len(gc.get_objects()))
-"""
-    assert int(run_python(code, "validate")) < 1000
-
-
-def test_grid_task_freezes_once_per_process():
-    # only the validate call that imports numpy freezes the heap again, so
-    # cyclic garbage a caller makes between in-process calls stays collectable
-    code = """
-import gc, io, sys, weakref
-from contextlib import redirect_stdout
-from abx import cli
-
-class Node:
-    pass
-
-counts, cycles = [], []
-for _ in range(3):
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(sys.argv[1:]) == 0
-    counts.append(gc.get_freeze_count())
-    node = Node()
-    node.self = node
-    cycles.append(weakref.ref(node))
-    del node
-gc.collect()
-print(counts[0] > 0, counts[1:] == counts[:1] * 2, [ref() is None for ref in cycles])
-"""
-    out = run_python(code, "validate")
-    assert out.strip() == "True True [True, True, True]"
-
-
-@pytest.mark.parametrize("task", [["eigenfunction"], ["--k-imag", "0.25", "--source", "10,0",
-                                                      "resolvent"]])
-def test_field_grid_bytes_do_not_depend_on_blas_threads(task):
-    # the partial-wave sums are Python arithmetic, with no BLAS product: the
-    # printed bytes are those of an explicitly serial run
-    code = "import sys, abx.cli; sys.exit(abx.cli.main(sys.argv[1:]))"
-    argv = [*POINTS["coupled"], "--k", "1.0", "--radii", "1,3,7,15,30,50", "--angles", "256",
-            *task]
-    out = run_python(code, *argv)
-    serial = run_python(code, *argv, env={"OPENBLAS_NUM_THREADS": "1"})
-    assert out.startswith('{"diagnostics"')
-    assert hashlib.sha256(out.encode()).hexdigest() == hashlib.sha256(serial.encode()).hexdigest()
+                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
@@ -842,72 +787,62 @@ def test_package_resolves_the_ladders_on_first_use():
     assert all(getattr(abx, name) is getattr(specfun, name) for name in specfun.__all__)
 
 
-def test_tasks_load_no_scipy():
-    # every task, the Bessel ones included, runs without scipy
-    code = blocking("scipy") + f"""
-import io, json
-from contextlib import redirect_stdout
-import abx
-from abx import cli
-args = json.loads(sys.argv[1])
-runs = {{}}
-for task in cli.TASKS:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        runs[task] = [cli.main(args + [task]), out.getvalue()]
-print(json.dumps([{SCIPY_MODULES}, Block.tried, runs]))
-"""
-    argv = POINTS["coupled"] + ["--k", "0.5,2", "--angles", "8", "--radii", "0.5,3"]
-    loaded, tried, runs = json.loads(run_python(code, json.dumps(argv)))
-    assert sorted(runs) == sorted(["spectrum", "amplitude", "xsection", "mixing",
-                                   "eigenfunction", "resolvent", "validate"])
-    assert loaded == [] and tried == []
-    assert all(rc == 0 for rc, _ in runs.values()), runs
-    for task, key in (("eigenfunction", "psi"), ("resolvent", "kernel")):
-        rc, out = runs[task]
-        assert "NaN" not in out and "Infinity" not in out
-        assert [len(block[key]) for block in json.loads(out)["results"]] == [2 * 8, 2 * 8]
+BLOCKED_ARGV = POINTS["coupled"] + ["--k", "0.5,2", "--angles", "8", "--radii", "0.5,3"]
 
 
-def test_closed_form_tasks_load_no_numpy():
-    # import abx and every task but validate need no numpy: with it refused,
-    # each prints, in JSON and CSV, what an unblocked run prints, the grid
-    # tasks eigenfunction and resolvent included; validate asks for it
-    code = blocking("numpy") + """
+def blocked_runs(package: str):
+    """The imports of package tried, and {"task fmt": [exit code, stdout]}
+    for every task in JSON and CSV, in a fresh interpreter that refuses
+    package."""
+    code = blocking(package) + """
 import io, json
 from contextlib import redirect_stdout
 import abx, abx.cli
 runs = {}
 for task in abx.cli.TASKS:
     for fmt in ("json", "csv"):
-        del Block.tried[:]
         out = io.StringIO()
-        try:
-            with redirect_stdout(out):
-                rc = abx.cli.main(json.loads(sys.argv[1]) + ["--format", fmt, task])
-        except ImportError:
-            rc = None
-        runs[f"{task} {fmt}"] = [rc, out.getvalue(), list(Block.tried)]
-print(json.dumps(runs))
+        with redirect_stdout(out):
+            rc = abx.cli.main(json.loads(sys.argv[1]) + ["--format", fmt, task])
+        runs[f"{task} {fmt}"] = [rc, out.getvalue()]
+print(json.dumps([Block.tried, runs]))
 """
-    argv = POINTS["coupled"] + ["--k", "0.5,2", "--angles", "8", "--radii", "0.5,3"]
-    runs = json.loads(run_python(code, json.dumps(argv)))
+    return json.loads(run_python(code, json.dumps(BLOCKED_ARGV)))
+
+
+def test_tasks_load_no_scipy():
+    # every task, the Bessel ones included, runs without scipy
+    tried, runs = blocked_runs("scipy")
+    assert tried == []
+    assert sorted(cli.TASKS) == sorted(["spectrum", "amplitude", "xsection", "mixing",
+                                        "eigenfunction", "resolvent", "validate"])
+    assert all(rc == 0 for rc, _ in runs.values()), runs
+    for task, key in (("eigenfunction", "psi"), ("resolvent", "kernel")):
+        out = runs[f"{task} json"][1]
+        assert "NaN" not in out and "Infinity" not in out
+        assert [len(block[key]) for block in json.loads(out)["results"]] == [2 * 8, 2 * 8]
+
+
+def test_closed_form_tasks_load_no_numpy():
+    # import abx and every task, validate included, need no numpy: with it
+    # refused, each prints, in JSON and CSV, the bytes of an unblocked run,
+    # and nothing tries to import it
+    tried, runs = blocked_runs("numpy")
+    assert tried == []
     for task in cli.TASKS:
         for fmt in ("json", "csv"):
-            rc, out, tried = runs[f"{task} {fmt}"]
-            if task == "validate":
-                assert (rc, tried) == (None, ["numpy"]), (task, fmt)
-            else:
-                assert (rc, tried) == (0, []), (task, fmt)
-                assert run_cli(argv + ["--format", fmt, task]) == (0, out, ""), (task, fmt)
+            rc, out = runs[f"{task} {fmt}"]
+            assert run_cli(BLOCKED_ARGV + ["--format", fmt, task]) == (rc, out, "") and rc == 0, \
+                (task, fmt)
 
 
-def test_numpy_imported_in_specfun_alone():
-    # one module loads numpy, with its thread rule; the grid code takes np from it
+def test_modules_import_the_standard_library_alone():
+    # abx has no runtime dependency, numpy included: a caller's arrays come
+    # back as arrays of the numpy that caller loaded
     import ast
     import glob
 
-    importers = set()
+    outside = set()
     for path in glob.glob(os.path.join(SRC, "abx", "*.py")):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
@@ -918,6 +853,6 @@ def test_numpy_imported_in_specfun_alone():
                 names = [node.module]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
-                importers.add(os.path.basename(path))
-    assert importers == {"specfun.py"}
+            outside.update(f"{os.path.basename(path)}: {name}" for name in names
+                           if name.split(".")[0] not in sys.stdlib_module_names)
+    assert outside == set()

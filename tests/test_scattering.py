@@ -15,6 +15,8 @@ from abx.errors import NearEigenvalueError
 from abx.extension import ExtensionParams, UpperHalfK
 from abx.krein import d_of_k, full_resolvent_kernel, p_of_k
 from abx.scattering import (
+    _EXTRACT_SAMPLES,
+    _EXTRACT_WINDOW_PERIODS,
     FORWARD_EPSILON,
     PlaneWaveChannel,
     amplitude_ab,
@@ -395,3 +397,29 @@ class TestExtraction:
     def test_forward_rejected(self):
         with pytest.raises(ValueError):
             extract_amplitude(MIXING, 0.4, PlaneWaveChannel(1.0, 0.0), 1e-4, 200.0)
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(g=st.tuples(*[st.floats(-1.0, 1.0)] * 4), eta=st.floats(-PI, PI),
+           alpha=st.floats(0.02, 0.98), k=st.floats(0.2, 5.0), theta=st.floats(0.0, 2 * PI),
+           delta=st.floats(2 * FORWARD_EPSILON, 2 * PI - 2 * FORWARD_EPSILON))
+    def test_fit_matches_numpy_least_squares(self, g, eta, alpha, k, theta, delta):
+        # the extraction's least squares on lists against numpy's lstsq on the
+        # fit's basis, rebuilt here over arrays at k r_max = 300
+        norm = math.hypot(*g)
+        assume(norm > 1e-3)
+        params = ExtensionParams(eta, complex(g[0], g[1]) / norm, complex(g[2], g[3]) / norm)
+        chan, phi, r_max = PlaneWaveChannel(k, theta), theta + delta, 300.0 / k
+        w1, w2 = k * (math.cos(delta) - 1.0), -2.0 * k
+        window = min(_EXTRACT_WINDOW_PERIODS * 2 * PI / max(min(abs(w1), abs(w2)), 1e-6), 1.2 * r_max)
+        r = np.linspace(r_max, r_max + window, _EXTRACT_SAMPLES)
+        try:
+            vals = psi_u(params, alpha, chan, r, phi)
+        except NearEigenvalueError:
+            assume(False)
+        raw = (vals - np.exp(1j * k * r * math.cos(delta))) * np.sqrt(r) * np.exp(-1j * k * r)
+        waves = [np.exp(1j * w * r) for w in (w1, w2)]
+        basis = np.column_stack([np.ones_like(r), np.sqrt(r) * waves[0], waves[0],
+                                 np.sqrt(r) * waves[1], waves[1], 1.0 / np.sqrt(r), 1.0 / r])
+        want = np.linalg.lstsq(basis, raw, rcond=None)[0][0]
+        got = extract_amplitude(params, alpha, chan, phi, r_max)
+        assert abs(got - want) <= 1e-7 * abs(want)

@@ -16,7 +16,7 @@ from scipy.special import jv as amos_jv
 
 from abx import specfun
 from abx.extension import UpperHalfK, branch_power
-from abx.krein import _cutoff, ab_resolvent_kernel
+from abx.krein import _angle_grid, _cutoff, ab_resolvent_kernel
 from abx.specfun import _MAX_GRID_ELEMENTS, bessel_j_orders, hankel1_orders
 
 from _oracles import mp_complex, series_besselj, series_besselk
@@ -219,21 +219,30 @@ class TestLaddersAgainstAmos:
         # order has no ladder at all
         with pytest.raises(ValueError, match=r"Bessel order 1e\+09: a ladder table of 1000000000"):
             ladder(1e9, 1.0)
-        for nu, name in ((math.nan, "nan"), (math.inf, "inf"), ([0.5, -math.inf], "-inf")):
+        for nu, name in ((math.nan, "nan"), (math.inf, "inf"), (np.array([0.5, -math.inf]), "-inf")):
             with pytest.raises(ValueError, match=f"Bessel order {name} is not finite"):
                 ladder(nu, 1.0)
 
     @pytest.mark.parametrize("ladder", [bessel_j_orders, hankel1_orders])
     def test_empty_inputs_give_empty_broadcasts(self, ladder):
         # as a numpy ufunc would: zeros of the broadcast shape, real for J at real z
-        for nus, z, shape in (([], 1.0, (0,)), (0.5, [], (0,)),
+        for nus, z, shape in ((np.array([]), 1.0, (0,)), (0.5, np.array([]), (0,)),
                               (np.ones(3), np.ones((0, 1)), (0, 3))):
             got = ladder(nus, z)
             assert got.shape == shape
             assert np.isrealobj(got) == (ladder is bessel_j_orders)
-        assert np.iscomplexobj(ladder([], 1j))
+        assert np.iscomplexobj(ladder(np.array([]), 1j))
         with pytest.raises(ValueError):
             ladder(np.ones(3), np.ones((0, 2)))
+
+    @pytest.mark.parametrize("ladder", [bessel_j_orders, hankel1_orders])
+    def test_sequences_refused_for_arrays(self, ladder):
+        # a list or tuple is neither form: the array form is numpy's alone,
+        # which abx never imports itself
+        for nus, z, name in (([0.5, 1.5], 1.0, "list"), (0.5, (1.0, 2.0), "tuple"),
+                             (np.array([0.5]), [1.0], "list")):
+            with pytest.raises(TypeError, match=f"Python scalars or numpy arrays, not {name}"):
+                ladder(nus, z)
 
 
 class TestLadderEdges:
@@ -322,3 +331,20 @@ class TestLadderEdges:
         nus = np.concatenate([np.arange(25) + alpha, np.arange(24) + 1.0 - alpha])
         with pytest.raises(ValueError, match="24 orders x 172 columns"):
             bessel_j_orders(nus[:, None], radii)
+
+
+class TestAngularSum:
+    @staticmethod
+    def path(n: int, mmax: int) -> str:
+        return specfun._angular_sum(_angle_grid(n), 0.3, mmax).__name__
+
+    def test_odd_primes_weigh_twice_in_the_fft_cost(self):
+        # A combine over an odd prime costs about two Horner steps: 97
+        # angles with 110 orders sum by Horner's rule (about 0.7-1.0 ms
+        # against 1.2-1.9 ms by the FFT), and by the FFT from 196 orders on.
+        assert self.path(97, 54) == "by_horner"
+        assert self.path(97, 97) == "by_fft"
+        # the smooth grids keep the FFT down to the smallest cutoff
+        smallest = _cutoff(1e-9, 1.0, 1)
+        for n in (256, 360, 243, 125, 49):
+            assert self.path(n, smallest) == "by_fft", n
