@@ -15,11 +15,15 @@ channel element as the column:
 
 by H2_nu(z e^{-i pi}) = -e^{i nu pi} H1_nu(z) (DLMF 10.11.4); the second
 form is continuous onto the real axis, so it serves the whole closed
-upper half-plane.  ``_rank_two`` forms the sum, here and, in its far
-limits, for the eigenfunction and amplitude of ``scattering``.  The pieces are:
+upper half-plane.  ``_rank_two`` folds p(k) and the rows into one
+coefficient per column channel l, here and, in its far limits, for the
+eigenfunction and amplitude of ``scattering``.  The pieces are:
 
-* ``ab_resolvent_kernel`` -- the reference kernel, a partial-wave sum
-  (i/4) sum_m e^{i m (phi - zeta)} J_{|m+alpha|}(k r_min) H1_{|m+alpha|}(k r_max).
+* ``full_resolvent_kernel`` -- the partial-wave sum of R^AB,
+  (i/4) sum_m e^{i m (phi - zeta)} J_{|m+alpha|}(k r_min) H1_{|m+alpha|}(k r_max),
+  in one pass per grid: the column psi_k^{(l)} is its wave m = l, and the
+  coefficient joins that wave's term.  ``ab_resolvent_kernel`` is the kernel
+  at the regular point (0, -1, 0), where p(k) = 0.
 
 * ``analytic_basis`` -- the channel elements psi_k, analytic in k,
 
@@ -146,71 +150,40 @@ def _floats(x, ok, message: str) -> tuple:
     return values, shape, array
 
 
-def _polar_grid(r, phi, point: str = "", broadcast: bool = False):
+def _polar_grid(r, phi, point: str = ""):
     """Gated radii and angles as lists of floats, and the form of the result
     for _unwrap: the polar grid of shape shape(r) + shape(phi), as a complex
     for Python scalars, nested lists for sequences and an array when either
-    is of numpy, where broadcast gives numpy's broadcast of r against phi
-    instead.  The one gate of the coordinates: a radius not finite and
+    is of numpy.  The one gate of the coordinates: a radius not finite and
     positive, or an angle not finite, is a ValueError naming it after the
     label point, such as "source "."""
     rs, r_shape, r_array = _floats(r, lambda x: 0.0 < x < math.inf,
                                    point + "radius {} is not finite and positive")
     phis, phi_shape, phi_array = _floats(phi, math.isfinite, point + "angle {} is not finite")
-    return rs, phis, (r_array or phi_array, r_shape, phi_shape, broadcast)
+    return rs, phis, (r_array or phi_array, r_shape, phi_shape)
 
 
 def _unwrap(rows: list, form):
     """rows, one list over the angles per radius, in the form _polar_grid chose."""
-    array, r_shape, phi_shape, broadcast = form
+    array, r_shape, phi_shape = form
     if not (array and (r_shape or phi_shape)):
         rows = rows if phi_shape else [row[0] for row in rows]
         return rows if r_shape else rows[0]
     np = sys.modules["numpy"]   # loaded by the caller, who passed an array
-    table = np.array(rows, dtype=complex).reshape(math.prod(r_shape), math.prod(phi_shape))
-    if broadcast:   # the index arrays broadcast against each other, as r and phi do
-        return table[np.arange(len(rows)).reshape(r_shape), np.arange(table.shape[1]).reshape(phi_shape)]
-    return table.reshape(r_shape + phi_shape)
+    return np.array(rows, dtype=complex).reshape(r_shape + phi_shape)
 
 
 def ab_resolvent_kernel(alpha, k, x, y):
     """Reference resolvent kernel at observation x = (r, phi), source
-    y = (rho, zeta).
-
-    r and phi may each be a scalar or a 1-D array or sequence; the result is
-    then the polar grid of shape shape(r) + shape(phi) (``_polar_grid``).
-    The m-sum at each radius is truncated at ``_cutoff(|k|, max(r, rho),
-    width)``.  Coincident points are rejected (logarithmic singularity).
-    """
-    from .specfun import _angular_sum, _partial_waves
-    alpha = as_alpha(alpha)
-    k = UpperHalfK(k)
-    rs, phis, form = _polar_grid(x[0], x[1])
-    (rho,), (zeta,), _ = _polar_grid(y[0], y[1], "source ")
-    if (any(_angular_distance(p - zeta) <= _COINCIDENCE_TOL for p in phis)
-            and any(abs(r - rho) <= _COINCIDENCE_TOL * max(r, rho) for r in rs)):
-        raise ValueError("kernel is singular at coincident points x = y")
-    width = max(len(rs), len(phis))
-    cutoffs = [_cutoff(abs(k), max(r, rho), width) for r in rs]
-    total, rows = _angular_sum(phis, zeta, max(cutoffs)), []
-    for r, cutoff in zip(rs, cutoffs):
-        # J_nu(k r_in) H1_nu(k r_out), scaled so that neither factor leaves the
-        # float range when their product does not; where J underflows to 0, H1
-        # may be beyond the float range and stays out of the product.
-        r_in, r_out = min(r, rho), max(r, rho)
-        j_in = _partial_waves(alpha, cutoff, k * r_in, want_j=True, scaled=True)
-        h_out = _partial_waves(alpha, cutoff, k * r_out, want_j=False, scaled=True)
-        damping = math.exp(k.imag * (r_in - r_out))
-        terms = [j * h * damping if j else 0j for j, h in zip(j_in, h_out)]
-        rows.append([0.25j * v for v in total(terms)])
-    return _unwrap(rows, form)
+    y = (rho, zeta): ``full_resolvent_kernel`` of the regular extension
+    (0, -1, 0), whose p(k) is 0, so that the partial-wave sum is all of it."""
+    return full_resolvent_kernel(ExtensionParams.ab_point(), alpha, k, x, y)
 
 
 class AnalyticBasisElement(NamedTuple):
     """One channel element psi_k as an immutable (r, phi) -> complex
     evaluator: prefactor * H1_nu(k r) e^{i channel phi} at gated r and phi,
-    broadcast as numpy broadcasts arrays; a complex at Python scalars, and
-    the polar grid of nested lists for sequences."""
+    on the polar grid of shape shape(r) + shape(phi) (``_polar_grid``)."""
 
     channel: int
     k: UpperHalfK
@@ -218,24 +191,22 @@ class AnalyticBasisElement(NamedTuple):
     prefactor: complex
 
     def __call__(self, r, phi):
-        rs, phis, form = _polar_grid(r, phi, broadcast=True)
-        return _unwrap(_element_rows(self, rs, phis), form)
+        from .specfun import hankel1_orders
+        rs, phis, form = _polar_grid(r, phi)
+        radial = [self.prefactor * hankel1_orders(self.nu, self.k * r) for r in rs]
+        angular = [cmath.exp(1j * self.channel * phi) for phi in phis]
+        return _unwrap([[rad * ang for ang in angular] for rad in radial], form)
 
 
-def _element_rows(elem: AnalyticBasisElement, rs: list, phis: list) -> list:
-    """elem on the polar grid of rs and phis, one list over phis per radius."""
-    from .specfun import hankel1_orders
-    radial = [elem.prefactor * hankel1_orders(elem.nu, elem.k * r) for r in rs]
-    angular = [cmath.exp(1j * elem.channel * phi) for phi in phis]
-    return [[rad * ang for ang in angular] for rad in radial]
-
-
-def _add_columns(rows: list, coefs: list, basis: list, rs: list, phis: list) -> list:
-    """rows plus sum_l coefs[l] basis[l] on the polar grid of rs and phis:
-    the column side of the rank-two correction."""
-    terms = [(c, _element_rows(elem, rs, phis)) for c, elem in zip(coefs, basis) if c]
-    return [[v + sum(c * col[i][j] for c, col in terms) for j, v in enumerate(row)]
-            for i, row in enumerate(rows)]
+def _add_waves(terms: list, coefs: list, basis: list, r: float, offset: float) -> list:
+    """terms, one radius's coefficients of the waves m = -c-1 .. c of a sum
+    over e^{i m (phi - offset)}, with coefs[l] basis[l](r, offset) added to the
+    wave m of channel l: a column of the rank-two correction is that partial
+    wave.  Zero coefficients add nothing, so the regular point adds nothing."""
+    for c, elem in zip(coefs, basis):
+        if c:
+            terms[len(terms) // 2 + elem.channel] += c * elem(r, offset)
+    return terms
 
 
 def analytic_basis(channel: int, alpha, k) -> AnalyticBasisElement:
@@ -425,16 +396,39 @@ def p_of_k(params: ExtensionParams, alpha, k) -> tuple:
 
 
 def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
-    """Kernel of the resolvent of the selected extension: reference
-    kernel plus the rank-two channel correction.  Near-eigenvalue k is
-    rejected (via p_of_k).
+    """Kernel of the resolvent of the selected extension at x = (r, phi),
+    source y = (rho, zeta): the partial-wave sum (i/4) sum_m e^{i m (phi - zeta)}
+    J_{|m+alpha|}(k r_min) H1_{|m+alpha|}(k r_max) with the rank-two
+    correction added to its waves m = 0 and -1, the only ones it changes.
 
-    x = (r, phi) takes the same forms as ``ab_resolvent_kernel``, with p(k)
-    solved once for the whole grid.
+    r and phi may each be a scalar or a 1-D array or sequence; the result is
+    then the polar grid of shape shape(r) + shape(phi) (``_polar_grid``), with
+    p(k) solved once.  The m-sum at each radius is cut at ``_cutoff(|k|,
+    max(r, rho), width)``.  Coincident points are rejected (logarithmic
+    singularity), near-eigenvalue k by p_of_k.
     """
+    from .specfun import _angular_sum, _partial_waves
     rs, phis, form = _polar_grid(x[0], x[1])
-    rows = ab_resolvent_kernel(alpha, k, (rs, phis), y)
+    alpha = as_alpha(alpha)
+    k = UpperHalfK(k)
+    (rho,), (zeta,), _ = _polar_grid(y[0], y[1], "source ")
+    if (any(_angular_distance(p - zeta) <= _COINCIDENCE_TOL for p in phis)
+            and any(abs(r - rho) <= _COINCIDENCE_TOL * max(r, rho) for r in rs)):
+        raise ValueError("kernel is singular at coincident points x = y")
+    width = max(len(rs), len(phis))
+    cutoffs = [_cutoff(abs(k), max(r, rho), width) for r in rs]
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
-    coefs = _rank_two(p_of_k(params, alpha, k),
-                      [_row(elem, float(y[0]), float(y[1])) for elem in basis])
-    return _unwrap(_add_columns(rows, coefs, basis, rs, phis), form)
+    coefs = _rank_two(p_of_k(params, alpha, k), [_row(elem, rho, zeta) for elem in basis])
+    total, rows = _angular_sum(phis, zeta, max(cutoffs, default=0)), []
+    for r, cutoff in zip(rs, cutoffs):
+        # J_nu(k r_in) H1_nu(k r_out), scaled so that neither factor leaves the
+        # float range when their product does not; where J underflows to 0, H1
+        # may be beyond the float range and stays out of the product.  i/4 is
+        # on each term, so that the columns join unscaled; it scales exactly.
+        r_in, r_out = min(r, rho), max(r, rho)
+        j_in = _partial_waves(alpha, cutoff, k * r_in, want_j=True, scaled=True)
+        h_out = _partial_waves(alpha, cutoff, k * r_out, want_j=False, scaled=True)
+        damping = math.exp(k.imag * (r_in - r_out))
+        terms = [0.25j * (j * h * damping) if j else 0j for j, h in zip(j_in, h_out)]
+        rows.append(total(_add_waves(terms, coefs, basis, r, zeta)))
+    return _unwrap(rows, form)

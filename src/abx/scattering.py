@@ -10,9 +10,11 @@ a distorted plane wave incident from direction theta.  For a general
 extension the eigenfunction and the amplitude add the resolvent's
 rank-two term (``krein._rank_two``) in the source's far limit: the row
 at y = (rho, theta + pi) over the free outgoing wave (i/4) H1_0(k rho),
-rho -> infinity, against the channel elements (the eigenfunction) or
-their far fields (the amplitude).  Extraction checks the amplitude
-against the eigenfunction's far field independently.
+rho -> infinity, against the channel elements (the eigenfunction), which
+are the sum's waves m = 0 and -1 and join it there, or their far fields
+(the amplitude).  The regular ``psi_ab`` and ``amplitude_ab`` are
+``psi_u`` and ``amplitude_u`` at (0, -1, 0), where p(k) = 0.  Extraction
+checks the amplitude against the eigenfunction's far field independently.
 
 The forward direction is distributional: the amplitude object keeps the
 off-forward smooth part separate from the symbolic delta coefficient and
@@ -35,7 +37,7 @@ from .errors import ConvergenceError
 from .extension import ExtensionParams, as_alpha
 from .krein import (
     _CHANNELS,
-    _add_columns,
+    _add_waves,
     _cutoff,
     _far_column,
     _far_row,
@@ -105,40 +107,38 @@ def _forward_cone(theta: float, angles) -> list[bool]:
 
 
 def psi_ab(alpha, chan: PlaneWaveChannel, r, phi):
-    """Generalized eigenfunction of the regular (pure flux) extension.
+    """Generalized eigenfunction of the regular (pure flux) extension:
+    ``psi_u`` at (0, -1, 0), whose p(k) is 0, so that the partial-wave sum is
+    all of it."""
+    return psi_u(ExtensionParams.ab_point(), alpha, chan, r, phi)
+
+
+def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
+    """Generalized eigenfunction of the selected extension: the partial-wave
+    sum Psi_AB with the rank-two correction added to its waves m = 0 and -1,
+    the only ones it changes.
 
     r and phi may each be a scalar or a 1-D array or sequence; the result is
     the polar grid of shape shape(r) + shape(phi) (``krein._polar_grid``).
-    The partial-wave sum is cut once, at the largest radius.
+    The sum is cut once, at the largest radius, and p(k) solved once for the
+    whole grid; near-eigenvalue momenta are rejected by p_of_k.
     """
     from .specfun import _angular_sum, _partial_waves
     alpha = as_alpha(alpha)
     rs, phis, form = _polar_grid(r, phi)
-    mmax = _cutoff(chan.k, max(rs), max(len(rs), len(phis)))
+    mmax = _cutoff(chan.k, max(rs, default=0.0), max(len(rs), len(phis)))
+    basis = [analytic_basis(ch, alpha, chan.k) for ch in _CHANNELS]
+    coefs = _rank_two(p_of_k(params, alpha, chan.k),
+                      [_far_row(elem, chan.theta + math.pi) for elem in basis])
     total = _angular_sum(phis, chan.theta, mmax)
     # i^{|m|} e^{i pi (|m| - nu)/2} = (-1)^m e^{-i pi nu / 2}, nu = |m + alpha|
     phases = [(-1.0 if m % 2 else 1.0) * cmath.exp(-0.5j * math.pi * abs(m + alpha))
               for m in range(-mmax - 1, mmax + 1)]
-    rows = [total([c * j.real for c, j in zip(phases, _partial_waves(alpha, mmax, chan.k * r, True))])
-            for r in rs]
+    rows = []
+    for r in rs:
+        terms = [c * j.real for c, j in zip(phases, _partial_waves(alpha, mmax, chan.k * r, True))]
+        rows.append(total(_add_waves(terms, coefs, basis, r, chan.theta)))
     return _unwrap(rows, form)
-
-
-def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
-    """Generalized eigenfunction of the selected extension.
-
-    Takes the same scalar or 1-D array forms of r and phi as psi_ab, with
-    p(k) solved once for the whole grid.  Identical to psi_ab when the
-    coupling matrix vanishes (the regular extension); near-eigenvalue
-    momenta are rejected by the coupling matrix evaluation.
-    """
-    alpha = as_alpha(alpha)
-    rs, phis, form = _polar_grid(r, phi)
-    rows = psi_ab(alpha, chan, rs, phis)
-    basis = [analytic_basis(ch, alpha, chan.k) for ch in _CHANNELS]
-    coefs = _rank_two(p_of_k(params, alpha, chan.k),
-                      [_far_row(elem, chan.theta + math.pi) for elem in basis])
-    return _unwrap(_add_columns(rows, coefs, basis, rs, phis), form)
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,9 @@ def _finite(values: list, what: str, k: float) -> list:
     return values
 
 
-def _smooth(weight: complex, theta, phi, fold=None):
+def _smooth(weight: complex, theta, phi, fold):
     """weight / (e^{i(phi - theta)} - 1) + c0 + c1 e^{-i phi}, with (c0, c1) =
-    fold(theta) the rank-two far field of channels (0, -1) or 0, at a float phi
+    fold(theta) the rank-two far field of channels (0, -1), at a float phi
     or over a sequence of them (giving a list), each finite and off the
     forward cone, or ValueError."""
     scalar = isinstance(phi, (int, float))
@@ -180,50 +180,45 @@ def _smooth(weight: complex, theta, phi, fold=None):
     if any(_forward_cone(theta, angles)):
         raise ValueError(f"smooth amplitude is undefined inside the forward cone "
                          f"|phi - theta| < {FORWARD_EPSILON}")
-    c0, c1 = fold(theta) if fold else (0.0, 0.0)
+    c0, c1 = fold(theta)
     values = [weight / (cmath.exp(1j * (angle - theta)) - 1.0) + (c0 + c1 * cmath.exp(-1j * angle))
               for angle in angles]
     return values[0] if scalar else values
 
 
 def amplitude_ab(alpha, k: float) -> Amplitude:
-    """Amplitude of the regular extension.
+    """Amplitude of the regular extension: ``amplitude_u`` at (0, -1, 0),
+    whose p(k) is 0.
 
     Off-forward modulus: |f|^2 = sin^2(pi alpha) / (2 pi k sin^2(delta/2)).
     The smooth part's weight is the principal-value weight.
+    """
+    return amplitude_u(ExtensionParams.ab_point(), alpha, k)
+
+
+def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
+    """Amplitude of the selected extension: the regular amplitude plus the
+    far field of psi_u's rank-two term on the waves m = 0 and -1, four
+    coupling-matrix terms whose theta-only and phi-only ones (channel mixing)
+    vanish exactly when b = 0.  Per call of ``smooth``, p(k) and the rows at
+    theta fold into one coefficient per column channel; a zero one adds 0.
     """
     alpha = as_alpha(alpha)
     k = _momentum(k)
     pref = _finite([math.sqrt(2.0 * math.pi / k)], "amplitude prefactor sqrt(2 pi/k)", k)[0]
     pref *= cmath.exp(-0.25j * math.pi)
     weight = pref * 1j * math.sin(math.pi * alpha) / math.pi
-
-    return Amplitude(
-        smooth=lambda theta, phi: _smooth(weight, theta, phi),
-        forward_delta_coeff=pref * (math.cos(math.pi * alpha) - 1.0),
-        forward_pv_weight=weight,
-    )
-
-
-def amplitude_u(params: ExtensionParams, alpha, k: float) -> Amplitude:
-    """Amplitude of the selected extension: the regular amplitude plus
-    the far field of psi_u's rank-two term, four coupling-matrix terms
-    whose theta-only and phi-only ones (channel mixing) vanish exactly
-    when b = 0.  Per call of ``smooth``, p(k) and the rows at theta fold into
-    one coefficient per column channel.
-    """
-    base = amplitude_ab(alpha, k)
     pk = p_of_k(params, alpha, k)
     basis = [analytic_basis(ch, alpha, k) for ch in _CHANNELS]
 
     def fold(theta):
         coefs = _rank_two(pk, [_far_row(elem, theta + math.pi) for elem in basis])
-        return [c * _far_column(elem) for c, elem in zip(coefs, basis)]
+        return [c * _far_column(elem) if c else 0.0 for c, elem in zip(coefs, basis)]
 
     return Amplitude(
-        smooth=lambda theta, phi: _smooth(base.forward_pv_weight, theta, phi, fold),
-        forward_delta_coeff=base.forward_delta_coeff,
-        forward_pv_weight=base.forward_pv_weight,
+        smooth=lambda theta, phi: _smooth(weight, theta, phi, fold),
+        forward_delta_coeff=pref * (math.cos(math.pi * alpha) - 1.0),
+        forward_pv_weight=weight,
     )
 
 

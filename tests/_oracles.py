@@ -172,7 +172,7 @@ def inner_product_2d(row_fn, col_fn, r_cut: float = 60.0, n_ang: int = 64) -> co
     integrand must have decayed by r_cut."""
     phis = np.arange(n_ang) * (2.0 * math.pi / n_ang)
     r, w = radial_rule(r_cut)
-    vals = np.conj(row_fn(r[:, None], phis)) * col_fn(r[:, None], phis)
+    vals = np.conj(row_fn(r, phis)) * col_fn(r, phis)
     return complex(2.0 * math.pi * (np.mean(vals, axis=-1) * r) @ w)
 
 

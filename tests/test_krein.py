@@ -216,8 +216,8 @@ def test_a_point_has_the_same_bits_alone_and_in_a_grid():
     chan = PlaneWaveChannel(abs(k), 0.4)
     radii, angles = (3.0, r), (1.0, phi, 2.5)
     alone = _bits(elem(r, phi))
-    assert _bits(elem(np.array([r]), np.array([phi]))[0]) == alone
-    assert _bits(elem(np.array(radii)[:, None], np.array(angles))[1, 1]) == alone
+    assert _bits(elem(np.array([r]), np.array([phi]))[0, 0]) == alone
+    assert _bits(elem(np.array(radii), np.array(angles))[1, 1]) == alone
     for fn in (lambda r, phi: psi_u(MIXING, alpha, chan, r, phi),
                lambda r, phi: full_resolvent_kernel(MIXING, alpha, k, (r, phi), y)):
         alone = _bits(fn(r, phi))
@@ -554,6 +554,37 @@ class TestFullKernel:
         want = np.array([[full_resolvent_kernel(MIXING, 0.35, k, (r, phi), y) for phi in angles]
                          for r in radii])
         assert np.max(np.abs(grid - want) / np.abs(want)) <= 1e-12
+
+    @pytest.mark.parametrize("angles", [krein._angle_grid(256), krein._angle_grid(97),
+                                        np.linspace(0.1, 6.2, 7)],
+                             ids=["grid256", "grid97", "off-grid"])
+    def test_correction_matches_the_literal_rank_two_sum(self, angles):
+        # The full kernel less the reference one is sum_jl row_j(y) p_jl psi_l(x),
+        # its row and columns here from scipy's H1 and the closed-form norms.  On
+        # the CLI's grid the sum runs through the FFT (at 97 once the orders
+        # pass 194), elsewhere by Horner's rule.  The angular sum spreads its
+        # rounding over a radius's angles: the scale is the largest reference
+        # modulus on the radius plus the terms' moduli, which phi does not change.
+        def column(channel, alpha, k, r, phi):
+            nu = alpha if channel == 0 else 1.0 - alpha
+            norm = math.sqrt(2.0 * (math.cos if channel == 0 else math.sin)(PI * alpha / 2.0)) / PI
+            radial = norm * 0.5j * PI * cmath.exp(0.25j * PI * nu) * complex(k) ** nu
+            return radial * sp_hankel1(nu, k * np.asarray(r)) * np.exp(1j * channel * np.asarray(phi))
+
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            params, alpha = ExtensionParams(*random_params(rng)), rng.uniform(0.05, 0.95)
+            k = UpperHalfK(complex(rng.uniform(0.2, 3.0), rng.uniform(0.05, 1.0)))
+            (rho, zeta), radii = rng.uniform((0.5, -PI), (5.0, PI)), np.sort(rng.uniform(0.1, 20.0, 3))
+            pk = p_of_k(params, alpha, k)
+            rows = [cmath.exp(-0.5j * PI * nu) * complex(column(ch, alpha, k, rho, -zeta))
+                    for ch, nu in ((0, alpha), (-1, 1.0 - alpha))]
+            cols = [column(ch, alpha, k, radii[:, None], angles) for ch in (0, -1)]
+            terms = [rows[j] * pk[j][l] * cols[l] for j in (0, 1) for l in (0, 1)]
+            base = ab_resolvent_kernel(alpha, k, (radii, angles), (rho, zeta))
+            got = full_resolvent_kernel(params, alpha, k, (radii, angles), (rho, zeta)) - base
+            scale = np.max(np.abs(base), axis=1, keepdims=True) + sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(got - sum(terms)) <= 1e-12 * scale)
 
     def test_grid_through_the_source_rejected(self):
         with pytest.raises(ValueError, match="coincident"):

@@ -124,6 +124,28 @@ class TestPsiU:
         assert np.max(np.abs(radial - [psi_u(params, 0.35, chan, r, 1.0) for r in radii])) \
             <= 1e-13 * np.max(np.abs(radial))
 
+    @pytest.mark.parametrize("angles", [krein._angle_grid(256), krein._angle_grid(97),
+                                        np.linspace(0.1, 6.2, 7)],
+                             ids=["grid256", "grid97", "off-grid"])
+    def test_grid_correction_matches_four_term_table(self, angles):
+        # On the CLI's grid the angular sum is an FFT (at 97 once the orders
+        # pass 194), elsewhere Horner's rule; either way psi_u - psi_ab is the
+        # paper's table, to the largest reference modulus on the radius plus
+        # the terms' moduli, which phi does not change.
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            params, alpha = ExtensionParams(*random_params(rng)), rng.uniform(0.05, 0.95)
+            chan = PlaneWaveChannel(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2 * PI))
+            radii = np.sort(rng.uniform(0.1, 20.0, 3))
+            pk = p_of_k(params, alpha, UpperHalfK(chan.k, on_real_axis=True))
+            terms = [coef * sp_hankel1(order, chan.k * radii[:, None])
+                     * np.exp(1j * (n_t * chan.theta + n_p * np.asarray(angles)))
+                     for coef, order, n_t, n_p in psi_u_correction_table(alpha, chan.k, pk)]
+            base = psi_ab(alpha, chan, radii, angles)
+            got = psi_u(params, alpha, chan, radii, angles) - base
+            scale = np.max(np.abs(base), axis=1, keepdims=True) + sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(got - sum(terms)) <= 1e-12 * scale)
+
     def test_resolvent_limit_oracle_single_sample(self):
         # far point source against the closed form (full sweep runs in
         # the acceptance suite)
@@ -346,6 +368,24 @@ def test_non_finite_coordinates_are_invalid(entry, named):
     # Not nan+nanj, an OverflowError or a grid too large at k*r = nan.
     with pytest.raises(ValueError, match=named):
         entry()
+
+
+@pytest.mark.parametrize("form", [list, np.array], ids=["list", "ndarray"])
+@pytest.mark.parametrize("r, phi", [([], [0.5, 1.0]), ([1.0, 2.0], [])], ids=["no-radii", "no-angles"])
+@pytest.mark.parametrize("grid", [
+    lambda r, phi: psi_ab(0.3, PlaneWaveChannel(1.0, 0.0), r, phi),
+    lambda r, phi: psi_u(MIXING, 0.3, PlaneWaveChannel(1.0, 0.0), r, phi),
+    lambda r, phi: krein.ab_resolvent_kernel(0.3, 1j, (r, phi), (1.5, 0.0)),
+    lambda r, phi: full_resolvent_kernel(MIXING, 0.3, 1j, (r, phi), (1.5, 0.0)),
+], ids=["psi_ab", "psi_u", "ab_resolvent_kernel", "full_resolvent_kernel"])
+def test_empty_coordinates_give_the_empty_grid(grid, r, phi, form):
+    # The polar grid of shape shape(r) + shape(phi): a list per radius, each
+    # of the angles' length, or an array of that shape.
+    got = grid(form(r), form(phi))
+    if form is list:
+        assert got == [[]] * len(r)
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == (len(r), len(phi))
 
 
 class TestChannelMixing:
