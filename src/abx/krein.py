@@ -412,6 +412,7 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     alpha = as_alpha(alpha)
     k = UpperHalfK(k)
     (rho,), (zeta,), _ = _polar_grid(y[0], y[1], "source ")
+    zeta %= 2.0 * math.pi   # as PlaneWaveChannel reduces theta: its sum's phases stay finite
     if (any(_angular_distance(p - zeta) <= _COINCIDENCE_TOL for p in phis)
             and any(abs(r - rho) <= _COINCIDENCE_TOL * max(r, rho) for r in rs)):
         raise ValueError("kernel is singular at coincident points x = y")
@@ -426,8 +427,8 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
         # may be beyond the float range and stays out of the product.  i/4 is
         # on each term, so that the columns join unscaled; it scales exactly.
         r_in, r_out = min(r, rho), max(r, rho)
-        j_in = _partial_waves(alpha, cutoff, k * r_in, want_j=True, scaled=True)
-        h_out = _partial_waves(alpha, cutoff, k * r_out, want_j=False, scaled=True)
+        j_in = _partial_waves(alpha, cutoff, k * r_in, want_j=True)
+        h_out = _partial_waves(alpha, cutoff, k * r_out, want_j=False)
         damping = math.exp(k.imag * (r_in - r_out))
         terms = [0.25j * (j * h * damping) if j else 0j for j, h in zip(j_in, h_out)]
         rows.append(total(_add_waves(terms, coefs, basis, r, zeta)))

@@ -29,9 +29,10 @@ A ladder mu + n, |mu| <= 1/2, at z != 0 takes three steps.
    J_mu H1_{mu+1} - J_{mu+1} H1_mu = -2i/(pi z).
 
 A ladder is multiplied out from its ratios with a power of two carried
-apart, the factors e^{+-i z} included, so no partial product over- or
-underflows before the value does; a value below the smallest normal float
-is exactly 0.  Domain: orders >= 0, z in the closed upper half-plane, z = 0
+apart as an unbounded int, the factors e^{+-i z} included, so no partial
+product over- or underflows and a ladder that starts outside the float
+range climbs back into it; a value below the smallest normal float is
+exactly 0.  Domain: orders >= 0, z in the closed upper half-plane, z = 0
 or |z| >= 1e-300 (1/z leaves the float range near 1e-308), and |z| at most
 1e7 above the highest order (J's continued fraction takes about |z| steps).
 
@@ -86,7 +87,6 @@ _RGAMMA_TAYLOR = [
 _GAM_TAYLOR = list(zip(_RGAMMA_TAYLOR[1::2], _RGAMMA_TAYLOR[0::2]))[::-1]
 _EPS = sys.float_info.epsilon
 _MIN_NORMAL = sys.float_info.min           # 2**-1022
-_MAX_EXP = 2100                            # beyond the float range either way
 _MIN_ABS_Z = 1e-300                        # smallest nonzero |z| of the domain
 _LOW = 2.0 ** -64                          # a running product is rescaled below this
 # The continued fraction for J_nu/J_{nu-1} takes about |z| - nu steps
@@ -149,8 +149,8 @@ def _array_values(nus, z, want_j: bool):
         ladder[(ladder < 0) & (np.abs(frac - frac[i]) <= tol)] = len(bases)
         bases.append(float(frac[i]))
     top, width = int(steps[-1]), args.size
-    # A partial-wave sum that krein._cutoff admits has top <= mmax + 1 and
-    # columns <= 2 x radii: top x columns <= (2 mmax + 2) x width <= the limit.
+    # The array form's own table, orders x columns, is held at once: bound it
+    # (the partial-wave sums climb one radius at a time and build no table).
     _check_table(orders[-1], top, len(bases) * width)
     table = np.empty((top + 1, len(bases) * width), dtype=complex)
     for i, mu in enumerate(bases):
@@ -161,11 +161,11 @@ def _array_values(nus, z, want_j: bool):
     return (out.real if want_j and real else out)[()]
 
 
-def _partial_waves(alpha: float, top: int, z, want_j: bool, scaled: bool = False) -> list:
-    """J or H1 (scaled as by _ladder) at the orders |m + alpha|, m = -top-1 ..
-    top, at one z: ladders from 1 - alpha (m < 0) and from alpha (m >= 0)."""
-    return (_ladder_from(abs(alpha - 1.0), top, z, want_j, scaled)[::-1]
-            + _ladder_from(alpha, top, z, want_j, scaled))
+def _partial_waves(alpha: float, top: int, z, want_j: bool) -> list:
+    """J e^{-Im z} or H1 e^{Im z} (1 at real z) at the orders |m + alpha|, m = -top-1
+    .. top, at one z: ladders from 1 - alpha (m < 0) and from alpha (m >= 0)."""
+    return (_ladder_from(abs(alpha - 1.0), top, z, want_j, True)[::-1]
+            + _ladder_from(alpha, top, z, want_j, True))
 
 
 def _ladder_from(nu: float, top: int, z, want_j: bool, scaled: bool = False) -> list:
@@ -219,15 +219,12 @@ def _ladder(mu: float, z, top: int, want_j: bool, scaled: bool = False) -> list:
 
 def _climb(log_base: float, unit_base: complex, ratios: list) -> list:
     """base, base r_0, base r_0 r_1, ... for base = unit_base exp(log_base), as
-    a mantissa times 2**e, the mantissa brought back to [1/2, 1) when its
-    modulus leaves [2**-64, 1]: no partial product over- or underflows before
-    the value does, and moduli below the smallest normal float are 0."""
+    a mantissa times 2**e, e an unbounded int and the mantissa brought back to
+    [1/2, 1) when its modulus leaves [2**-64, 1]: a ladder that starts beyond
+    the float range climbs back into it.  A NaN start (a NaN argument) is NaN."""
     log2 = log_base / math.log(2.0)
-    if abs(log2) < _MAX_EXP:
-        e = 0 if -64.0 <= log2 <= 0.0 else math.ceil(log2)   # modulus in [2**-64, 1]
-        m = unit_base * 2.0 ** (log2 - e)
-    else:  # past the float range either way; nan (inf - inf) only arises in an overflow
-        e, m = 0, unit_base * (0.0 if log2 < 0 else math.inf)
+    e = 0 if math.isnan(log2) or -64.0 <= log2 <= 0.0 else math.ceil(log2)   # |m| in [2**-64, 1]
+    m = unit_base * 2.0 ** (log2 - e)
     out = [_value(m, e) if e else m]
     for r in ratios:
         m *= r
@@ -239,14 +236,14 @@ def _climb(log_base: float, unit_base: complex, ratios: list) -> list:
 
 
 def _value(m: complex, e: int) -> complex:
-    """m 2**e: exactly 0 below the smallest normal float, infinite beyond the float range."""
+    """m 2**e, every ladder value's one rounding: 0 below the smallest normal float, inf beyond."""
     if -958 < e < 1024 and _LOW <= abs(m) <= 1.0:
         return m * 2.0 ** e   # exact, and a normal float
     try:
         v = complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
     except OverflowError:
         return complex(*(math.copysign(math.inf, x) if x else 0.0 for x in (m.real, m.imag)))
-    return 0j if abs(v) < _MIN_NORMAL else v
+    return 0j if math.hypot(v.real, v.imag) < _MIN_NORMAL else v   # abs raises past the range
 
 
 def _temme_series(mu, w):

@@ -28,10 +28,6 @@ from abx.extension import ExtensionParams
 mp.mp.dps = 40
 
 
-def series_gamma(x):
-    return mp.gamma(x)
-
-
 def series_besselj(nu, z, terms: int = 220):
     """Ascending series J_nu(z) = sum_j (-1)^j (z/2)^{nu+2j} / (j! Gamma(nu+j+1)).
 
@@ -49,14 +45,6 @@ def series_besselj(nu, z, terms: int = 220):
         if abs(term) < mp.mpf(10) ** (-mp.mp.dps) * (1 + abs(total)):
             return total + term
     raise RuntimeError(f"series for J_{nu}({z}) did not converge in {terms} terms")
-
-
-def series_bessely(nu, x):
-    """Y_nu from the reflection formula (fractional nu only)."""
-    s = mp.sinpi(nu)
-    if abs(s) < mp.mpf("1e-12"):
-        raise ValueError("reflection oracle needs non-integer order")
-    return (series_besselj(nu, x) * mp.cospi(nu) - series_besselj(-nu, x)) / s
 
 
 def series_besseli(nu, z, terms: int = 220):

@@ -44,6 +44,10 @@ GRID_PROBES = [
     (["--k", "1e-300", "eigenfunction"], 2),
     (["--alpha", "1e-6", "eigenfunction"], 0),
     (["--alpha", "0.999999", "--k-imag", "0.3", "resolvent"], 0),
+    # run first on Python arithmetic: a source angle whose angular-sum phases
+    # left the float range before it was reduced mod 2 pi
+    (["--alpha", "0.4", "--eta", "0.2", "--a", "0.6,0", "--b", "0.8,0", "--k", "1",
+      "--radii", "1", "--source", "1,1e308", "resolvent"], 0),
 ]
 
 
@@ -378,6 +382,18 @@ class TestRun:
         rc, out, err = run_cli(argv)
         assert (rc, err) == (0, "")
         assert "NaN" not in out and "Infinity" not in out
+
+    def test_kernel_far_below_the_float_range_is_zero(self):
+        # at k r = 1000 + 5000i the scaled H1 ladder's top orders have parts
+        # near 1e308, a modulus beyond the float range; the kernel there is
+        # about e^{-5 x 999}, exactly 0, and the radius 2 beside it is untouched
+        point = ["--alpha", "0.5", "--eta", "0.3", "--a", "0.6,0.2", "--b", "0.7,0.3316624790355399",
+                 "--k", "1", "--k-imag", "5", "--angles", "7", "--source", "1,0", "resolvent"]
+        (rc, out, err), (_, alone, _) = (run_cli(["--radii", radii] + point) for radii in ("1000,2", "2"))
+        assert (rc, err) == (0, "")
+        kernel = json.loads(out)["results"][0]["kernel"]
+        assert kernel[:7] == [[0.0, 0.0]] * 7
+        assert kernel[7:] == json.loads(alone)["results"][0]["kernel"]
 
     @pytest.mark.parametrize("argv, code", GRID_PROBES,
                              ids=["-".join(argv).replace("--", "") for argv, _ in GRID_PROBES])

@@ -409,6 +409,13 @@ class TestRefusals:
         assert calls >= 300 and 0 < refused < calls
         assert worst <= 1e-8
 
+    def test_singular_system_has_no_solve(self):
+        # a zero pivot, after elimination or before it: p_of_k then refuses by
+        # the condition number
+        identity = ((1.0, 0.0), (0.0, 1.0))
+        assert krein._solve(((1.0, 2.0), (2.0, 4.0)), identity) is None
+        assert krein._solve(((0.0, 0.0), (0.0, 0.0)), identity) is None
+
     def test_corrupted_route_at_well_conditioned_point(self, monkeypatch):
         # a 1e-8 error in either route of a well-conditioned solve is still
         # an internal fault, not a refusal
@@ -585,6 +592,16 @@ class TestFullKernel:
             got = full_resolvent_kernel(params, alpha, k, (radii, angles), (rho, zeta)) - base
             scale = np.max(np.abs(base), axis=1, keepdims=True) + sum(np.abs(t) for t in terms)
             assert np.all(np.abs(got - sum(terms)) <= 1e-12 * scale)
+
+    def test_source_angle_reduced_mod_two_pi(self):
+        # the angular sum's phases m (pi/n - zeta) are formed from the reduced
+        # angle: a source 10^6 turns on gives the bits of its remainder
+        k, radii, angles = UpperHalfK(1.1 + 0.7j), np.array([0.4, 2.0]), krein._angle_grid(256)
+        zeta = 0.5 + 2.0 * PI * 1e6
+        for params in (AB, MIXING):
+            got = full_resolvent_kernel(params, 0.35, k, (radii, angles), (1.3, zeta))
+            want = full_resolvent_kernel(params, 0.35, k, (radii, angles), (1.3, zeta % (2.0 * PI)))
+            assert got.tobytes() == want.tobytes()
 
     def test_grid_through_the_source_rejected(self):
         with pytest.raises(ValueError, match="coincident"):

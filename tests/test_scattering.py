@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import hankel1 as sp_hankel1
 
 from abx import krein
-from abx.errors import NearEigenvalueError
+from abx.errors import ConvergenceError, NearEigenvalueError
 from abx.extension import ExtensionParams, UpperHalfK
 from abx.krein import d_of_k, full_resolvent_kernel, p_of_k
 from abx.scattering import (
@@ -433,6 +433,20 @@ class TestExtraction:
         f1 = extract_amplitude(MIXING, alpha, chan, delta, 250.0)
         f2 = extract_amplitude(MIXING, alpha, chan, delta, 500.0)
         assert abs(f2 - f1) < extraction_remainder_bound(k, 250.0, delta)
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="ROADMAP item 25: the extraction's fixed window does not "
+                       "settle 41 cone half-widths off forward")
+    def test_extraction_settles_near_the_cone(self):
+        # a random draw whose window halves disagree by 5.24 against a bound
+        # of 0.2; the amplitude itself is finite and of modulus 11.7 there
+        params = ExtensionParams(-3.1387544452608807, 0.24804518608303663 - 0.8882525716127841j,
+                                 -0.38491970932091013 + 0.03630113029388261j)
+        alpha, k, theta = 0.6302548503070141, 2.1458898997255575, 4.773528363861297
+        phi = theta + 0.041   # 41 cone half-widths
+        got = extract_amplitude(params, alpha, PlaneWaveChannel(k, theta), phi, 1000 / k)
+        want = amplitude_u(params, alpha, k).smooth(theta, phi)
+        assert abs(got - want) / abs(want) <= 1e-2
 
     def test_forward_rejected(self):
         with pytest.raises(ValueError):

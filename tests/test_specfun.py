@@ -212,6 +212,13 @@ class TestLaddersAgainstAmos:
                 bessel_j_orders(0.5, z)
             with pytest.raises(ValueError, match="1e-300"):
                 hankel1_orders(0.5, z)
+        # the array form refuses the same inputs with the same messages
+        for ladder in (bessel_j_orders, hankel1_orders):
+            for nus, z in ((np.array([0.5, -0.5]), 1.0), (0.5, np.array([1.0, 1.0 - 1e-3j]))):
+                with pytest.raises(ValueError, match="orders >= 0 and z in the closed upper"):
+                    ladder(nus, z)
+            with pytest.raises(ValueError, match="1e-300"):
+                ladder(0.5, np.array([1.0, 1e-310]))
 
     @pytest.mark.parametrize("ladder", [bessel_j_orders, hankel1_orders])
     def test_rejects_order_before_allocating(self, ladder):
@@ -313,11 +320,34 @@ class TestLadderEdges:
             live = j[1:] != 0
             assert np.all(np.abs(wronskian[live] * (PI * z / 2.0) - 1.0) <= 1e-10)
 
+    def test_ladders_climb_back_into_the_float_range(self):
+        # at z = 5 + 3000i the J ladder starts near e^3000 = 2^4328 and the H1
+        # ladder near 2^-4328, beyond the float range; at nu = 4000.3 both
+        # values are floats again
+        z, nus = 5 + 3000j, np.array([3999.3, 4000.3])
+        j, h = bessel_j_orders(nus, z), hankel1_orders(nus, z)
+        want = mp_complex(mp.besselj(4000.3, mp.mpc(z)))
+        assert abs(j[1] - want) <= 1e-10 * abs(want)
+        # J + i Y at 800 digits (at 30 it cancels to 0), frozen
+        want = 1.6078584176732121225e-265 + 1.4160748535830818177e-267j
+        assert abs(h[1] - want) <= 1e-10 * abs(want)
+        wronskian = j[0] * h[1] - j[1] * h[0]
+        assert abs(wronskian * (PI * z) / -2j - 1.0) <= 1e-12
+
+    def test_value_beyond_the_float_range_in_modulus_only(self):
+        # parts of 1.35e308 each: a modulus of 1.9e308, past the largest float,
+        # which math.hypot gives as inf and abs raises on
+        m = complex(0.75, -0.75)
+        assert specfun._value(m, 1024) == complex(math.ldexp(0.75, 1024), -math.ldexp(0.75, 1024))
+        assert specfun._value(m, 1025) == complex(math.inf, -math.inf)
+        assert specfun._value(m, -1080) == 0j
+
     def test_table_bound_admits_the_cutoff_edge(self, monkeypatch):
         # with the shared limit lowered to 4000 elements, 86 radii inside a
         # source at k r = 1e-3 are the most that _cutoff admits (mmax = 22,
-        # (2 mmax + 2) x 86 = 3956), and their J ladder table, top x columns =
-        # 23 orders x (2 ladders x 86 radii) = 3956, passes the ladder bound
+        # (2 mmax + 2) x 86 = 3956), and the kernel there gives the same bits.
+        # The ladder bound protects the array form's own table, orders x
+        # columns: 24 orders x (2 ladders x 86 radii) = 4128 is over it
         k, alpha, source = UpperHalfK(1.0, on_real_axis=True), 0.3, (1e-3, 0.0)
         radii = np.linspace(1e-4, 9e-4, 86)
         want = ab_resolvent_kernel(alpha, k, (radii, 1.0), source)
