@@ -4,7 +4,8 @@ resolvents, spectra, generalized eigenfunctions and scattering.
 The package exports every module's ``__all__``; each public name is
 declared once, in its module, and specfun's resolve on first use.  Only
 the grid code imports specfun, its ladders and angular sums.  abx has no
-runtime dependency: array inputs return arrays of the caller's numpy."""
+runtime dependency: numbers and sequences of numbers go in, numbers and
+(nested) lists come out."""
 
 __version__ = "0.1.0"
 

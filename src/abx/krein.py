@@ -62,8 +62,8 @@ eigenfunction and amplitude of ``scattering``.  The pieces are:
   against the determinant of the channel system on every call.
 
 All of it is Python complex arithmetic; the grid code takes the ladders and
-angular sums from ``specfun`` inside its functions.  No module imports
-numpy: array inputs come back as arrays of the numpy the caller loaded.
+angular sums from ``specfun`` inside its functions.  Coordinates are numbers
+or sequences of numbers, and the grids come back as numbers or nested lists.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from typing import Callable, NamedTuple
 
 from .errors import ConsistencyError, NearEigenvalueError
@@ -136,41 +135,36 @@ def _angle_grid(n: int) -> tuple:
 
 
 def _floats(x, ok, message: str) -> tuple:
-    """x's values as floats, each passing ok or a ValueError of message naming
-    it; x's shape, () for a scalar; whether x is of numpy, told without importing it."""
-    np = sys.modules.get("numpy")
-    if array := np is not None and isinstance(x, (np.ndarray, np.generic)):
-        x = np.asarray(x, dtype=float)
-        values, shape = x.ravel().tolist(), x.shape
-    else:
-        values = [float(x)] if isinstance(x, (int, float)) else [float(v) for v in x]
-        shape = () if isinstance(x, (int, float)) else (len(values),)
+    """x, an int or float or a sequence of them, as a list of floats, each
+    passing ok or a ValueError of message naming it, and whether x is a
+    sequence.  A str or bytes is a TypeError, not a sequence of its characters."""
+    if isinstance(x, (str, bytes)):
+        raise TypeError(f"a {type(x).__name__} is not a number or a sequence of numbers")
+    sequence = not isinstance(x, (int, float))
+    values = [float(v) for v in x] if sequence else [float(x)]
     if bad := [v for v in values if not ok(v)]:
         raise ValueError(message.format(bad[0]))
-    return values, shape, array
+    return values, sequence
 
 
 def _polar_grid(r, phi, point: str = ""):
     """Gated radii and angles as lists of floats, and the form of the result
-    for _unwrap: the polar grid of shape shape(r) + shape(phi), as a complex
-    for Python scalars, nested lists for sequences and an array when either
-    is of numpy.  The one gate of the coordinates: a radius not finite and
-    positive, or an angle not finite, is a ValueError naming it after the
-    label point, such as "source "."""
-    rs, r_shape, r_array = _floats(r, lambda x: 0.0 < x < math.inf,
-                                   point + "radius {} is not finite and positive")
-    phis, phi_shape, phi_array = _floats(phi, math.isfinite, point + "angle {} is not finite")
-    return rs, phis, (r_array or phi_array, r_shape, phi_shape)
+    for _unwrap, whether r and phi were sequences: the polar grid as a complex
+    for scalars, a list over the sequence for one sequence and a list of rows
+    over the angles, one per radius, for two.  The one gate of the
+    coordinates: a radius not finite and positive, or an angle not finite, is
+    a ValueError naming it after the label point, such as "source "."""
+    rs, r_sequence = _floats(r, lambda x: 0.0 < x < math.inf,
+                             point + "radius {} is not finite and positive")
+    phis, phi_sequence = _floats(phi, math.isfinite, point + "angle {} is not finite")
+    return rs, phis, (r_sequence, phi_sequence)
 
 
 def _unwrap(rows: list, form):
     """rows, one list over the angles per radius, in the form _polar_grid chose."""
-    array, r_shape, phi_shape = form
-    if not (array and (r_shape or phi_shape)):
-        rows = rows if phi_shape else [row[0] for row in rows]
-        return rows if r_shape else rows[0]
-    np = sys.modules["numpy"]   # loaded by the caller, who passed an array
-    return np.array(rows, dtype=complex).reshape(r_shape + phi_shape)
+    r_sequence, phi_sequence = form
+    rows = rows if phi_sequence else [row[0] for row in rows]
+    return rows if r_sequence else rows[0]
 
 
 def ab_resolvent_kernel(alpha, k, x, y):
@@ -183,7 +177,7 @@ def ab_resolvent_kernel(alpha, k, x, y):
 class AnalyticBasisElement(NamedTuple):
     """One channel element psi_k as an immutable (r, phi) -> complex
     evaluator: prefactor * H1_nu(k r) e^{i channel phi} at gated r and phi,
-    on the polar grid of shape shape(r) + shape(phi) (``_polar_grid``)."""
+    on their polar grid (``_polar_grid``)."""
 
     channel: int
     k: UpperHalfK
@@ -401,17 +395,20 @@ def full_resolvent_kernel(params: ExtensionParams, alpha, k, x, y):
     J_{|m+alpha|}(k r_min) H1_{|m+alpha|}(k r_max) with the rank-two
     correction added to its waves m = 0 and -1, the only ones it changes.
 
-    r and phi may each be a scalar or a 1-D array or sequence; the result is
-    then the polar grid of shape shape(r) + shape(phi) (``_polar_grid``), with
-    p(k) solved once.  The m-sum at each radius is cut at ``_cutoff(|k|,
-    max(r, rho), width)``.  Coincident points are rejected (logarithmic
-    singularity), near-eigenvalue k by p_of_k.
+    r and phi may each be a number or a sequence of numbers; the result is
+    then their polar grid (``_polar_grid``), with p(k) solved once.  The
+    source is one point: rho and zeta are numbers.  The m-sum at each radius
+    is cut at ``_cutoff(|k|, max(r, rho), width)``.  Coincident points are
+    rejected (logarithmic singularity), near-eigenvalue k by p_of_k.
     """
     from .specfun import _angular_sum, _partial_waves
     rs, phis, form = _polar_grid(x[0], x[1])
     alpha = as_alpha(alpha)
     k = UpperHalfK(k)
-    (rho,), (zeta,), _ = _polar_grid(y[0], y[1], "source ")
+    rhos, zetas, source_form = _polar_grid(y[0], y[1], "source ")
+    if any(source_form):
+        raise ValueError("the source y is one point: its radius and angle are numbers")
+    rho, zeta = rhos[0], zetas[0]
     zeta %= 2.0 * math.pi   # as PlaneWaveChannel reduces theta: its sum's phases stay finite
     if (any(_angular_distance(p - zeta) <= _COINCIDENCE_TOL for p in phis)
             and any(abs(r - rho) <= _COINCIDENCE_TOL * max(r, rho) for r in rs)):

@@ -41,6 +41,7 @@ from .krein import (
     _cutoff,
     _far_column,
     _far_row,
+    _floats,
     _polar_grid,
     _rank_two,
     _unwrap,
@@ -118,8 +119,8 @@ def psi_u(params: ExtensionParams, alpha, chan: PlaneWaveChannel, r, phi):
     sum Psi_AB with the rank-two correction added to its waves m = 0 and -1,
     the only ones it changes.
 
-    r and phi may each be a scalar or a 1-D array or sequence; the result is
-    the polar grid of shape shape(r) + shape(phi) (``krein._polar_grid``).
+    r and phi may each be a number or a sequence of numbers; the result is
+    their polar grid (``krein._polar_grid``).
     The sum is cut once, at the largest radius, and p(k) solved once for the
     whole grid; near-eigenvalue momenta are rejected by p_of_k.
     """
@@ -171,19 +172,17 @@ def _smooth(weight: complex, theta, phi, fold):
     fold(theta) the rank-two far field of channels (0, -1), at a float phi
     or over a sequence of them (giving a list), each finite and off the
     forward cone, or ValueError."""
-    scalar = isinstance(phi, (int, float))
-    theta, angles = float(theta), [float(phi)] if scalar else [float(angle) for angle in phi]
+    theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("amplitude angle theta is not finite")
-    if not all(map(math.isfinite, angles)):
-        raise ValueError("amplitude angle phi is not finite")
+    angles, sequence = _floats(phi, math.isfinite, "amplitude angle phi is not finite")
     if any(_forward_cone(theta, angles)):
         raise ValueError(f"smooth amplitude is undefined inside the forward cone "
                          f"|phi - theta| < {FORWARD_EPSILON}")
     c0, c1 = fold(theta)
     values = [weight / (cmath.exp(1j * (angle - theta)) - 1.0) + (c0 + c1 * cmath.exp(-1j * angle))
               for angle in angles]
-    return values[0] if scalar else values
+    return values if sequence else values[0]
 
 
 def amplitude_ab(alpha, k: float) -> Amplitude:

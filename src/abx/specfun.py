@@ -6,9 +6,8 @@ argument z (real or in the upper half-plane).  The grid code reads the
 orders |m + alpha| off two ladders per radius and adds each radius's
 coefficients over the angles with ``_angular_sum``: an FFT on the CLI's
 angle grid, Horner's rule elsewhere.  ``bessel_j_orders`` and
-``hankel1_orders`` take Python scalars, or broadcast over numpy arrays;
-the module imports no numpy, and takes it from ``sys.modules`` for an
-array, whose caller has loaded it.
+``hankel1_orders`` take one order or a sequence of orders at one argument,
+and return a number or a list.
 
 Numerical method
 ----------------
@@ -48,6 +47,8 @@ import cmath
 import math
 import sys
 
+from .krein import _angle_grid, _floats
+
 __all__ = [
     "bessel_j_orders",
     "hankel1_orders",
@@ -55,11 +56,11 @@ __all__ = [
 
 
 def bessel_j_orders(nus, z):
-    """J_nu(z) at orders nu >= 0 and arguments z (real z >= 0, or complex in
-    the closed upper half-plane): a float (real z) or complex for Python
-    scalars, a numpy array broadcast over both for numpy arrays, real at real
-    z, and a TypeError for other forms, such as lists.  Values below the
-    smallest normal float, as at orders far above |z|, are 0."""
+    """J_nu(z) at an order nu >= 0 or a sequence of them, at one argument z
+    (real z >= 0, or complex in the closed upper half-plane): a float (real z)
+    or complex for one order, a list of them for a sequence.  A str or bytes is
+    a TypeError, not a sequence.  Values below the smallest normal float, as at
+    orders far above |z|, are 0."""
     return _ladder_values(nus, z, want_j=True)
 
 
@@ -92,86 +93,58 @@ _LOW = 2.0 ** -64                          # a running product is rescaled below
 # The continued fraction for J_nu/J_{nu-1} takes about |z| - nu steps
 # below the turning point: a bound on its cost.
 _MAX_CF1_STEPS = 1e7
-# Largest orders x (radii or angles) of a partial-wave sum, whose work it
-# bounds (the sums hold one radius at a time), and largest orders x columns
-# table of the ladders' array form: 1.6e7 elements, 256 MB as complex.
+# Largest orders x (radii or angles) of a partial-wave sum and orders x
+# ladders of a ladder call, whose work it bounds (each holds one radius or one
+# ladder at a time): 1.6e7 elements, 256 MB as complex.
 _MAX_GRID_ELEMENTS = 16_000_000
 _DOMAIN = "Bessel ladders need orders >= 0 and z in the closed upper half-plane"
 _TINY_Z = f"Bessel ladders need z = 0 or |z| >= {_MIN_ABS_Z:g}"
 
 
 def _ladder_values(nus, z, want_j: bool):
-    """J or H1 at every (nu, z) pair."""
-    if not (isinstance(nus, (int, float, complex)) and isinstance(z, (int, float, complex))):
-        return _array_values(nus, z, want_j)
-    nu, real = float(nus), not isinstance(z, complex)
-    if not math.isfinite(nu):
-        raise ValueError(f"Bessel order {nu} is not finite")
-    if nu < 0 or (z < 0 if real else z.imag < 0):
+    """J or H1 at one order or a sequence of orders, at one z: one ladder mu + n
+    per fractional part mu of the orders, each climbed to the highest order's step."""
+    if not isinstance(z, (int, float, complex)):
+        raise TypeError(f"Bessel ladders take one argument z, not {type(z).__name__}")
+    orders, sequence = _floats(nus, math.isfinite, "Bessel order {} is not finite")
+    real = not isinstance(z, complex)
+    if min(orders, default=0.0) < 0 or (z < 0 if real else z.imag < 0):
         raise ValueError(_DOMAIN)
-    _check_table(nu, math.floor(nu + 0.5), 1)
-    value = _ladder_from(nu, 0, z, want_j)[0]
-    return value.real if want_j and real else value
-
-
-def _check_table(nu: float, top: int, columns: int) -> None:
-    if top * columns > _MAX_GRID_ELEMENTS:
-        raise ValueError(f"Bessel order {nu:.6g}: a ladder table of {top} orders x "
-                         f"{columns} columns exceeds the limit of {_MAX_GRID_ELEMENTS:.3g} elements")
-
-
-def _array_values(nus, z, want_j: bool):
-    """The array form: one ladder mu + n per fractional part mu of the orders,
-    evaluated once per distinct argument."""
-    np = sys.modules.get("numpy")
-    forms = (int, float, complex, *((np.ndarray, np.generic) if np else ()))
-    if odd := [type(x).__name__ for x in (nus, z) if not isinstance(x, forms)]:
-        raise TypeError(f"Bessel ladders take Python scalars or numpy arrays, not {odd[0]}")
-    nus, z = np.asarray(nus, dtype=float), np.asarray(z)
-    real = not np.iscomplexobj(z)
-    if not np.isfinite(nus).all():
-        raise ValueError(f"Bessel order {nus[~np.isfinite(nus)].flat[0]} is not finite")
-    if (nus < 0).any() or ((z < 0) if real else (z.imag < 0)).any():
-        raise ValueError(_DOMAIN)
-    if nus.size == 0 or z.size == 0:
-        return np.zeros(np.broadcast_shapes(nus.shape, z.shape), float if want_j and real else complex)
-    orders, order_idx = np.unique(nus, return_inverse=True)
-    args, arg_idx = np.unique(z.astype(complex), return_inverse=True)
-    if ((args != 0) & (np.abs(args) < _MIN_ABS_Z)).any():
-        raise ValueError(_TINY_Z)
-    steps = np.floor(orders + 0.5)
-    frac = orders - steps
+    if not orders:
+        return []
     # Orders whose fractional parts agree to rounding share a ladder; the
     # lowest order's fraction, the most exact one, is its base.
-    tol, ladder, bases = 16.0 * _EPS * np.maximum(orders, 1.0), np.full(orders.size, -1), []
-    while (ladder < 0).any():
-        i = int(np.argmax(ladder < 0))
-        ladder[(ladder < 0) & (np.abs(frac - frac[i]) <= tol)] = len(bases)
-        bases.append(float(frac[i]))
-    top, width = int(steps[-1]), args.size
-    # The array form's own table, orders x columns, is held at once: bound it
-    # (the partial-wave sums climb one radius at a time and build no table).
-    _check_table(orders[-1], top, len(bases) * width)
-    table = np.empty((top + 1, len(bases) * width), dtype=complex)
-    for i, mu in enumerate(bases):
-        for j, arg in enumerate(args.tolist()):
-            table[:, i * width + j] = _ladder(mu, arg, top, want_j)
-    order_idx, arg_idx = order_idx.reshape(nus.shape), arg_idx.reshape(z.shape)
-    out = table[steps.astype(int)[order_idx], ladder[order_idx] * width + arg_idx]
-    return (out.real if want_j and real else out)[()]
+    ladders = {}   # base mu -> {order: step}
+    for nu in sorted(set(orders)):
+        step = math.floor(nu + 0.5)
+        frac, tol = nu - step, 16.0 * _EPS * max(nu, 1.0)
+        base = next((mu for mu in ladders if abs(frac - mu) <= tol), frac)
+        ladders.setdefault(base, {})[nu] = step
+    # Every ladder climbs to the highest order's step: bound their work first.
+    highest = max(orders)
+    top = math.floor(highest + 0.5)
+    if top * len(ladders) > _MAX_GRID_ELEMENTS:
+        raise ValueError(f"Bessel order {highest:.6g}: a ladder table of {top} orders x "
+                         f"{len(ladders)} ladders exceeds the limit of {_MAX_GRID_ELEMENTS:.3g} elements")
+    values = {}
+    for mu, steps in ladders.items():
+        ladder = _ladder(mu, z, top, want_j)
+        values.update((nu, ladder[step].real if want_j and real else ladder[step])
+                      for nu, step in steps.items())
+    return [values[nu] for nu in orders] if sequence else values[orders[0]]
 
 
 def _partial_waves(alpha: float, top: int, z, want_j: bool) -> list:
     """J e^{-Im z} or H1 e^{Im z} (1 at real z) at the orders |m + alpha|, m = -top-1
     .. top, at one z: ladders from 1 - alpha (m < 0) and from alpha (m >= 0)."""
-    return (_ladder_from(abs(alpha - 1.0), top, z, want_j, True)[::-1]
-            + _ladder_from(alpha, top, z, want_j, True))
+    return (_ladder_from(abs(alpha - 1.0), top, z, want_j)[::-1]
+            + _ladder_from(alpha, top, z, want_j))
 
 
-def _ladder_from(nu: float, top: int, z, want_j: bool, scaled: bool = False) -> list:
-    """The orders nu + n, n = 0 .. top, off the ladder of nu's fractional part."""
+def _ladder_from(nu: float, top: int, z, want_j: bool) -> list:
+    """The orders nu + n, n = 0 .. top, off the scaled ladder of nu's fractional part."""
     steps = math.floor(nu + 0.5)
-    return _ladder(nu - steps, z, steps + top, want_j, scaled)[steps:]
+    return _ladder(nu - steps, z, steps + top, want_j, True)[steps:]
 
 
 def _ladder(mu: float, z, top: int, want_j: bool, scaled: bool = False) -> list:
@@ -352,7 +325,6 @@ def _angular_sum(angles: list, offset: float, mmax: int):
     2p, and the FFT serves when the weighed sum is below the 2 mmax + 2
     orders.  Otherwise each angle's sum runs by Horner's rule in
     e^{+-i (phi - offset)}, at n x orders products."""
-    from .krein import _angle_grid
     n = rest = len(angles)
     factors = []   # n's prime factors, smallest first
     while rest > 1:

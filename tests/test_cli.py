@@ -706,7 +706,7 @@ for task in ("xsection", "amplitude", "eigenfunction", "resolvent", "validate"):
                                 "resolvent True", "validate True"]
 
 
-def test_grid_task_freezes_numpy_heap():
+def test_validate_leaves_the_heap_frozen_once():
     # validate loads no numpy and no task freezes again: the import-time
     # freeze leaves about 170 objects tracked after this run (786 while
     # validate loaded numpy and froze a second time, 8605 without that freeze)
@@ -853,16 +853,20 @@ def test_closed_form_tasks_load_no_numpy():
 
 
 def test_modules_import_the_standard_library_alone():
-    # abx has no runtime dependency, numpy included: a caller's arrays come
-    # back as arrays of the numpy that caller loaded
+    # abx has no runtime dependency, numpy included, and reads no module out
+    # of sys.modules, where a caller's numpy would be: numbers and lists go
+    # in and come out
     import ast
     import glob
 
-    outside = set()
+    outside, reads = set(), []
     for path in glob.glob(os.path.join(SRC, "abx", "*.py")):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "modules"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                reads.append(f"{os.path.basename(path)}:{node.lineno}")
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -872,3 +876,47 @@ def test_modules_import_the_standard_library_alone():
             outside.update(f"{os.path.basename(path)}: {name}" for name in names
                            if name.split(".")[0] not in sys.stdlib_module_names)
     assert outside == set()
+    assert reads == []
+
+
+def test_library_results_are_numbers_and_lists_without_numpy():
+    # With numpy refused, a grid evaluator gives a complex for two numbers, a
+    # list for one list or tuple and a list of rows, one per radius, for two;
+    # a ladder gives a float (J at real z) or complex for one order and a list
+    # of them for a sequence.  Nothing tries to import numpy.
+    code = blocking("numpy") + """
+import json
+import abx
+params, chan = abx.ExtensionParams.mixing(0.7), abx.PlaneWaveChannel(1.0, 0.3)
+grids = {
+    "psi_u": lambda r, phi: abx.psi_u(params, 0.4, chan, r, phi),
+    "kernel": lambda r, phi: abx.full_resolvent_kernel(params, 0.4, 1j, (r, phi), (2.5, 0.1)),
+    "basis": abx.analytic_basis(0, 0.4, 1.0),
+}
+
+def form(value):
+    return [form(v) for v in value] if isinstance(value, list) else type(value).__name__
+
+out = {}
+for name, grid in grids.items():
+    for r, phi in ((1.0, 0.5), ([1.0, 2.0], 0.5), (1.0, (0.5, 1.5, 2.5)), ((1.0, 2.0), [0.5, 1.5, 2.5])):
+        out[f"{name} {type(r).__name__} {type(phi).__name__}"] = form(grid(r, phi))
+for name in ("bessel_j_orders", "hankel1_orders"):
+    for label, nus in (("one", 0.5), ("list", [0.5, 1.5]), ("tuple", (0.5, 1.37, 2.5)), ("empty", [])):
+        for z in (2.0, 2.0 + 1j):
+            out[f"{name} {label} {type(z).__name__}"] = form(getattr(abx, name)(nus, z))
+print(json.dumps([Block.tried, out]))
+"""
+    tried, out = json.loads(run_python(code))
+    assert tried == []
+    want = {}
+    for name in ("psi_u", "kernel", "basis"):
+        want.update({f"{name} float float": "complex", f"{name} list float": ["complex"] * 2,
+                     f"{name} float tuple": ["complex"] * 3,
+                     f"{name} tuple list": [["complex"] * 3] * 2})
+    for name in ("bessel_j_orders", "hankel1_orders"):
+        for z in ("float", "complex"):
+            kind = "float" if name == "bessel_j_orders" and z == "float" else "complex"
+            want.update({f"{name} one {z}": kind, f"{name} list {z}": [kind] * 2,
+                         f"{name} tuple {z}": [kind] * 3, f"{name} empty {z}": []})
+    assert out == want

@@ -196,7 +196,11 @@ class TestAnalyticBasis:
         with pytest.raises(ValueError, match="radius|angle"):
             analytic_basis(0, 0.3, 1.0)(r, phi)
         with pytest.raises(ValueError, match="radius|angle"):
-            analytic_basis(-1, 0.3, 1.0)(np.array([[1.0], [r]]), np.array([0.5, phi]))
+            analytic_basis(-1, 0.3, 1.0)([1.0, r], [0.5, phi])
+        # a string is not a sequence of coordinates
+        for coordinates in (("12", 0.5), (1.0, "12"), (b"12", 0.5)):
+            with pytest.raises(TypeError, match="not a number or a sequence of numbers"):
+                analytic_basis(0, 0.3, 1.0)(*coordinates)
 
 
 def _bits(value) -> str:
@@ -216,13 +220,13 @@ def test_a_point_has_the_same_bits_alone_and_in_a_grid():
     chan = PlaneWaveChannel(abs(k), 0.4)
     radii, angles = (3.0, r), (1.0, phi, 2.5)
     alone = _bits(elem(r, phi))
-    assert _bits(elem(np.array([r]), np.array([phi]))[0, 0]) == alone
-    assert _bits(elem(np.array(radii), np.array(angles))[1, 1]) == alone
+    assert _bits(elem([r], [phi])[0][0]) == alone
+    assert _bits(elem(np.array(radii), np.array(angles))[1][1]) == alone
     for fn in (lambda r, phi: psi_u(MIXING, alpha, chan, r, phi),
                lambda r, phi: full_resolvent_kernel(MIXING, alpha, k, (r, phi), y)):
         alone = _bits(fn(r, phi))
-        assert _bits(fn(np.array([r]), np.array([phi]))[0, 0]) == alone
-        assert _bits(fn(np.array(radii), np.array(angles))[1, 1]) == alone
+        assert _bits(fn([r], [phi])[0][0]) == alone
+        assert _bits(fn(np.array(radii), np.array(angles))[1][1]) == alone
         assert _bits(fn(radii, angles)[1][1]) == alone
 
 
@@ -556,7 +560,7 @@ class TestFullKernel:
         # at n = 97 with fewer orders than 97, the direct sum
         y = (1.3, 0.6)
         radii = np.array([0.4, 1.3, 5.0])
-        grid = full_resolvent_kernel(MIXING, 0.35, k, (radii, angles), y)
+        grid = np.asarray(full_resolvent_kernel(MIXING, 0.35, k, (radii, angles), y))
         assert grid.shape == (3, len(angles))
         want = np.array([[full_resolvent_kernel(MIXING, 0.35, k, (r, phi), y) for phi in angles]
                          for r in radii])
@@ -588,8 +592,8 @@ class TestFullKernel:
                     for ch, nu in ((0, alpha), (-1, 1.0 - alpha))]
             cols = [column(ch, alpha, k, radii[:, None], angles) for ch in (0, -1)]
             terms = [rows[j] * pk[j][l] * cols[l] for j in (0, 1) for l in (0, 1)]
-            base = ab_resolvent_kernel(alpha, k, (radii, angles), (rho, zeta))
-            got = full_resolvent_kernel(params, alpha, k, (radii, angles), (rho, zeta)) - base
+            base = np.asarray(ab_resolvent_kernel(alpha, k, (radii, angles), (rho, zeta)))
+            got = np.asarray(full_resolvent_kernel(params, alpha, k, (radii, angles), (rho, zeta))) - base
             scale = np.max(np.abs(base), axis=1, keepdims=True) + sum(np.abs(t) for t in terms)
             assert np.all(np.abs(got - sum(terms)) <= 1e-12 * scale)
 
@@ -601,7 +605,7 @@ class TestFullKernel:
         for params in (AB, MIXING):
             got = full_resolvent_kernel(params, 0.35, k, (radii, angles), (1.3, zeta))
             want = full_resolvent_kernel(params, 0.35, k, (radii, angles), (1.3, zeta % (2.0 * PI)))
-            assert got.tobytes() == want.tobytes()
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_grid_through_the_source_rejected(self):
         with pytest.raises(ValueError, match="coincident"):

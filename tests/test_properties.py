@@ -340,7 +340,7 @@ def test_local_density_of_states_is_nonnegative():
         r = 10.0 ** rng.uniform(-2.0, 1.0) / k
         phi = rng.uniform(-PI, PI)
         m = np.arange(-80, 80)
-        free = 0.25 * float(np.sum(bessel_j_orders(np.abs(m + alpha), k * r) ** 2))
+        free = 0.25 * float(np.sum(np.asarray(bessel_j_orders(np.abs(m + alpha), k * r)) ** 2))
         try:
             corr = _rank_two_at(ExtensionParams(eta, a, b), alpha, k, r, phi)
         except REFUSED:

@@ -114,12 +114,12 @@ class TestPsiU:
         # orders aliased mod n at n = 1, 7 and 97
         chan = PlaneWaveChannel(2.3, 0.4)
         radii = np.array([0.3, 1.1, 6.0])
-        grid = psi_u(params, 0.35, chan, radii, angles)
+        grid = np.asarray(psi_u(params, 0.35, chan, radii, angles))
         assert grid.shape == (3, len(angles))
         want = np.array([[psi_u(params, 0.35, chan, r, phi) for phi in angles] for r in radii])
         assert type(psi_u(params, 0.35, chan, 1.1, 0.1)) is complex
         assert np.max(np.abs(grid - want)) <= 1e-13 * np.max(np.abs(want))
-        radial = psi_u(params, 0.35, chan, radii, 1.0)
+        radial = np.asarray(psi_u(params, 0.35, chan, radii, 1.0))
         assert radial.shape == (3,)
         assert np.max(np.abs(radial - [psi_u(params, 0.35, chan, r, 1.0) for r in radii])) \
             <= 1e-13 * np.max(np.abs(radial))
@@ -141,8 +141,8 @@ class TestPsiU:
             terms = [coef * sp_hankel1(order, chan.k * radii[:, None])
                      * np.exp(1j * (n_t * chan.theta + n_p * np.asarray(angles)))
                      for coef, order, n_t, n_p in psi_u_correction_table(alpha, chan.k, pk)]
-            base = psi_ab(alpha, chan, radii, angles)
-            got = psi_u(params, alpha, chan, radii, angles) - base
+            base = np.asarray(psi_ab(alpha, chan, radii, angles))
+            got = np.asarray(psi_u(params, alpha, chan, radii, angles)) - base
             scale = np.max(np.abs(base), axis=1, keepdims=True) + sum(np.abs(t) for t in terms)
             assert np.all(np.abs(got - sum(terms)) <= 1e-12 * scale)
 
@@ -355,6 +355,8 @@ INF, NAN = math.inf, math.nan
     (lambda: full_resolvent_kernel(MIXING, 0.3, 1j, (1.0, 0.5), (NAN, 0.0)), "source radius nan"),
     (lambda: full_resolvent_kernel(MIXING, 0.3, 1j, (1.0, 0.5), (INF, 0.0)), "source radius inf"),
     (lambda: full_resolvent_kernel(MIXING, 0.3, 1j, (1.0, NAN), (2.0, 0.0)), "angle nan"),
+    (lambda: full_resolvent_kernel(MIXING, 0.3, 1j, (1.0, 0.5), ([1.0, 2.0], 0.0)), "source y is one point"),
+    (lambda: krein.ab_resolvent_kernel(0.3, 1j, (1.0, 0.5), (2.0, [0.0])), "source y is one point"),
     (lambda: PlaneWaveChannel(1.0, NAN), "theta nan"),
     (lambda: amplitude_u(MIXING, 0.3, 1.0).smooth(INF, 1.0), "theta"),
     (lambda: amplitude_u(MIXING, 0.3, 1.0).smooth(0.3, NAN), "phi"),
@@ -362,11 +364,24 @@ INF, NAN = math.inf, math.nan
     (lambda: cross_section(MIXING, 0.3, 1.0, INF, 1.0), "theta"),
     (lambda: cross_section(MIXING, 0.3, 1.0, 0.0, NAN), "phi"),
 ], ids=["psi_u-phi", "psi_u-r", "psi_ab-r", "kernel-zeta", "kernel-rho-nan", "kernel-rho-inf",
-        "kernel-phi", "PlaneWaveChannel-theta", "amplitude_u-theta", "amplitude_u-phi",
+        "kernel-phi", "kernel-rho-sequence", "kernel-zeta-sequence", "PlaneWaveChannel-theta", "amplitude_u-theta", "amplitude_u-phi",
         "amplitude_ab-phi", "cross_section-theta", "cross_section-phi"])
 def test_non_finite_coordinates_are_invalid(entry, named):
     # Not nan+nanj, an OverflowError or a grid too large at k*r = nan.
     with pytest.raises(ValueError, match=named):
+        entry()
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: psi_ab(0.3, PlaneWaveChannel(1.0, 0.0), "12", 0.5),
+    lambda: psi_u(MIXING, 0.3, PlaneWaveChannel(1.0, 0.0), 1.0, b"12"),
+    lambda: full_resolvent_kernel(MIXING, 0.3, 1j, ("12", 0.5), (2.0, 0.0)),
+    lambda: amplitude_ab(0.3, 1.0).smooth(0.0, "12"),
+    lambda: cross_section(MIXING, 0.3, 1.0, 0.0, "3"),
+], ids=["psi_ab-r", "psi_u-phi", "kernel-r", "amplitude_ab-phi", "cross_section-phi"])
+def test_a_string_is_not_a_sequence_of_coordinates(entry):
+    # not the radii or angles [1.0, 2.0] read off its characters
+    with pytest.raises(TypeError, match="not a number or a sequence of numbers"):
         entry()
 
 
@@ -379,13 +394,9 @@ def test_non_finite_coordinates_are_invalid(entry, named):
     lambda r, phi: full_resolvent_kernel(MIXING, 0.3, 1j, (r, phi), (1.5, 0.0)),
 ], ids=["psi_ab", "psi_u", "ab_resolvent_kernel", "full_resolvent_kernel"])
 def test_empty_coordinates_give_the_empty_grid(grid, r, phi, form):
-    # The polar grid of shape shape(r) + shape(phi): a list per radius, each
-    # of the angles' length, or an array of that shape.
-    got = grid(form(r), form(phi))
-    if form is list:
-        assert got == [[]] * len(r)
-    else:
-        assert isinstance(got, np.ndarray) and got.shape == (len(r), len(phi))
+    # The polar grid: a list per radius, each of the angles' length, whether
+    # the coordinates come as lists or as numpy arrays.
+    assert grid(form(r), form(phi)) == [[]] * len(r)
 
 
 class TestChannelMixing:
